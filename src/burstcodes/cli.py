@@ -113,7 +113,10 @@ def _resolve_spec(args) -> codes.CodeSpec:
         if args.params == "best" or family is codes.Family.CHENG1:
             return codes.best_params(family, args.n, b)
         raise DomainError("--params is required (residues or 'best')")
-    params = () if args.params == "-" else tuple(int(t) for t in args.params.split(","))
+    try:
+        params = () if args.params == "-" else tuple(int(t) for t in args.params.split(","))
+    except ValueError:
+        raise DomainError(f"--params takes comma-separated integers, got {args.params!r}") from None
     return codes.CodeSpec(family, args.n, b, params)
 
 

@@ -18,25 +18,30 @@ Families:
   the rows of A_2 (and A_3); correct up to 3 (resp. 4) deletions confined to a
   window of 3 (resp. 4) consecutive positions.
 
-Parameters of a family are a flat tuple of residues in a fixed documented
-order (see ``param_fields``). Membership is a pure per-word predicate; builds
-and best-parameter searches run the same predicate vectorized over the packed
-word space in chunks, so the full space is never materialized.
+Each family is one table of linear residue forms (``_family_table``): its
+parameters are the residues of the key forms, in the order ``param_fields``
+lists, and a word qualifies when its tie forms equal their key forms (or 0)
+and row 1 of an array view keeps its run cap. Membership evaluates the table
+on one word. Builds and best-parameter searches split every word into
+hi * 2^L + lo: each form's residue at every low part lo is tabulated once per
+sweep, and a chunk of 2^L words sharing hi adds one constant per form, so the
+full space is never materialized and no chunk recomputes a form bit by bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
 from . import _enum
-from .bitseq import ArrayRep, Word, array_view, flatten, from_int, parse_word, format_word, to_int
+from .bitseq import ArrayRep, Word, array_view, flatten, parse_word, format_word, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
 from .svt import SvtParams, svt_decode
@@ -127,170 +132,187 @@ def _burst_consts(n: int, b: int) -> tuple[int, int, int]:
     return m, ceil_log2(2 * m), ceil_log2(m) + 2
 
 
-def param_fields(family: Family, b: int) -> tuple[str, ...]:
+# ---------------------------------------------------------------------------
+# Constraint tables. A family is one table of linear residue forms on the rows
+# of array views: named key forms, whose residues are the parameters; tie
+# forms, each of which must equal a key form or 0; and run caps on row 1 of an
+# array view. Fields, ranges, membership, builds, searches and the decoders'
+# moduli all read it.
+# ---------------------------------------------------------------------------
+
+# sum_k w_k * A_lev(x)[row][k] mod mod(n), where w_k is the column index k (a
+# VT checksum) or 1 (a row weight); A_1(x) is x itself.
+_Form = namedtuple("_Form", "lev row weighted mod")
+
+
+@dataclass(frozen=True)
+class _Table:
+    keys: tuple = ()  # (name, form): the parameters, in order
+    ties: tuple = ()  # (form, name of the key form it equals, or None for 0)
+    caps: tuple = ()  # (lev, cap(n)): no run in row 1 of A_lev is longer than cap(n)
+
+    def __add__(self, other: _Table) -> _Table:
+        return _Table(self.keys + other.keys, self.ties + other.ties, self.caps + other.caps)
+
+
+def _burst_rows(lev: int, tag: str, cap: Callable, span: Callable) -> _Table:
+    """The burst-exact array code on A_lev: row 1 a VT code under a run cap,
+    rows 2..lev in one shifted-VT class (checksum mod span, weight mod 2)."""
+    c, d = _Form(lev, 2, True, span), _Form(lev, 2, False, lambda n: 2)
+    vt = _Form(lev, 1, True, lambda n: n // lev + 1)
+    keys = ((f"a{tag}", vt), (f"c{tag}", c), (f"d{tag}", d))
+    ties = [(f._replace(row=r), k) for r in range(3, lev + 1) for k, f in keys[1:]]
+    return _Table(keys, tuple(ties), ((lev, cap),))
+
+
+def _row_keys(lev: int, tag: str) -> _Table:
+    """The (2,1)-burst code on every row r of A_lev, with row length m: its
+    checksum mod 2m - 1 as {tag}{r}_a and its weight mod 4 as {tag}{r}_c."""
+    a = ("a", _Form(lev, 0, True, lambda n: 2 * (n // lev) - 1))
+    c = ("c", _Form(lev, 0, False, lambda n: 4))
+    return _Table(
+        tuple((f"{tag}{r}_{k}", f._replace(row=r)) for r in range(1, lev + 1) for k, f in (a, c))
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _family_table(family: Family, b: int) -> _Table:
+    """The family's table at burst parameter b; moduli and caps take n."""
+
+    def burst(lev: int, tag: str) -> _Table:
+        cap, span = (lambda n: _burst_consts(n, lev)[1]), (lambda n: _burst_consts(n, lev)[2])
+        return _burst_rows(lev, tag, cap, span)
+
+    def vt_word(name: str) -> _Table:
+        return _Table(((name, _Form(1, 1, True, lambda n: n + 1)),))
+
     if family is Family.CHENG1:
-        return ()
+        vt0 = lambda n: n // b + 1
+        return _Table(ties=tuple((_Form(b, r, True, vt0), None) for r in range(1, b + 1)))
     if family is Family.BURST_EXACT:
-        return ("a", "c", "d")
+        return burst(b, "")
     if family is Family.CL2:
-        return ("a_vt", "a2", "c2", "d2")
+        return vt_word("a_vt") + burst(2, "2")
     if family is Family.AT_MOST_CONSECUTIVE:
-        fields = ["a_vt", "a2", "c2", "d2"]
+        cap = lambda n: urll_cap(n, b)
+        table = vt_word("a_vt") + burst(2, "2")
         for lev in range(3, b + 1):
-            fields += [f"a{lev}", f"c{lev}", f"d{lev}"]
-        return tuple(fields)
-    if family is Family.C21:
-        return ("a", "c")
+            table += _burst_rows(lev, str(lev), cap, lambda n: cap(n) + 1)
+        return table
+    if family is Family.C21:  # the (2,1)-burst code on the word itself, fields a and c
+        return _Table(tuple((k[-1], f) for k, f in _row_keys(1, "").keys))
     if family is Family.NONCONS3:
-        return ("a1", "a3", "c3", "d3", "h1_a", "h1_c", "h2_a", "h2_c")
+        return vt_word("a1") + burst(3, "3") + _row_keys(2, "h")
     if family is Family.NONCONS4:
-        return (
-            "a1", "a4", "c4", "d4",
-            "h1_a", "h1_c", "h2_a", "h2_c",
-            "t1_a", "t1_c", "t2_a", "t2_c", "t3_a", "t3_c",
-        )
+        return vt_word("a1") + burst(4, "4") + _row_keys(2, "h") + _row_keys(3, "t")
     raise DomainError(f"unhandled family {family}")
+
+
+def param_fields(family: Family, b: int) -> tuple[str, ...]:
+    return tuple(name for name, _ in _family_table(family, b).keys)
 
 
 def param_ranges(family: Family, n: int, b: int) -> tuple[int, ...]:
     """Inclusive upper bound of every parameter, in param_fields order."""
-    if family is Family.CHENG1:
-        return ()
-    if family is Family.BURST_EXACT:
-        m, _, span = _burst_consts(n, b)
-        return (m, span - 1, 1)
-    if family is Family.CL2:
-        m, _, span = _burst_consts(n, 2)
-        return (n, m, span - 1, 1)
-    if family is Family.AT_MOST_CONSECUTIVE:
-        m2, _, span2 = _burst_consts(n, 2)
-        cap = urll_cap(n, b)
-        tops = [n, m2, span2 - 1, 1]
-        for lev in range(3, b + 1):
-            tops += [n // lev, cap, 1]
-        return tuple(tops)
-    if family is Family.C21:
-        return (2 * n - 2, 3)
-    if family is Family.NONCONS3:
-        m, _, span = _burst_consts(n, 3)
-        half = n - 2  # checksum modulus 2(n/2) - 1 = n - 1
-        return (n, m, span - 1, 1, half, 3, half, 3)
-    if family is Family.NONCONS4:
-        m, _, span = _burst_consts(n, 4)
-        half = n - 2
-        third = 2 * (n // 3) - 2
-        return (n, m, span - 1, 1, half, 3, half, 3, third, 3, third, 3, third, 3)
-    raise DomainError(f"unhandled family {family}")
+    return tuple(form.mod(n) - 1 for _, form in _family_table(family, b).keys)
 
 
-# ---------------------------------------------------------------------------
-# Signatures: for a packed word (or a numpy chunk of packed words) compute the
-# structural-qualification flag plus the parameter tuple the word belongs to.
-# A word is a member of spec iff it qualifies and its signature equals
-# spec.params.
-# ---------------------------------------------------------------------------
+class _Linear:
+    """A form made concrete for one n, on packed words (position 1 at the
+    least significant bit): per-bit weights summed mod `mod`, kept as the
+    residue of every value of each byte."""
+
+    def __init__(self, weights: list[int], mod: int) -> None:
+        self.mod, self.bytes = mod, []
+        for i in range(0, len(weights), 8):
+            t = [0]
+            for w in weights[i : i + 8]:
+                t += [(s + w) % mod for s in t]
+            self.bytes.append(t)
+
+    def __call__(self, v: int) -> int:
+        s = 0
+        for t in self.bytes:
+            s += t[v & 0xFF]
+            v >>= 8
+        return s % self.mod
+
+    def low_part(self, bits: int) -> np.ndarray:
+        """The residue of every word below 2^bits, as an outer sum of the byte
+        tables in the narrowest dtype that holds the sum of two residues."""
+        dtype = np.min_scalar_type(2 * (self.mod - 1))
+        r = np.zeros(1, dtype)
+        for i in range(0, bits, 8):
+            t = np.array(self.bytes[i // 8][: 1 << min(8, bits - i)], dtype)
+            r = ((t[:, None] + r) % self.mod).reshape(-1)
+        return r
 
 
-def _sig_cheng1(n: int, b: int, v):
-    m = n // b
-    ok = (v & 0) == 0
-    for r in range(1, b + 1):
-        ok = ok & (_enum.row_weighted_sum_mod(v, n, b, r, m + 1) == 0)
-    return ok, ()
+@functools.lru_cache(maxsize=32)
+def _compiled(family: Family, n: int, b: int):
+    """The table at length n: the ties as forms that must be 0, the caps as
+    (packed row, row length, run cap), and the key forms in parameter order."""
+    table = _family_table(family, b)
 
+    def weights(f: _Form) -> list[int]:
+        w = [0] * n
+        for k in range(n // f.lev):
+            w[f.row - 1 + k * f.lev] = k + 1 if f.weighted else 1
+        return w
 
-def _sig_burst_exact(n: int, b: int, v):
-    m, run_cap, span = _burst_consts(n, b)
-    row1 = _enum.row_int(v, n, b, 1)
-    ok = _enum.max_run_le(row1, m, run_cap)
-    a = _enum.row_weighted_sum_mod(v, n, b, 1, m + 1)
-    c = _enum.row_weighted_sum_mod(v, n, b, 2, span)
-    d = _enum.row_weight_mod(v, n, b, 2, 2)
-    for r in range(3, b + 1):
-        ok = ok & (_enum.row_weighted_sum_mod(v, n, b, r, span) == c)
-        ok = ok & (_enum.row_weight_mod(v, n, b, r, 2) == d)
-    return ok, (a, c, d)
-
-
-def _sig_cl2(n: int, v):
-    ok, (a2, c2, d2) = _sig_burst_exact(n, 2, v)
-    a_vt = _enum.weighted_sum_mod(v, n, n + 1)
-    return ok, (a_vt, a2, c2, d2)
-
-
-def _sig_at_most(n: int, b: int, v):
-    ok, key2 = _sig_cl2(n, v)
-    key = list(key2)
-    cap = urll_cap(n, b)
-    for lev in range(3, b + 1):
-        m = n // lev
-        row1 = _enum.row_int(v, n, lev, 1)
-        ok = ok & _enum.max_run_le(row1, m, cap)
-        key.append(_enum.row_weighted_sum_mod(v, n, lev, 1, m + 1))
-        c = _enum.row_weighted_sum_mod(v, n, lev, 2, cap + 1)
-        d = _enum.row_weight_mod(v, n, lev, 2, 2)
-        for r in range(3, lev + 1):
-            ok = ok & (_enum.row_weighted_sum_mod(v, n, lev, r, cap + 1) == c)
-            ok = ok & (_enum.row_weight_mod(v, n, lev, r, 2) == d)
-        key += [c, d]
-    return ok, tuple(key)
-
-
-def _sig_c21(n: int, v):
-    ok = (v & 0) == 0
-    a = _enum.weighted_sum_mod(v, n, 2 * n - 1)
-    c = _enum.weight_mod(v, n, 4)
-    return ok, (a, c)
-
-
-def _sig_noncons3(n: int, v):
-    a1 = _enum.weighted_sum_mod(v, n, n + 1)
-    ok, (a3, c3, d3) = _sig_burst_exact(n, 3, v)
-    halves = []
-    for r in (1, 2):
-        halves.append(_enum.row_weighted_sum_mod(v, n, 2, r, n - 1))
-        halves.append(_enum.row_weight_mod(v, n, 2, r, 4))
-    return ok, (a1, a3, c3, d3, *halves)
-
-
-def _sig_noncons4(n: int, v):
-    a1 = _enum.weighted_sum_mod(v, n, n + 1)
-    ok, (a4, c4, d4) = _sig_burst_exact(n, 4, v)
-    rows = []
-    for r in (1, 2):
-        rows.append(_enum.row_weighted_sum_mod(v, n, 2, r, n - 1))
-        rows.append(_enum.row_weight_mod(v, n, 2, r, 4))
-    third_mod = 2 * (n // 3) - 1
-    for r in (1, 2, 3):
-        rows.append(_enum.row_weighted_sum_mod(v, n, 3, r, third_mod))
-        rows.append(_enum.row_weight_mod(v, n, 3, r, 4))
-    return ok, (a1, a4, c4, d4, *rows)
-
-
-def _signature(family: Family, n: int, b: int, v):
-    if family is Family.CHENG1:
-        return _sig_cheng1(n, b, v)
-    if family is Family.BURST_EXACT:
-        return _sig_burst_exact(n, b, v)
-    if family is Family.CL2:
-        return _sig_cl2(n, v)
-    if family is Family.AT_MOST_CONSECUTIVE:
-        return _sig_at_most(n, b, v)
-    if family is Family.C21:
-        return _sig_c21(n, v)
-    if family is Family.NONCONS3:
-        return _sig_noncons3(n, v)
-    if family is Family.NONCONS4:
-        return _sig_noncons4(n, v)
-    raise DomainError(f"unhandled family {family}")
+    keys = dict(table.keys)
+    zeros = []
+    for f, key in table.ties:
+        w = weights(f)
+        if key is not None:  # a tie to a key form is their difference
+            w = [x - y for x, y in zip(w, weights(keys[key]))]
+        zeros.append(_Linear(w, f.mod(n)))
+    caps = []
+    for lev, cap in table.caps:
+        m, top = n // lev, cap(n)
+        if top < m:  # otherwise no row of length m can break the cap
+            row = [1 << p // lev if p % lev == 0 else 0 for p in range(n)]
+            caps.append((_Linear(row, 1 << m), m, top))
+    return zeros, caps, [_Linear(weights(f), f.mod(n)) for f in keys.values()]
 
 
 def member(spec: CodeSpec, x: Word) -> bool:
     """Per-word membership predicate."""
     if len(x) != spec.n:
         raise DomainError(f"expected length {spec.n}, got {len(x)}")
-    ok, key = _signature(spec.family, spec.n, spec.b, to_int(x))
-    return bool(ok) and tuple(int(k) for k in key) == spec.params
+    zeros, caps, keys = _compiled(spec.family, spec.n, spec.b)
+    v = to_int(x)
+    return (
+        all(f(v) == 0 for f in zeros)
+        and all(_enum.max_run_le(row(v), m, cap) for row, m, cap in caps)
+        and all(f(v) == p for f, p in zip(keys, spec.params))
+    )
+
+
+def _sweep(n: int, targets, caps, keys=()):
+    """Stream the packed space through a table, each word as hi * 2^L + lo
+    with L = min(n, CHUNK_BITS) and one chunk per hi.
+
+    Every form's residue at every lo is tabulated once; a chunk then adds one
+    constant per form, the residue of its first word hi * 2^L. Per chunk,
+    yields that word, the lo at which each (form, value) of `targets` holds
+    and every capped row passes, and the residues of `keys` at those lo."""
+    bits = min(n, _enum.CHUNK_BITS)
+    eqs = [(f, want, f.low_part(bits)) for f, want in targets]
+    runs = [(r, r.low_part(bits), _enum.max_run_le(np.arange(1 << m), m, f)) for r, m, f in caps]
+    lows = [(f, f.low_part(bits)) for f in keys]
+    for chunk in _enum.iter_chunks(n):
+        hi = int(chunk[0])
+        mask = np.ones(len(chunk), dtype=bool)
+        for f, want, low in eqs:
+            mask &= low == (want - f(hi)) % f.mod
+        lo = np.flatnonzero(mask)
+        for row, low, ok in runs:  # the row's low and high columns are disjoint bits
+            lo = lo[np.take(ok, np.take(low, lo) | row(hi))]
+        yield hi, lo, [
+            np.take((np.arange(f.mod, dtype=low.dtype) + f(hi)) % f.mod, np.take(low, lo))
+            for f, low in lows
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -336,47 +358,46 @@ def build(spec: CodeSpec) -> Codebook:
     """Enumerate all members of spec by streaming the packed word space."""
     if spec.n > BUILD_MAX_N:
         raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
-    found: list[int] = []
-    for chunk in _enum.iter_chunks(spec.n):
-        ok, key = _signature(spec.family, spec.n, spec.b, chunk)
-        mask = ok
-        for comp, want in zip(key, spec.params):
-            mask = mask & (comp == want)
-        found.extend(int(v) for v in chunk[mask])
-    words = sorted(from_int(v, spec.n) for v in found)
-    return Codebook(n=spec.n, words=tuple(words), spec=spec)
+    zeros, caps, keys = _compiled(spec.family, spec.n, spec.b)
+    targets = [(f, 0) for f in zeros] + list(zip(keys, spec.params))
+    found = np.concatenate([lo + hi for hi, lo, _ in _sweep(spec.n, targets, caps)])
+    as_bytes = found.astype("<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : spec.n]
+    # Words sort lexicographically from position 1, that is by the bit-reversed value.
+    order = np.argsort(bits.dot(1 << np.arange(spec.n - 1, -1, -1)))
+    return Codebook(n=spec.n, words=tuple(map(tuple, bits[order].tolist())), spec=spec)
 
 
 def best_params(family: Family, n: int, b: int) -> CodeSpec:
     """The parameter tuple with the largest class, ties broken by the
-    lexicographically smallest tuple. Streams the space once, bucketing words
-    by their signature."""
+    lexicographically smallest tuple. Streams the space once, bucketing the
+    qualifying words of each chunk by their packed key residues."""
     _validate_structure(family, n, b)
     if n > BUILD_MAX_N:
         raise DomainError(f"search capped at n <= {BUILD_MAX_N}")
-    if family is Family.CHENG1:
+    zeros, caps, keys = _compiled(family, n, b)
+    if not keys:
         return CodeSpec(family, n, b, ())
-    widths = [max(1, top.bit_length()) for top in param_ranges(family, n, b)]
+    # Field i sits above fields i+1.., so packed keys sort like parameter tuples.
+    widths = [(f.mod - 1).bit_length() for f in keys]
+    shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
     if sum(widths) > 62:
         raise DomainError("parameter space too wide to pack")
-    counter: Counter[int] = Counter()
-    for chunk in _enum.iter_chunks(n):
-        ok, key = _signature(family, n, b, chunk)
-        packed = chunk & np.uint64(0)
-        for comp, w in zip(key, widths):
-            packed = (packed << np.uint64(w)) | comp.astype(np.uint64)
-        kept = packed[ok]
-        vals, cnt = np.unique(kept, return_counts=True)
-        for k, c in zip(vals.tolist(), cnt.tolist()):
-            counter[int(k)] += int(c)
-    if not counter:
+    classes, sizes = [], []
+    for _, lo, residues in _sweep(n, [(f, 0) for f in zeros], caps, keys):
+        packed = np.zeros(len(lo), dtype=np.uint64)
+        for r, shift in zip(residues, shifts):
+            packed |= r.astype(np.uint64) << np.uint64(shift)
+        k, c = np.unique(packed, return_counts=True)
+        classes.append(k)
+        sizes.append(c)
+    # Merge the chunks' classes; argmax takes the first, smallest, of the largest.
+    uniq, where = np.unique(np.concatenate(classes), return_inverse=True)
+    if not len(uniq):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")
-    best_key, _ = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    params = []
-    for w in reversed(widths):
-        params.append(best_key & ((1 << w) - 1))
-        best_key >>= w
-    return CodeSpec(family, n, b, tuple(reversed(params)))
+    best = int(uniq[np.argmax(np.bincount(where, weights=np.concatenate(sizes)))])
+    params = tuple(best >> shift & (1 << w) - 1 for w, shift in zip(widths, shifts))
+    return CodeSpec(family, n, b, params)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +423,18 @@ def read_codebook(lines: Iterable[str]) -> Codebook:
         raise DomainError("empty codebook file") from None
     if not header.startswith("#"):
         raise DomainError("codebook file must start with a '# family=...' header")
-    kv = dict(part.split("=", 1) for part in header[1:].split())
-    n = int(kv["n"])
-    spec = None
-    if kv.get("family", "adhoc") != "adhoc":
-        params = () if kv.get("params", "-") == "-" else tuple(int(t) for t in kv["params"].split(","))
-        spec = CodeSpec(parse_family(kv["family"]), n, int(kv["b"]), params)
+    try:
+        kv = dict(part.split("=", 1) for part in header[1:].split())
+        n = int(kv["n"])
+        spec = None
+        if kv.get("family", "adhoc") != "adhoc":
+            text = kv.get("params", "-")
+            params = () if text == "-" else tuple(int(t) for t in text.split(","))
+            spec = CodeSpec(parse_family(kv["family"]), n, int(kv["b"]), params)
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed codebook header {header!r}: {exc!r}") from None
+    if n < 1:
+        raise DomainError(f"codebook length must be >= 1, got n={n}")
     words = [parse_word(line.strip()) for line in it if line.strip()]
     return codebook_from_words(words, n, spec)
 
@@ -425,16 +452,19 @@ def _burst_reachable(x: Word, y: Word, size: int) -> bool:
     return any(_delete_burst(x, i, size) == y for i in range(1, len(x) - size + 2))
 
 
-def _decode_array_burst(n: int, b: int, a: int, c: int, d: int, span: int, y: Word) -> DecodeResult:
-    """Construction core: VT-decode row 1 to localize the lost column, then
-    shifted-VT-decode the other rows inside the localized window."""
+def _decode_array_burst(spec: CodeSpec, b: int, tag: str, y: Word) -> DecodeResult:
+    """Construction core on A_b with the fields a{tag}, c{tag}, d{tag}: VT-decode
+    row 1 to localize the lost column, then shifted-VT-decode the other rows
+    inside the localized window, modulo the span of the c{tag} form."""
+    n, p = spec.n, spec.params_by_name()
+    span = dict(_family_table(spec.family, spec.b).keys)[f"c{tag}"].mod(n)
     m = n // b
     arr = array_view(y, b)
-    first = vt_decode(arr.rows[0], VtParams(m, a))
+    first = vt_decode(arr.rows[0], VtParams(m, p[f"a{tag}"]))
     j1, j2 = first.window
     u = max(1, j1 - 1)
     rows = [first.word]
-    svt_params = SvtParams(m, span, c, d)
+    svt_params = SvtParams(m, span, p[f"c{tag}"], p[f"d{tag}"])
     for r in range(2, b + 1):
         rows.append(svt_decode(arr.rows[r - 1], svt_params, u).word)
     x = flatten(ArrayRep(rows=tuple(rows)))
@@ -525,45 +555,23 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
     if a < 0:
         raise DecodeFailure("received word longer than the code length")
     fam = spec.family
-    p = spec.params_by_name()
-    if fam in (Family.CHENG1, Family.BURST_EXACT):
-        if a != spec.b:
-            raise DecodeFailure(f"{fam.value} expects exactly {spec.b} deletions, got {a}")
-        if fam is Family.CHENG1:
-            result = _decode_cheng1(spec, y)
-        else:
-            _, _, span = _burst_consts(n, spec.b)
-            result = _decode_array_burst(n, spec.b, p["a"], p["c"], p["d"], span, y)
-    elif fam is Family.CL2:
-        result = _decode_cl2(n, p, y, a)
-    elif fam is Family.AT_MOST_CONSECUTIVE:
-        if a > spec.b:
-            raise DecodeFailure(f"at most {spec.b} deletions supported, got {a}")
-        if a == 1 or a == 2:
-            result = _decode_cl2(n, p, y, a)
-        else:
-            cap = urll_cap(n, spec.b)
-            result = _decode_array_burst(
-                n, a, p[f"a{a}"], p[f"c{a}"], p[f"d{a}"], cap + 1, y
-            )
-    elif fam is Family.C21:
+    if fam is Family.C21:
         if a != 1:
             raise DecodeFailure(f"c21 expects received length {n - 1}, got {len(y)}")
         return _decode_c21(spec, y)
-    elif fam in (Family.NONCONS3, Family.NONCONS4):
-        if a > spec.b:
-            raise DecodeFailure(f"at most {spec.b} deletions supported, got {a}")
-        if a == 1:
-            result = vt_decode(y, VtParams(n, p["a1"]))
-        elif a == spec.b:
-            _, _, span = _burst_consts(n, spec.b)
-            result = _decode_array_burst(
-                n, spec.b, p[f"a{spec.b}"], p[f"c{spec.b}"], p[f"d{spec.b}"], span, y
-            )
-        else:
-            return _decode_windowed(spec, y, a)
-    else:  # pragma: no cover
-        raise DomainError(f"unhandled family {fam}")
+    if fam in (Family.CHENG1, Family.BURST_EXACT) and a != spec.b:
+        raise DecodeFailure(f"{fam.value} expects exactly {spec.b} deletions, got {a}")
+    if a > spec.b:
+        raise DecodeFailure(f"at most {spec.b} deletions supported, got {a}")
+    if fam is Family.CHENG1:
+        result = _decode_cheng1(spec, y)
+    elif a == 1:  # the whole-word VT component, a_vt or a1
+        p = spec.params_by_name()
+        result = vt_decode(y, VtParams(n, p.get("a_vt", p.get("a1"))))
+    elif fam in (Family.NONCONS3, Family.NONCONS4) and a < spec.b:
+        return _decode_windowed(spec, y, a)
+    else:
+        result = _decode_array_burst(spec, a, "" if fam is Family.BURST_EXACT else str(a), y)
     if not member(spec, result.word) or not _burst_reachable(result.word, y, a):
         raise DecodeFailure("decoded word does not explain the received word")
     return result
@@ -581,15 +589,6 @@ def _decode_cheng1(spec: CodeSpec, y: Word) -> DecodeResult:
         window=((lo - 1) * spec.b + 1, min(hi * spec.b, spec.n)),
         detail={"kind": "burst-deletion", "size": spec.b},
     )
-
-
-def _decode_cl2(n: int, p: dict[str, int], y: Word, a: int) -> DecodeResult:
-    if a == 1:
-        return vt_decode(y, VtParams(n, p["a_vt"]))
-    if a == 2:
-        _, _, span = _burst_consts(n, 2)
-        return _decode_array_burst(n, 2, p["a2"], p["c2"], p["d2"], span, y)
-    raise DecodeFailure(f"at most 2 deletions supported, got {a}")
 
 
 # ---------------------------------------------------------------------------

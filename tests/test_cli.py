@@ -166,3 +166,9 @@ def test_slow_gate_message(capsys):
     code = main(["tabulate", "--family", "noncons4", "--n", "24"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_non_integer_params_exit_code(capsys):
+    code = main(["build", "--family", "burst-exact", "--n", "8", "--b", "2", "--params", "x,y,z"])
+    assert code == 2
+    assert "--params" in capsys.readouterr().err

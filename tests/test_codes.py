@@ -1,11 +1,13 @@
+import hashlib
 import io
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
-from burstcodes import balls, verify
-from burstcodes.bitseq import enumerate_words, parse_word
+from burstcodes import _enum, balls, verify
+from burstcodes.bitseq import array_view, enumerate_words, parse_word
 from burstcodes.codes import (
     BUILD_MAX_N,
     CodeSpec,
@@ -24,6 +26,7 @@ from burstcodes.codes import (
     write_codebook,
 )
 from burstcodes.errors import DecodeFailure, DomainError
+from burstcodes.rll import ceil_log2, max_run, urll_cap
 
 
 def _delete(x, positions):
@@ -122,6 +125,91 @@ def test_best_params_matches_naive_sweep():
     got = best_params(Family.BURST_EXACT, n, b)
     assert got.params == best[1]
     assert len(build(got).words) == -best[0]
+
+
+def _reference_key(family, n, b, w):
+    """The parameter class of w read straight off the constructions, or None
+    when w fails a structural constraint: an oracle independent of the
+    constraint tables in codes."""
+
+    def vt(row, mod):
+        return sum(i * x for i, x in enumerate(row, start=1)) % mod
+
+    def burst(lev, cap, span):
+        rows = array_view(w, lev).rows
+        c, d = vt(rows[1], span), sum(rows[1]) % 2
+        if max_run(rows[0]) > cap or any((vt(r, span), sum(r) % 2) != (c, d) for r in rows[2:]):
+            return None
+        return [vt(rows[0], n // lev + 1), c, d]
+
+    def burst_exact(lev):
+        m = n // lev
+        return burst(lev, ceil_log2(2 * m), ceil_log2(m) + 2)
+
+    def row_21(lev):
+        return [k for r in array_view(w, lev).rows for k in (vt(r, 2 * (n // lev) - 1), sum(r) % 4)]
+
+    if family is Family.CHENG1:
+        return [] if all(vt(r, n // b + 1) == 0 for r in array_view(w, b).rows) else None
+    if family is Family.C21:
+        return row_21(1)
+    if family is Family.BURST_EXACT:
+        return burst_exact(b)
+    parts = [[vt(w, n + 1)], burst_exact(2 if family in (Family.CL2, Family.AT_MOST_CONSECUTIVE) else b)]
+    if family is Family.AT_MOST_CONSECUTIVE:
+        parts += [burst(lev, urll_cap(n, b), urll_cap(n, b) + 1) for lev in range(3, b + 1)]
+    if family in (Family.NONCONS3, Family.NONCONS4):
+        parts += [row_21(2)] + ([row_21(3)] if family is Family.NONCONS4 else [])
+    return None if None in parts else sum(parts, [])
+
+
+@pytest.mark.parametrize(
+    "family,n,b",
+    [
+        (Family.CHENG1, 8, 2),
+        (Family.BURST_EXACT, 8, 2),
+        (Family.BURST_EXACT, 12, 3),
+        (Family.CL2, 8, 2),
+        (Family.AT_MOST_CONSECUTIVE, 12, 3),
+        (Family.C21, 10, 2),
+        (Family.NONCONS3, 12, 3),
+    ],
+)
+def test_sweep_joins_chunks(monkeypatch, family, n, b):
+    # 16-word chunks: every form and capped row spans the high/low split.
+    monkeypatch.setattr(_enum, "CHUNK_BITS", 4)
+    sizes = Counter()
+    for w in enumerate_words(n):
+        key = _reference_key(family, n, b, w)
+        if key is not None:
+            sizes[tuple(key)] += 1
+    size, params = min((-size, key) for key, size in sizes.items())
+    spec = best_params(family, n, b)
+    assert spec.params == params
+    cb = build(spec)
+    assert len(cb.words) == -size
+    assert list(cb.words) == sorted(w for w in enumerate_words(n) if member(spec, w))
+
+
+# sha256 of write_codebook(build(best_params(family, 24, b))), recorded before
+# the sweep split each word into a tabulated low part and a per-chunk constant.
+PINNED_24 = {
+    (Family.CHENG1, 3): "111c5c012d5d15fb2d12a526c1427cf7826b173e9451c5f66f5cb5fddac100de",
+    (Family.BURST_EXACT, 3): "b061452a3ba9e3efc176f789e0aa25491837493c939176159a58b289f9e76429",
+    (Family.CL2, 2): "0da79413a7d56df76341a3e338f3dfc0e2b2deb53ac842e8cd9d3f5162c09298",
+    (Family.AT_MOST_CONSECUTIVE, 3): "9d78459cbc9bcae120bfb97ef0c1d7497757ac3f73d31ca57969d5f1b8cd4a54",
+    (Family.C21, 2): "a5bea23509170e44ee52568e31d262a2effb164647c39ba010ac757ee6dc23ac",
+    (Family.NONCONS3, 3): "64d1154b2268001526ec59aa66246c6f940472fa04dd0ca048c4f573259d0634",
+    (Family.NONCONS4, 4): "8f9a5077b939d06f56490c767402bb453b0276e121234703562cb05f63c89676",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family,b", sorted(PINNED_24, key=lambda fb: fb[0].value))
+def test_codebooks_at_24_are_byte_identical(family, b):
+    buf = io.StringIO()
+    write_codebook(build(best_params(family, 24, b)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED_24[(family, b)]
 
 
 def test_best_params_c21_pigeonhole():
@@ -240,6 +328,22 @@ def test_codebook_file_adhoc():
     write_codebook(cb, buf)
     back = read_codebook(io.StringIO(buf.getvalue()))
     assert back.words == cb.words and back.spec is None
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# family=adhoc b=0 params=-",  # no n=
+        "# family=adhoc n=0 b=0 params=-",
+        "# family=burst-exact n=twelve b=2 params=0,0,0",
+        "# family=burst-exact n=8 b=2 params=x,0,0",
+        "# family=burst-exact n=8 params=0,0,0",  # no b=
+        "# family burst-exact",
+    ],
+)
+def test_read_codebook_rejects_malformed_header(header):
+    with pytest.raises(DomainError):
+        read_codebook(io.StringIO(header + "\n"))
 
 
 def test_redundancy_report_fields():
