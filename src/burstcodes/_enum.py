@@ -7,6 +7,7 @@ chunked vectorized counting sweeps of vt, svt and rll. Keeping one
 implementation for both paths is what the cross-validation tests rely on.
 Codebook builds and parameter searches take their chunks from
 ``iter_chunks`` but evaluate the code families' tabulated forms (codes.py).
+``pack`` turns a list of Word tuples into such an array.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ def iter_chunks(n: int):
     step = 1 << CHUNK_BITS
     for start in range(0, total, step):
         yield np.arange(start, min(start + step, total), dtype=np.uint64)
+
+
+def pack(words, n: int) -> np.ndarray:
+    """Pack length-n words (n <= 64) into a uint64 array, position 1 at the
+    least significant bit as in bitseq.to_int."""
+    if n > 64:
+        raise DomainError(f"{n}-bit words do not fit in a uint64")
+    bits = np.array(words, dtype=np.uint64).reshape(-1, n)
+    return bits @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
 
 
 def bit(v, pos: int):

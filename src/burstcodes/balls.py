@@ -10,6 +10,13 @@ Balls contain only corrupted words: the "at most b" models exclude the
 zero-error event, which decoders instead treat as pass-through when the
 received length equals the code length. Balls are deduplicated sets of words,
 not multisets of events.
+
+Each (n, model) has one cached event table: every admissible event as an
+output length, its inserted bits and at most b+1 copy segments of the packed
+input (position 1 at the LSB). ball_ints applies the table to one int, giving
+(length, value) pairs; ball_keys applies it to a uint64 array of words, giving
+keys (1 << length) | value, which sort like those pairs. Keys hold elements of
+at most KEY_MAX_BITS = 63 bits; longer ones raise DomainError, never wrap.
 """
 
 from __future__ import annotations
@@ -17,7 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .bitseq import Word, from_int, run_count, to_int
 from .errors import DomainError
@@ -86,105 +96,90 @@ def parse_model(name: str, b: int) -> ErrorModel:
     raise DomainError(f"unknown error model {name!r}")
 
 
-# ---------------------------------------------------------------------------
-# Integer cores. Words are packed with position 1 at the LSB; every ball
-# element is keyed (length, value) because "at most" balls mix lengths.
-# ---------------------------------------------------------------------------
+KEY_MAX_BITS = 63  # a key (1 << length) | value must fit in a uint64
 
 
-def _delete_block(v: int, i: int, b: int) -> int:
-    """Delete positions i..i+b-1 from a packed word."""
-    low = v & ((1 << (i - 1)) - 1)
-    return low | ((v >> (i - 1 + b)) << (i - 1))
-
-
-def _insert_block(v: int, slot: int, bits: int, b: int) -> int:
-    """Insert a b-bit pattern after position `slot` (0 = before position 1)."""
-    low = v & ((1 << slot) - 1)
-    return low | (bits << slot) | ((v >> slot) << (slot + b))
-
-
-def _delete_positions(v: int, positions: tuple[int, ...]) -> int:
-    for p in sorted(positions, reverse=True):
-        v = _delete_block(v, p, 1)
-    return v
-
-
-def _window_subsets(n: int, b: int):
-    """All nonempty position sets of size <= b whose span fits in b consecutive
-    positions of a length-n word, each generated exactly once (anchored at its
-    minimum)."""
-    for first in range(1, n + 1):
-        rest = range(first + 1, min(first + b, n + 1))
-        for a in range(0, b):
-            for tail in combinations(rest, a):
-                yield (first, *tail)
+@lru_cache(maxsize=256)
+def _events(n: int, model: ErrorModel) -> tuple[tuple[int, int, tuple], ...]:
+    """Every admissible event of the model on a length-n word, once each, as
+    (output length, inserted bits, copy segments). A segment (src, mask, dst)
+    copies ((v >> src) & mask) << dst; the output of packed word v is the
+    inserted bits OR-ed with all of its segments."""
+    kind, b = model.kind, model.b
+    deleting = kind.value.startswith("del-")
+    # (deleted input positions, inserted output positions) of every event
+    if kind is ErrorKind.BURST_2_1:
+        if n < 3:
+            raise DomainError(f"word length {n} too short for a (2,1)-burst")
+        placements = [((i, i + 1), (i,)) for i in range(1, n)]
+    elif deleting and n <= b:
+        raise DomainError(f"word length {n} too short for a deletion burst of {b}")
+    else:
+        placements = []
+        for a in (b,) if kind.value.endswith("-exact") else range(1, b + 1):
+            m = n if deleting else n + a  # length of the word the positions index
+            if kind.value.endswith("-nonconsecutive"):
+                # a positions inside a window of b, each set once, by its minimum
+                sets = [(p, *rest) for p in range(1, m + 1)
+                        for rest in combinations(range(p + 1, min(p + b, m + 1)), a - 1)]
+            else:
+                sets = [tuple(range(i, i + a)) for i in range(1, m - a + 2)]
+            placements += [(p, ()) if deleting else ((), p) for p in sets]
+    events = []
+    for deleted, inserted in placements:
+        kept = [p for p in range(1, n + 1) if p not in deleted]
+        length = len(kept) + len(inserted)
+        slots = [p for p in range(1, length + 1) if p not in inserted]
+        # a segment ends where a deleted input or an inserted output bit intervenes
+        cuts = [j for j in range(1, len(kept))
+                if kept[j] - kept[j - 1] > 1 or slots[j] - slots[j - 1] > 1]
+        segs = tuple((kept[i] - 1, (1 << (j - i)) - 1, slots[i] - 1)
+                     for i, j in zip([0, *cuts], [*cuts, len(kept)]) if i < j)
+        for bits in range(1 << len(inserted)):
+            const = sum(((bits >> k) & 1) << (p - 1) for k, p in enumerate(inserted))
+            events.append((length, const, segs))
+    return tuple(events)
 
 
 def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
     """The error ball of a packed word, as a set of (length, value) pairs."""
-    kind, b = model.kind, model.b
-    out: set[tuple[int, int]] = set()
-    if kind is ErrorKind.DEL_EXACT:
-        if n <= b:
-            raise DomainError(f"word length {n} too short for a {b}-burst deletion")
-        out = {(n - b, _delete_block(v, i, b)) for i in range(1, n - b + 2)}
-    elif kind is ErrorKind.DEL_AT_MOST_CONSECUTIVE:
-        if n <= b:
-            raise DomainError(f"word length {n} too short for bursts up to {b}")
-        for a in range(1, b + 1):
-            out |= {(n - a, _delete_block(v, i, a)) for i in range(1, n - a + 2)}
-    elif kind is ErrorKind.DEL_AT_MOST_NONCONSECUTIVE:
-        if n <= b:
-            raise DomainError(f"word length {n} too short for bursts up to {b}")
-        for positions in _window_subsets(n, b):
-            out.add((n - len(positions), _delete_positions(v, positions)))
-    elif kind is ErrorKind.INS_EXACT:
-        for slot in range(n + 1):
-            for bits in range(1 << b):
-                out.add((n + b, _insert_block(v, slot, bits, b)))
-    elif kind is ErrorKind.INS_AT_MOST_CONSECUTIVE:
-        for a in range(1, b + 1):
-            for slot in range(n + 1):
-                for bits in range(1 << a):
-                    out.add((n + a, _insert_block(v, slot, bits, a)))
-    elif kind is ErrorKind.INS_AT_MOST_NONCONSECUTIVE:
-        for a in range(1, b + 1):
-            for positions in _window_subsets(n + a, b):
-                if len(positions) != a:
-                    continue
-                out |= _scatter_insertions(v, n, positions)
-    elif kind is ErrorKind.BURST_2_1:
-        if n < 3:
-            raise DomainError(f"word length {n} too short for a (2,1)-burst")
-        for i in range(1, n):
-            shrunk = _delete_block(v, i, 2)
-            for vb in (0, 1):
-                out.add((n - 1, _insert_block(shrunk, i - 1, vb, 1)))
-    else:  # pragma: no cover
-        raise DomainError(f"unhandled model {model}")
-    return out
-
-
-def _scatter_insertions(v: int, n: int, positions: tuple[int, ...]) -> set[tuple[int, int]]:
-    """All words of length n+a whose positions `positions` hold arbitrary bits
-    and whose remaining positions spell out the packed word v."""
-    a = len(positions)
-    m = n + a
-    pos_set = set(positions)
-    base = 0
-    src = 0
-    for p in range(1, m + 1):
-        if p not in pos_set:
-            base |= ((v >> src) & 1) << (p - 1)
-            src += 1
     out = set()
-    for bits in range(1 << a):
-        y = base
-        for k, p in enumerate(positions):
-            y |= ((bits >> k) & 1) << (p - 1)
-        out.add((m, y))
+    last = None
+    for length, bits, segs in _events(n, model):
+        # Events that differ only in their inserted bits share one segs tuple.
+        if segs is not last:
+            last, y = segs, 0
+            for src, mask, dst in segs:
+                y |= ((v >> src) & mask) << dst
+        out.add((length, y | bits))
     return out
+
+
+def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
+    """The balls of many packed length-n words at once, shape (len(vs), E): row
+    i holds the key (1 << length) | value of each event applied to vs[i]. A row
+    may repeat a key; its distinct keys are the ball_ints of vs[i]."""
+    events = _events(n, model)
+    longest = max(length for length, _, _ in events)
+    if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
+        raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
+    width = max(len(segs) for _, _, segs in events)
+    keys = np.array([(1 << length) | bits for length, bits, _ in events], dtype=np.uint64)
+    segs = np.array([s + ((0, 0, 0),) * (width - len(s)) for _, _, s in events], dtype=np.uint64)
+    vs = np.asarray(vs, dtype=np.uint64).reshape(-1, 1)
+    out = np.tile(keys, (len(vs), 1))
+    for src, mask, dst in segs.transpose(1, 2, 0):
+        part = vs >> src
+        part &= mask
+        part <<= dst
+        out |= part
+    return out
+
+
+def key_word(key: int) -> Word:
+    """The ball element a ball_keys key stands for."""
+    length = key.bit_length() - 1
+    return from_int(key ^ (1 << length), length)
 
 
 def ball(x: Word, model: ErrorModel) -> set[Word]:
@@ -256,18 +251,21 @@ def ball_size_distribution(n: int, b: int) -> BallSizeDistribution:
 
 
 def ball_size_tally(n: int, b: int) -> dict[int, int]:
-    """Brute-force tally of |D_b(x)| over all 2^n words, by enumerating every
-    ball explicitly. Independent of ball_size_formula."""
+    """Brute-force tally of |D_b(x)| over all 2^n words: the distinct keys of
+    every ball, counted row by row in blocks of words. Independent of
+    ball_size_formula."""
     if n > 24:
         raise DomainError("tally capped at n <= 24")
     if n <= b:
         raise DomainError("need n > b")
-    counts: dict[int, int] = {}
-    model = del_exact(b)
-    for v in range(1 << n):
-        size = len(ball_ints(v, n, model))
-        counts[size] = counts.get(size, 0) + 1
-    return counts
+    model, block = del_exact(b), 1 << 14  # words per ball_keys call
+    counts = np.zeros(n - b + 2, dtype=np.int64)
+    for start in range(0, 1 << n, block):
+        vs = np.arange(start, min(start + block, 1 << n), dtype=np.uint64)
+        keys = np.sort(ball_keys(vs, n, model), axis=1)
+        sizes = 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
+        counts += np.bincount(sizes, minlength=len(counts))
+    return {size: int(c) for size, c in enumerate(counts) if c}
 
 
 def distribution_report(n: int, b: int) -> dict:

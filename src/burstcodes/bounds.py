@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import balls
-from .bitseq import from_int
+import numpy as np
+
+from . import _enum, balls
 from .errors import DomainError
 
 
@@ -43,8 +44,9 @@ TRANSVERSAL_MAX_BITS = 22
 def transversal_weight(n: int, b: int) -> Fraction:
     """Sum of 1/|D_b(x)| over all x of length n-b, as an exact rational.
 
-    Ball sizes come from the run-count formula when b divides n-b, otherwise
-    from direct enumeration. Equals upper_bound(n, b) exactly.
+    Ball sizes come from the run-count formula, as a popcount on packed words,
+    when b divides n-b, otherwise from counting the distinct elements of every
+    ball (balls.ball_size_tally). Equals upper_bound(n, b) exactly.
     """
     if b < 1 or n <= 2 * b - 1:
         raise DomainError(f"transversal needs n > 2b - 1, got n={n}, b={b}")
@@ -55,17 +57,22 @@ def transversal_weight(n: int, b: int) -> Fraction:
         # Deleting b consecutive bits from a length-b word leaves the empty
         # word; every ball is the singleton containing it.
         return Fraction(1 << m)
-    tally: dict[int, int] = {}
     if m % b == 0:
-        for v in range(1 << m):
-            size = balls.ball_size_formula(from_int(v, m), b)
-            tally[size] = tally.get(size, 0) + 1
+        counts = sum(
+            np.bincount(_run_formula_sizes(chunk, m, b), minlength=m - b + 2)
+            for chunk in _enum.iter_chunks(m)
+        )
+        tally = {size: int(count) for size, count in enumerate(counts) if count}
     else:
-        model = balls.del_exact(b)
-        for v in range(1 << m):
-            size = len(balls.ball_ints(v, m, model))
-            tally[size] = tally.get(size, 0) + 1
+        tally = balls.ball_size_tally(m, b)
     return sum((Fraction(count, size) for size, count in sorted(tally.items())), Fraction(0))
+
+
+def _run_formula_sizes(vs: np.ndarray, m: int, b: int) -> np.ndarray:
+    """|D_b(x)| of packed length-m words (b | m) by the run-count formula: the
+    runs of the rows, less one each, are the positions p <= m - b with
+    x_p != x_{p+b}."""
+    return 1 + np.bitwise_count((vs ^ (vs >> b)) & np.uint64((1 << (m - b)) - 1))
 
 
 def reference_redundancies(n: int, b: int) -> dict[str, float | None]:

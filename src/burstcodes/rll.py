@@ -111,7 +111,8 @@ def rll_encode(x: Word, trace: bool = False):
 
 def rll_decode(y: Word) -> Word:
     """Invert rll_encode: pop marker blocks off the right while the last bit is
-    1, reinserting the excised run each time; then strip the sentinel."""
+    1, reinserting the excised run each time; then strip the sentinel. Words
+    the encoder never outputs are rejected: the result must re-encode to y."""
     n = len(y) - 1
     if n < 2:
         raise DomainError("decoding needs length >= 3")
@@ -131,7 +132,10 @@ def rll_decode(y: Word) -> Word:
         buf[pos - 1 : pos - 1] = [buf[pos - 1]] * block
     if len(buf) != n + 1:
         raise DecodeFailure("marker blocks inconsistent with declared length")
-    return tuple(buf[:n])
+    x = tuple(buf[:n])
+    if rll_encode(x) != tuple(y):
+        raise DecodeFailure("word is not an encoder output")
+    return x
 
 
 # ---------------------------------------------------------------------------

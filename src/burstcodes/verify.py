@@ -12,8 +12,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import balls
-from .bitseq import Word, from_int, to_int
+import numpy as np
+
+from . import _enum, balls
+from .bitseq import Word, to_int
 from .codes import Codebook, codebook_from_words
 from .errors import CodeIntegrityError, DecodeFailure, DomainError
 from .vt import DecodeResult
@@ -50,22 +52,21 @@ class VerifyReport:
 def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     """Exhaustively confirm that the error balls of all codewords are pairwise
     disjoint. Exact: every ball element of every codeword is indexed, so any
-    intersecting pair is found."""
-    owners: dict[tuple[int, int], int] = {}
-    violations: list[tuple[Word, Word, Word]] = []
-    n = cb.n
-    for idx, w in enumerate(cb.words):
-        for key in sorted(balls.ball_ints(to_int(w), n, model)):
-            prev = owners.setdefault(key, idx)
-            if prev != idx:
-                violations.append((cb.words[prev], w, from_int(key[1], key[0])))
-    k = len(cb.words)
-    return VerifyReport(
-        model=model,
-        codebook=cb.label,
-        pairs_checked=k * (k - 1) // 2,
-        violations=tuple(violations),
+    intersecting pair is found. Violations are (first owner, later owner,
+    element), in (later owner, element) order."""
+    keys = np.sort(balls.ball_keys(_enum.pack(cb.words, cb.n), cb.n, model), axis=1)
+    fresh = np.diff(keys, axis=1, prepend=np.uint64(0)) != 0  # no key is 0
+    flat, owner = keys[fresh], np.nonzero(fresh)[0]
+    distinct, counts = np.unique(flat, return_counts=True)
+    shared = np.flatnonzero(np.isin(flat, distinct[counts > 1]))
+    _, first, group = np.unique(flat[shared], return_index=True, return_inverse=True)
+    violations = tuple(
+        (cb.words[owner[prev]], cb.words[owner[i]], balls.key_word(int(flat[i])))
+        for i, prev in zip(shared.tolist(), shared[first[group]].tolist())
+        if i != prev
     )
+    k = len(cb.words)
+    return VerifyReport(model, cb.label, k * (k - 1) // 2, violations)
 
 
 EQUIV_MAX_BITS = 10
@@ -128,16 +129,17 @@ GREEDY_MAX_BITS = 16
 def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     """Lexicographic greedy maximal code for the model: accept each word whose
     ball avoids every previously accepted ball."""
-    if n > GREEDY_MAX_BITS:
-        raise DomainError(f"greedy construction capped at n <= {GREEDY_MAX_BITS}")
-    used: set[tuple[int, int]] = set()
+    if not 1 <= n <= GREEDY_MAX_BITS:
+        raise DomainError(f"greedy construction needs 1 <= n <= {GREEDY_MAX_BITS}")
+    words = list(itertools.product((0, 1), repeat=n))
+    used: set[int] = set()
     chosen: list[Word] = []
-    for bits in itertools.product((0, 1), repeat=n):
-        w = tuple(bits)
-        b = balls.ball_ints(to_int(w), n, model)
-        if used.isdisjoint(b):
-            used |= b
-            chosen.append(w)
+    for start in range(0, len(words), 1 << 12):
+        block = words[start : start + (1 << 12)]
+        for w, row in zip(block, balls.ball_keys(_enum.pack(block, n), n, model)):
+            if used.isdisjoint(keys := row.tolist()):
+                used.update(keys)
+                chosen.append(w)
     return codebook_from_words(chosen, n)
 
 

@@ -1,11 +1,17 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from burstcodes import balls
 from burstcodes.balls import (
+    KEY_MAX_BITS,
+    ErrorKind,
+    ErrorModel,
     ball,
     ball_ints,
+    ball_keys,
     ball_size_distribution,
     ball_size_formula,
     ball_size_tally,
@@ -155,3 +161,41 @@ def test_distribution_report_shape():
     assert rep["n"] == 6 and rep["b"] == 2
     assert all(row["formula"] == row["enumerated"] for row in rep["counts"])
     assert sum(row["formula"] for row in rep["counts"]) == 64
+
+
+def _models(b):
+    return [ErrorModel(kind, b) for kind in ErrorKind if kind is not ErrorKind.BURST_2_1 or b == 2]
+
+
+def test_ball_keys_equal_ball_ints_exhaustively():
+    # the batch applier and the scalar one read the same event table; their
+    # balls agree as sets on every word, for every model, n <= 10, b <= 4
+    checked = 0
+    for b in (1, 2, 3, 4):
+        for model in _models(b):
+            for n in range(1, 11):
+                try:
+                    rows = ball_keys(np.arange(1 << n, dtype=np.uint64), n, model)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        ball_ints(0, n, model)
+                    continue
+                for v, row in enumerate(rows.tolist()):
+                    want = {(1 << m) | y for m, y in ball_ints(v, n, model)}
+                    assert set(row) == want, (model, n, v)
+                checked += 1
+    assert checked == 218  # 250 (model, n) pairs less 32 with n too short
+
+
+def test_ball_keys_at_the_key_limit():
+    # deletion words fill a uint64; insertion balls reach KEY_MAX_BITS = 63
+    # bits; one more input bit raises DomainError instead of wrapping
+    rng = random.Random(63)
+    for b in (1, 2, 3):
+        for model in _models(b):
+            n = KEY_MAX_BITS - b if model.kind.value.startswith("ins-") else KEY_MAX_BITS + 1
+            words = [rng.getrandbits(n) for _ in range(8)] + [(1 << n) - 1]
+            for v, row in zip(words, ball_keys(words, n, model).tolist()):
+                assert set(row) == {(1 << m) | y for m, y in ball_ints(v, n, model)}, (model, v)
+            with pytest.raises(DomainError):
+                ball_keys([0], n + 1, model)

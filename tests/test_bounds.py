@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from burstcodes.balls import ball_size_formula
+from burstcodes.bitseq import from_int
 from burstcodes.bounds import (
+    _run_formula_sizes,
     bound_report,
     lower_bound_redundancy,
     reference_redundancies,
@@ -34,8 +38,20 @@ def test_lower_bound_forms_agree():
 
 
 def test_transversal_identity_exact():
-    for n, b in ((8, 2), (10, 2), (12, 3), (13, 3), (14, 3), (10, 4), (4, 2), (2, 1)):
+    # every (n, b) with b <= 4 and n - b <= 18, on both ball-size paths
+    cases = [(n, b) for b in (1, 2, 3, 4) for n in range(2 * b, b + 19)]
+    assert len(cases) == 18 + 17 + 16 + 15
+    for n, b in cases:
         assert transversal_weight(n, b) == upper_bound(n, b), (n, b)
+
+
+def test_popcount_ball_sizes_equal_the_formula():
+    for n in range(2, 15):
+        vs = np.arange(1 << n, dtype=np.uint64)
+        for b in range(1, n):
+            if n % b == 0:
+                want = [ball_size_formula(from_int(v, n), b) for v in range(1 << n)]
+                assert _run_formula_sizes(vs, n, b).tolist() == want, (n, b)
 
 
 def test_transversal_caps():

@@ -69,6 +69,24 @@ def test_decode_rejects_malformed_blocks():
         rll_decode(parse_word("01"))
 
 
+def test_decode_accepts_exactly_the_encoder_outputs():
+    # every other word of each length is rejected, e.g. 0000000, which the
+    # marker loop alone would read as 000000
+    with pytest.raises(DecodeFailure):
+        rll_decode(parse_word("0000000"))
+    for length in range(3, 13):
+        image = {rll_encode(x) for x in enumerate_words(length - 1)}
+        accepted = set()
+        for y in enumerate_words(length):
+            try:
+                x = rll_decode(y)
+            except DecodeFailure:
+                continue
+            assert rll_encode(x) == y
+            accepted.add(y)
+        assert accepted == image, length
+
+
 def test_long_run_appends_repeated_markers():
     # run of length >= 2*(cap) + 1 fires the excision twice at one position
     n = 16

@@ -1,13 +1,17 @@
+import itertools
+import json
 import math
 
 import pytest
 
 from burstcodes import balls
-from burstcodes.bitseq import enumerate_words, parse_word
+from burstcodes.bitseq import enumerate_words, from_int, parse_word, to_int
 from burstcodes.bounds import upper_bound
-from burstcodes.codes import codebook_from_words
+from burstcodes.cli import run as cli_run
+from burstcodes.codes import CodeSpec, Family, build, codebook_from_words
 from burstcodes.errors import CodeIntegrityError, DecodeFailure, DomainError
 from burstcodes.verify import (
+    VerifyReport,
     apply_error,
     equivalence_check,
     greedy_code,
@@ -127,3 +131,78 @@ def test_channel_then_oracle_recovers_codeword():
             y, _ = apply_error(x, model, seed)
             assert oracle_decode(cb, y, model).word == x
             assert decode(spec, y).word == x
+
+
+def _reference_verify_code(cb, model):
+    """verify_code as a per-word loop over scalar balls: each ball element is
+    owned by the first codeword whose ball holds it."""
+    owners = {}
+    violations = []
+    for idx, w in enumerate(cb.words):
+        for key in sorted(balls.ball_ints(to_int(w), cb.n, model)):
+            prev = owners.setdefault(key, idx)
+            if prev != idx:
+                violations.append((cb.words[prev], w, from_int(key[1], key[0])))
+    k = len(cb.words)
+    return VerifyReport(model, cb.label, k * (k - 1) // 2, tuple(violations))
+
+
+def _reference_greedy_code(n, model):
+    used = set()
+    chosen = []
+    for w in itertools.product((0, 1), repeat=n):
+        ball = balls.ball_ints(to_int(w), n, model)
+        if used.isdisjoint(ball):
+            used |= ball
+            chosen.append(w)
+    return codebook_from_words(chosen, n)
+
+
+def _models_b1_to_3():
+    return [balls.burst21()] + [
+        balls.ErrorModel(kind, b)
+        for kind in balls.ErrorKind
+        if kind is not balls.ErrorKind.BURST_2_1
+        for b in (1, 2, 3)
+    ]
+
+
+def test_verify_code_matches_reference_on_bad_codebooks():
+    bad = codebook_from_words(list(enumerate_words(10))[::7], 10)
+    for model in _models_b1_to_3():
+        rep = verify_code(bad, model)
+        assert not rep.passed, model
+        assert rep == _reference_verify_code(bad, model), model
+
+
+def test_verify_json_output_matches_reference(capsys):
+    argv = ["verify", "--family", "burst-exact", "--n", "12", "--b", "2", "--params", "1,0,0",
+            "--model", "del-at-most-nonconsecutive", "--format", "json"]
+    assert cli_run(argv) == 1
+    cb = build(CodeSpec(Family.BURST_EXACT, 12, 2, (1, 0, 0)))
+    ref = _reference_verify_code(cb, balls.del_at_most_noncons(2))
+    assert ref.violations
+    assert capsys.readouterr().out == json.dumps(ref.to_json()) + "\n"
+
+
+def test_verify_code_rejects_words_past_the_key_limit():
+    # ins-exact(2) turns 62-bit words into 64-bit elements, past 63-bit keys
+    cb = codebook_from_words([(0,) * 62, (1,) * 62], 62)
+    with pytest.raises(DomainError):
+        verify_code(cb, balls.ins_exact(2))
+    assert verify_code(codebook_from_words([(0,) * 61, (1,) * 61], 61), balls.ins_exact(2)).passed
+    # deletion balls of 65-bit words would fit, but the words do not
+    with pytest.raises(DomainError):
+        verify_code(codebook_from_words([(0,) * 65], 65), balls.del_exact(2))
+
+
+def test_greedy_code_matches_reference():
+    for model in _ALL_MODELS:
+        for n in range(1, 11):
+            try:
+                want = _reference_greedy_code(n, model)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    greedy_code(n, model)
+                continue
+            assert greedy_code(n, model) == want, (model, n)
