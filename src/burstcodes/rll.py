@@ -10,13 +10,16 @@ The encoder appends a sentinel 0, then repeatedly excises ceil(log2 n) + 3
 bits from any run still longer than that and appends a fixed-width marker
 block (1, position, 0, 1) on the right; the decoder pops marker blocks off the
 right and reinserts the excised runs. A run long enough to fire k times simply
-produces k identical marker blocks.
+produces k identical marker blocks. Both work on byte strings of 0s and 1s:
+bytes.find locates the runs that fire, and slicing excises and reinserts them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 from . import _enum
 from .bitseq import Word
@@ -25,11 +28,7 @@ from .errors import DecodeFailure, DomainError
 
 def max_run(x: Word) -> int:
     """Length of the longest run in x."""
-    best = run = 1
-    for i in range(1, len(x)):
-        run = run + 1 if x[i] == x[i - 1] else 1
-        best = max(best, run)
-    return best
+    return max((sum(1 for _ in run) for _, run in groupby(x)), default=0)
 
 
 def ceil_log2(k: int) -> int:
@@ -52,9 +51,8 @@ class RllSpec:
 
 def rll_count(spec: RllSpec) -> int:
     """|S_n(f)| via the composition recurrence: runs alternate values, so the
-    count is twice the number of compositions of n into parts of size <= f."""
-    if spec.n > 30:
-        raise DomainError("count capped at n <= 30")
+    count is twice the number of compositions of n into parts of size <= f.
+    Exact in Python ints at any n, in O(n * f) additions."""
     n, f = spec.n, spec.f
     comps = [0] * (n + 1)
     comps[0] = 1
@@ -75,38 +73,62 @@ def rll_count_enumerated(spec: RllSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _block_size(n: int) -> int:
-    return ceil_log2(n) + 3
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _as_bytes(x: Word) -> bytes:
+    """x as a byte string of 0s and 1s; DomainError on any other entry."""
+    try:
+        y = bytes(x)
+        if not y.translate(None, b"\0\1"):
+            return y
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"RLL words take entries 0 and 1 only, got {tuple(x)!r}")
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int) -> tuple[int, int, bytes, bytes]:
+    """Marker position width, block size ceil(log2 n) + 3 and the two runs
+    that fire, for length n."""
+    width = ceil_log2(n)
+    block = width + 3
+    return width, block, b"\0" * (block + 1), b"\1" * (block + 1)
+
+
+def _encode(x: bytes, steps: list[Word] | None = None) -> bytes:
+    """The encoder on a byte string. Each excision takes the leftmost run of
+    more than block equal bytes that starts at a position <= i_end: runs
+    starting left of the previous excision are all shorter, so bytes.find from
+    there gives the same position as a bit-by-bit scan."""
+    n = len(x)
+    width, block, zeros, ones = _layout(n)
+    y = x + b"\0"
+    p, i_end = 0, n
+    while True:
+        # a run firing at position <= i_end has its first block + 1 bytes
+        # inside y[:i_end + block]
+        hit0, hit1 = y.find(zeros, p, i_end + block), y.find(ones, p, i_end + block)
+        if hit0 == hit1:  # both -1
+            return y
+        p = min(h for h in (hit0, hit1) if h >= 0)
+        marker = b"\1" + format(p + 1, f"0{width}b").encode().translate(_BITS) + b"\0\1"
+        y = y[:p] + y[p + block :] + marker
+        i_end -= block
+        if steps is not None:
+            steps.append(tuple(y))
 
 
 def rll_encode(x: Word, trace: bool = False):
     """Encode x (length n >= 2) into a length-(n+1) word with max run <=
     ceil(log2 n) + 3. With trace=True also returns the intermediate word after
     each excision."""
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise DomainError("encoding needs length >= 2")
-    width = ceil_log2(n)
-    block = _block_size(n)
-    y = list(x) + [0]
-    i = 1
-    i_end = n
-    steps: list[Word] = []
-    while i <= i_end:
-        val = y[i - 1]
-        stretch = 1
-        while i - 1 + stretch < len(y) and y[i - 1 + stretch] == val:
-            stretch += 1
-        if stretch >= block + 1:
-            marker = [1] + [(i >> (width - 1 - k)) & 1 for k in range(width)] + [0, 1]
-            del y[i - 1 : i - 1 + block]
-            y.extend(marker)
-            i_end -= block
-            if trace:
-                steps.append(tuple(y))
-        else:
-            i += 1
-    return (tuple(y), steps) if trace else tuple(y)
+    steps: list[Word] | None = [] if trace else None
+    y = tuple(_encode(_as_bytes(x), steps))
+    return (y, steps) if trace else y
 
 
 def rll_decode(y: Word) -> Word:
@@ -116,26 +138,22 @@ def rll_decode(y: Word) -> Word:
     n = len(y) - 1
     if n < 2:
         raise DomainError("decoding needs length >= 3")
-    width = ceil_log2(n)
-    block = _block_size(n)
-    buf = list(y)
+    _, block, _, _ = _layout(n)
+    word = buf = _as_bytes(y)
     while buf[-1] == 1:
         if len(buf) < block + 1:
             raise DecodeFailure("trailing marker block truncated")
-        marker = buf[-block:]
-        pos = 0
-        for k in range(width):
-            pos = (pos << 1) | marker[1 + k]
-        del buf[-block:]
+        pos = int(buf[1 - block : -2].translate(_DIGITS), 2)
+        buf = buf[:-block]
         if not 1 <= pos <= len(buf):
             raise DecodeFailure(f"marker names position {pos} outside the word")
-        buf[pos - 1 : pos - 1] = [buf[pos - 1]] * block
+        buf = buf[: pos - 1] + buf[pos - 1 : pos] * block + buf[pos - 1 :]
     if len(buf) != n + 1:
         raise DecodeFailure("marker blocks inconsistent with declared length")
-    x = tuple(buf[:n])
-    if rll_encode(x) != tuple(y):
+    x = buf[:n]
+    if _encode(x) != word:
         raise DecodeFailure("word is not an encoder output")
-    return x
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

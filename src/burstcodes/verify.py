@@ -49,14 +49,20 @@ class VerifyReport:
         }
 
 
+def _ball_members(vs, n: int, model: balls.ErrorModel) -> tuple[np.ndarray, np.ndarray]:
+    """The balls of packed words vs as (keys, owners): each distinct key of
+    each ball once, row by row in key order, with the index of its word."""
+    keys = np.sort(balls.ball_keys(vs, n, model), axis=1)
+    fresh = np.diff(keys, axis=1, prepend=np.uint64(0)) != 0  # no key is 0
+    return keys[fresh], np.nonzero(fresh)[0]
+
+
 def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     """Exhaustively confirm that the error balls of all codewords are pairwise
     disjoint. Exact: every ball element of every codeword is indexed, so any
     intersecting pair is found. Violations are (first owner, later owner,
     element), in (later owner, element) order."""
-    keys = np.sort(balls.ball_keys(_enum.pack(cb.words, cb.n), cb.n, model), axis=1)
-    fresh = np.diff(keys, axis=1, prepend=np.uint64(0)) != 0  # no key is 0
-    flat, owner = keys[fresh], np.nonzero(fresh)[0]
+    flat, owner = _ball_members(_enum.pack(cb.words, cb.n), cb.n, model)
     distinct, counts = np.unique(flat, return_counts=True)
     shared = np.flatnonzero(np.isin(flat, distinct[counts > 1]))
     _, first, group = np.unique(flat[shared], return_index=True, return_inverse=True)
@@ -78,18 +84,26 @@ _FLAVORS = {
 }
 
 
-def _conflict_pairs(n: int, model: balls.ErrorModel) -> set[int]:
-    """All unordered word pairs whose balls intersect, packed as v1*2^n + v2."""
-    owners: dict[tuple[int, int], list[int]] = {}
-    for v in range(1 << n):
-        for key in balls.ball_ints(v, n, model):
-            owners.setdefault(key, []).append(v)
-    pairs: set[int] = set()
-    for group in owners.values():
-        for i, v1 in enumerate(group):
-            for v2 in group[i + 1 :]:
-                pairs.add((v1 << n) | v2)
-    return pairs
+def _conflicts(n: int, model: balls.ErrorModel) -> np.ndarray:
+    """The 2^n x 2^n bool matrix whose entry [v1, v2], v1 < v2, says that the
+    balls of the packed words v1 and v2 intersect; all other entries are False.
+    Sorting the members of all balls by key (stably, so owners ascend within a
+    key) lines up the owners of each key; entries d apart in one key group give
+    the pairs at distance d, for d up to the largest group."""
+    keys, owners = _ball_members(np.arange(1 << n), n, model)
+    order = np.argsort(keys, kind="stable")
+    keys, owners = keys[order], owners[order]
+    conflict = np.zeros((1 << n, 1 << n), dtype=bool)
+    i, d = np.arange(len(keys) - 1), 1
+    while (i := i[keys[i + d] == keys[i]]).size:
+        conflict[owners[i], owners[i + d]] = True
+        d += 1
+        i = i[i + d < len(keys)]
+    # tie the keys to the scalar balls: the first pair named must share an element
+    v1, v2 = divmod(int(conflict.argmax()), 1 << n)
+    if conflict[v1, v2] and balls.ball_ints(v1, n, model).isdisjoint(balls.ball_ints(v2, n, model)):
+        raise RuntimeError(f"{model}: ball keys of {v1} and {v2} meet, their balls do not")
+    return conflict
 
 
 def equivalence_check(n: int, b: int, flavor: str) -> bool:
@@ -102,7 +116,7 @@ def equivalence_check(n: int, b: int, flavor: str) -> bool:
     if n > EQUIV_MAX_BITS:
         raise DomainError(f"pairwise sweep capped at n <= {EQUIV_MAX_BITS}")
     del_model, ins_model = (mk(b) for mk in _FLAVORS[flavor])
-    return _conflict_pairs(n, del_model) == _conflict_pairs(n, ins_model)
+    return np.array_equal(_conflicts(n, del_model), _conflicts(n, ins_model))
 
 
 def oracle_decode(cb: Codebook, y: Word, model: balls.ErrorModel) -> DecodeResult:

@@ -20,6 +20,7 @@ from burstcodes.rll import (
 
 
 def test_max_run():
+    assert max_run(()) == 0
     assert max_run(parse_word("0000")) == 4
     assert max_run(parse_word("0101")) == 1
     assert max_run(parse_word("0111111111111111")) == 15
@@ -27,6 +28,90 @@ def test_max_run():
 
 def test_ceil_log2():
     assert [ceil_log2(k) for k in (1, 2, 3, 4, 5, 8, 9, 16)] == [0, 1, 2, 2, 3, 3, 4, 4]
+
+
+def _reference_rll_encode(x, trace=False):
+    """rll_encode as a bit-by-bit scan over a Python list."""
+    n = len(x)
+    if n < 2:
+        raise DomainError("encoding needs length >= 2")
+    width = ceil_log2(n)
+    block = ceil_log2(n) + 3
+    y = list(x) + [0]
+    i = 1
+    i_end = n
+    steps = []
+    while i <= i_end:
+        val = y[i - 1]
+        stretch = 1
+        while i - 1 + stretch < len(y) and y[i - 1 + stretch] == val:
+            stretch += 1
+        if stretch >= block + 1:
+            marker = [1] + [(i >> (width - 1 - k)) & 1 for k in range(width)] + [0, 1]
+            del y[i - 1 : i - 1 + block]
+            y.extend(marker)
+            i_end -= block
+            if trace:
+                steps.append(tuple(y))
+        else:
+            i += 1
+    return (tuple(y), steps) if trace else tuple(y)
+
+
+def _reference_rll_decode(y):
+    """rll_decode as list surgery, strict through _reference_rll_encode."""
+    n = len(y) - 1
+    if n < 2:
+        raise DomainError("decoding needs length >= 3")
+    width = ceil_log2(n)
+    block = ceil_log2(n) + 3
+    buf = list(y)
+    while buf[-1] == 1:
+        if len(buf) < block + 1:
+            raise DecodeFailure("trailing marker block truncated")
+        marker = buf[-block:]
+        pos = 0
+        for k in range(width):
+            pos = (pos << 1) | marker[1 + k]
+        del buf[-block:]
+        if not 1 <= pos <= len(buf):
+            raise DecodeFailure(f"marker names position {pos} outside the word")
+        buf[pos - 1 : pos - 1] = [buf[pos - 1]] * block
+    if len(buf) != n + 1:
+        raise DecodeFailure("marker blocks inconsistent with declared length")
+    x = tuple(buf[:n])
+    if _reference_rll_encode(x) != tuple(y):
+        raise DecodeFailure("word is not an encoder output")
+    return x
+
+
+def _outcome(fn, word):
+    try:
+        return fn(word)
+    except DecodeFailure as exc:
+        return ("DecodeFailure", str(exc))
+
+
+def test_encode_matches_reference_exhaustively():
+    for n in range(2, 15):
+        for x in enumerate_words(n):
+            assert rll_encode(x, trace=True) == _reference_rll_encode(x, trace=True), x
+
+
+def test_decode_matches_reference_exhaustively():
+    for length in range(3, 14):
+        for y in enumerate_words(length):
+            assert _outcome(rll_decode, y) == _outcome(_reference_rll_decode, y), y
+
+
+def test_codec_rejects_non_binary_entries():
+    for bad in ((0, 1, 2), (0, -1, 1), (1, 256, 0), (0, 1, 255), (0, 1, "1"), (0, 0.0, 1)):
+        with pytest.raises(DomainError):
+            rll_encode(bad)
+        with pytest.raises(DomainError):
+            rll_decode(bad + (1,))
+    with pytest.raises(DomainError):
+        rll_decode((0, 0, 0, 0, 0, 2, 0, 1))
 
 
 def test_encode_worked_example():
@@ -112,7 +197,7 @@ def test_rll_count_matches_enumeration():
 
 def test_low_redundancy_of_log2n_cap():
     # the cap ceil(log2(2n)) costs at most one bit of redundancy
-    for n in (8, 16):
+    for n in (8, 16, 32, 64, 256, 1024):
         f = math.ceil(math.log2(2 * n))
         assert rll_count(RllSpec(n, f)) >= 1 << (n - 1)
 

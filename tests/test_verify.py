@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from burstcodes import balls
@@ -11,7 +12,9 @@ from burstcodes.cli import run as cli_run
 from burstcodes.codes import CodeSpec, Family, build, codebook_from_words
 from burstcodes.errors import CodeIntegrityError, DecodeFailure, DomainError
 from burstcodes.verify import (
+    _FLAVORS,
     VerifyReport,
+    _conflicts,
     apply_error,
     equivalence_check,
     greedy_code,
@@ -41,6 +44,37 @@ def test_equivalence_small():
         equivalence_check(11, 2, "exact")
     with pytest.raises(DomainError):
         equivalence_check(6, 2, "bogus")
+
+
+def _reference_conflict_pairs(n, model):
+    """All unordered word pairs whose balls intersect, packed as v1*2^n + v2,
+    from one Python set per word."""
+    owners = {}
+    for v in range(1 << n):
+        for key in balls.ball_ints(v, n, model):
+            owners.setdefault(key, []).append(v)
+    pairs = set()
+    for group in owners.values():
+        for i, v1 in enumerate(group):
+            for v2 in group[i + 1 :]:
+                pairs.add((v1 << n) | v2)
+    return pairs
+
+
+def test_conflicts_match_reference_pairs():
+    for flavor, models in _FLAVORS.items():
+        for mk in models:
+            for b in (1, 2, 3, 4):
+                model = mk(b)
+                for n in range(1, 9):
+                    try:
+                        want = _reference_conflict_pairs(n, model)
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            _conflicts(n, model)
+                        continue
+                    got = {(int(v1) << n) | int(v2) for v1, v2 in zip(*np.nonzero(_conflicts(n, model)))}
+                    assert got == want, (flavor, model, n)
 
 
 def test_oracle_decode_behaviour():
