@@ -5,9 +5,12 @@ significant bit, and is polymorphic over a plain Python int and a numpy array
 of packed words: the same expression drives both per-word checks and the
 chunked vectorized counting sweeps of vt, svt and rll. Keeping one
 implementation for both paths is what the cross-validation tests rely on.
-Codebook builds and parameter searches take their chunks from
-``iter_chunks`` but evaluate the code families' tabulated forms (codes.py).
-``pack`` turns a list of Word tuples into such an array.
+Codebook builds and parameter searches (codes.py) no longer sweep the full
+space: they take the low and the high part of a split word from
+``iter_chunks`` (one call per part, of 2^L and 2^(n-L) values) and
+evaluate the code families' tabulated forms there, so the row and residue
+kernels below serve vt, svt and rll, not those searches. ``pack`` turns a
+list of Word tuples into such an array.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ import numpy as np
 
 from .errors import DomainError
 
-# log2 of the words per chunk in full-space sweeps. At n = 24, a codebook build
-# plus parameter search peaks at 70-100 MB RSS, the interpreter included.
+# log2 of the words per chunk in full-space sweeps and in the parts of a split
+# word. At n = 24, a codebook build plus parameter search tabulates parts of at
+# most 2^20 values and peaks at 40-113 MB RSS, the interpreter included (40 MB
+# for burst-exact at b = 3; 113 MB for noncons3, whose join visits about 1.5M
+# pairs of part bins).
 CHUNK_BITS = 20
 
 

@@ -124,8 +124,11 @@ def _read_words(args, stdin_text: str | None) -> list:
     if args.infile == "-":
         text = stdin_text if stdin_text is not None else sys.stdin.read()
     else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read --in {args.infile!r}: {exc}") from None
     return [parse_word(line.strip()) for line in text.splitlines() if line.strip()]
 
 
@@ -133,8 +136,11 @@ def _emit(args, text: str) -> None:
     if getattr(args, "outfile", "-") == "-":
         sys.stdout.write(text)
     else:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.outfile!r}: {exc}") from None
 
 
 def _spec_header(spec: codes.CodeSpec) -> str:
@@ -296,9 +302,12 @@ def _tabulate(args) -> int:
         "noncons3_bound",
         "noncons4_bound",
     )
+    try:
+        lengths = [int(t) for t in args.n.split(",")]
+    except ValueError:
+        raise DomainError(f"--n takes comma-separated integers, got {args.n!r}") from None
     rows = []
-    for n_text in args.n.split(","):
-        n = int(n_text)
+    for n in lengths:
         if family is codes.Family.NONCONS4 and n >= 24 and not args.slow:
             raise DomainError("noncons4 at n >= 24 is the flagged slow path; pass --slow")
         spec = codes.best_params(family, n, b)

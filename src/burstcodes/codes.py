@@ -22,10 +22,16 @@ Each family is one table of linear residue forms (``_family_table``): its
 parameters are the residues of the key forms, in the order ``param_fields``
 lists, and a word qualifies when its tie forms equal their key forms (or 0)
 and row 1 of an array view keeps its run cap. Membership evaluates the table
-on one word. Builds and best-parameter searches split every word into
-hi * 2^L + lo: each form's residue at every low part lo is tabulated once per
-sweep, and a chunk of 2^L words sharing hi adds one constant per form, so the
-full space is never materialized and no chunk recomputes a form bit by bit.
+on one word. Builds and best-parameter searches never visit the 2^n words
+one by one: every form adds across a split of the word into hi * 2^L + lo,
+and a capped row only needs the two runs that meet at the split, so both
+parts are tabulated once (2^L and 2^(n-L) entries, drawn from
+``_enum.iter_chunks``) and joined. ``build`` looks up, for each hi, the one
+low residue vector that completes it to the parameters; ``best_params`` bins
+each part by residues and boundary runs and adds products of bin counts into
+classes, which counts every class exactly (``_classes``). L is computed
+from n and the table, to balance the parts tabulated against the pairs
+joined.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import IO, Callable, Iterable
 import numpy as np
 
 from . import _enum
-from .bitseq import ArrayRep, Word, array_view, flatten, parse_word, format_word, to_int
+from .bitseq import ArrayRep, Word, array_view, flatten, parse_word, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
 from .svt import SvtParams, svt_decode
@@ -223,12 +229,15 @@ class _Linear:
     residue of every value of each byte."""
 
     def __init__(self, weights: list[int], mod: int) -> None:
-        self.mod, self.bytes = mod, []
+        self.weights, self.mod, self.bytes = weights, mod, []
         for i in range(0, len(weights), 8):
             t = [0]
             for w in weights[i : i + 8]:
                 t += [(s + w) % mod for s in t]
             self.bytes.append(t)
+        # The narrowest dtype that holds a sum over all bytes keeps lookups fast.
+        dtype = np.min_scalar_type(max(len(self.bytes) * (mod - 1), mod))
+        self.tables = [np.array(t, dtype=dtype) for t in self.bytes]
 
     def __call__(self, v: int) -> int:
         s = 0
@@ -237,21 +246,18 @@ class _Linear:
             v >>= 8
         return s % self.mod
 
-    def low_part(self, bits: int) -> np.ndarray:
-        """The residue of every word below 2^bits, as an outer sum of the byte
-        tables in the narrowest dtype that holds the sum of two residues."""
-        dtype = np.min_scalar_type(2 * (self.mod - 1))
-        r = np.zeros(1, dtype)
-        for i in range(0, bits, 8):
-            t = np.array(self.bytes[i // 8][: 1 << min(8, bits - i)], dtype)
-            r = ((t[:, None] + r) % self.mod).reshape(-1)
-        return r
+    def at(self, octets: list[np.ndarray]) -> np.ndarray:
+        """The residue of every word of an array given by its bytes, octets[i]
+        holding byte i of each word."""
+        return sum(np.take(t, o) for t, o in zip(self.tables, octets)) % self.mod
 
 
-@functools.lru_cache(maxsize=32)
-def _compiled(family: Family, n: int, b: int):
+@functools.lru_cache(maxsize=128)
+def _compiled(family: Family, n: int, b: int, lo: int = 0, hi: int | None = None):
     """The table at length n: the ties as forms that must be 0, the caps as
-    (packed row, row length, run cap), and the key forms in parameter order."""
+    (packed row, row length, run cap), and the key forms in parameter order.
+    Restricted to positions lo+1..hi, packed from bit 0, a form gives that
+    part's share of its residue and a packed row that part's columns."""
     table = _family_table(family, b)
 
     def weights(f: _Form) -> list[int]:
@@ -266,14 +272,14 @@ def _compiled(family: Family, n: int, b: int):
         w = weights(f)
         if key is not None:  # a tie to a key form is their difference
             w = [x - y for x, y in zip(w, weights(keys[key]))]
-        zeros.append(_Linear(w, f.mod(n)))
+        zeros.append(_Linear(w[lo:hi], f.mod(n)))
     caps = []
     for lev, cap in table.caps:
         m, top = n // lev, cap(n)
         if top < m:  # otherwise no row of length m can break the cap
             row = [1 << p // lev if p % lev == 0 else 0 for p in range(n)]
-            caps.append((_Linear(row, 1 << m), m, top))
-    return zeros, caps, [_Linear(weights(f), f.mod(n)) for f in keys.values()]
+            caps.append((_Linear(row[lo:hi], 1 << m), m, top))
+    return zeros, caps, [_Linear(weights(f)[lo:hi], f.mod(n)) for f in keys.values()]
 
 
 def member(spec: CodeSpec, x: Word) -> bool:
@@ -289,30 +295,127 @@ def member(spec: CodeSpec, x: Word) -> bool:
     )
 
 
-def _sweep(n: int, targets, caps, keys=()):
-    """Stream the packed space through a table, each word as hi * 2^L + lo
-    with L = min(n, CHUNK_BITS) and one chunk per hi.
+# ---------------------------------------------------------------------------
+# The split join. Every form adds across a split of the word into its low
+# part lo (positions 1..L) and high part hi, and a capped row breaks its cap
+# exactly when one part does or the two runs meeting at the split are of one
+# bit and together too long. So both parts are tabulated once and joined
+# where their residues cancel.
+# ---------------------------------------------------------------------------
 
-    Every form's residue at every lo is tabulated once; a chunk then adds one
-    constant per form, the residue of its first word hi * 2^L. Per chunk,
-    yields that word, the lo at which each (form, value) of `targets` holds
-    and every capped row passes, and the residues of `keys` at those lo."""
-    bits = min(n, _enum.CHUNK_BITS)
-    eqs = [(f, want, f.low_part(bits)) for f, want in targets]
-    runs = [(r, r.low_part(bits), _enum.max_run_le(np.arange(1 << m), m, f)) for r, m, f in caps]
-    lows = [(f, f.low_part(bits)) for f in keys]
-    for chunk in _enum.iter_chunks(n):
-        hi = int(chunk[0])
-        mask = np.ones(len(chunk), dtype=bool)
-        for f, want, low in eqs:
-            mask &= low == (want - f(hi)) % f.mod
-        lo = np.flatnonzero(mask)
-        for row, low, ok in runs:  # the row's low and high columns are disjoint bits
-            lo = lo[np.take(ok, np.take(low, lo) | row(hi))]
-        yield hi, lo, [
-            np.take((np.arange(f.mod, dtype=low.dtype) + f(hi)) % f.mod, np.take(low, lo))
-            for f, low in lows
-        ]
+
+def _edges(row: _Linear, m: int, cap: int) -> np.ndarray:
+    """The boundary state of one part of a capped row, at every packed row
+    value: -1 where the part has a run longer than cap, else 2 * length + bit
+    of its run at the split (0 for an empty part). The part is the columns
+    `row` packs: a prefix, which meets the split at its top, or a suffix."""
+    part = sum(row.weights)
+    cols = [k for k in range(m) if part >> k & 1]
+    v = np.arange(1 << m)
+    if not cols:
+        return np.zeros(1 << m, dtype=np.int8)
+    ok = _enum.max_run_le(v >> cols[0], len(cols), cap)
+    if cols[0] == 0:
+        cols.reverse()
+    edge, run, same = v >> cols[0] & 1, 0, True
+    for k in cols:
+        same &= (v >> k & 1) == edge
+        run += same
+    return np.where(ok, 2 * run + edge, -1).astype(np.int8)
+
+
+def _fit(caps, lo_states, hi_states, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Whether the joined parts (lo i, hi j) keep every cap: the runs meeting
+    at the split differ in bit or together stay within the cap."""
+    ok = np.ones(len(i), dtype=bool)
+    for (_, _, cap), s, t in zip(caps, lo_states, hi_states):
+        s, t = s[i], t[j]
+        ok &= ((s ^ t) & 1 == 1) | ((s >> 1) + (t >> 1) <= cap)
+    return ok
+
+
+def _tabulate(family: Family, n: int, b: int, lo: int, hi: int):
+    """The parts on positions lo+1..hi of all words, drawn from
+    _enum.iter_chunks, that keep the cap on their own part of every capped
+    row: the parts, the residues of the tie and then the key forms at each,
+    and the boundary state of every capped row at each."""
+    zeros, caps, keys = _compiled(family, n, b, lo, hi)
+    edges = [(row, _edges(row, m, cap)) for row, m, cap in caps]
+    parts = []
+    for chunk in _enum.iter_chunks(hi - lo):
+        words = chunk.astype(np.intp)
+        octets = [words >> i & 0xFF for i in range(0, hi - lo, 8)]
+        states = [np.take(table, row.at(octets)) for row, table in edges]
+        keep = np.ones(len(words), dtype=bool)
+        for s in states:
+            keep &= s >= 0
+        octets = [o[keep] for o in octets]
+        residues = [f.at(octets) for f in zeros + keys]
+        parts.append([words[keep], *residues, *(s[keep] for s in states)])
+    words, *columns = map(np.concatenate, zip(*parts))
+    return words, columns[: len(zeros) + len(keys)], columns[len(zeros) + len(keys) :]
+
+
+def _split(n: int, forms: int, classes: int, bins: float) -> int:
+    """The width L of the low part. It minimizes the work of the join: one
+    lookup pass per form over each part tabulated, 2^L and 2^(n-L) values,
+    plus one pass over the pairs the join visits, when each part spreads
+    evenly over `classes` join classes with at most `bins` distinct entries
+    per class."""
+
+    def cost(L: int) -> float:
+        lo, hi = 2.0**L, 2.0 ** (n - L)
+        return forms * (lo + hi) + classes * min(lo / classes, bins) * min(hi / classes, bins)
+
+    return min(range(1, n), key=cost)
+
+
+def _pack(digits, radices, count: int) -> np.ndarray:
+    """`count` digit tuples as mixed-radix ints, the first digit most
+    significant, so that packed values sort like the tuples."""
+    if math.prod(radices) > np.iinfo(np.intp).max:
+        raise DomainError("parameter space too wide to pack")
+    return np.ravel_multi_index(digits, radices) if digits else np.zeros(count, dtype=np.intp)
+
+
+def _tally(values: np.ndarray, size: int, weights=None):
+    """The distinct values, all below size, in ascending order, with how
+    often each occurs (or the sum of its weights)."""
+    if size <= max(len(values), 1 << 16):
+        counts = np.bincount(values, weights, minlength=size)
+        found = np.flatnonzero(counts)
+        return found, counts[found].astype(np.int64)
+    found, where = np.unique(values, return_inverse=True)
+    return found, np.bincount(where, weights).astype(np.int64)
+
+
+def _key_groups(mods: list[int]):
+    """Runs of consecutive key moduli whose sums of two residues, packed in
+    radices 2m - 1, index a table of at most 2^16 entries (or one key),
+    each as (its slice, those radices, the table from such a sum to the
+    run's share of the packed class, the first key most significant)."""
+    groups, start, place = [], 0, math.prod(mods)
+    while start < len(mods):
+        stop = start + 1
+        while stop < len(mods) and math.prod(2 * m - 1 for m in mods[start : stop + 1]) <= 1 << 16:
+            stop += 1
+        run, wide = mods[start:stop], [2 * m - 1 for m in mods[start:stop]]
+        place //= math.prod(run)
+        digits = np.unravel_index(np.arange(math.prod(wide)), wide)
+        table = np.ravel_multi_index([d % m for d, m in zip(digits, run)], run) * place
+        groups.append((slice(start, stop), wide, table))
+        start = stop
+    return groups
+
+
+def _join(keys: np.ndarray, want: np.ndarray):
+    """Every pair (i, j) with keys[i] == want[j], grouped by j."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.searchsorted(ordered, want, "left")
+    count = np.searchsorted(ordered, want, "right") - first
+    j = np.repeat(np.arange(len(want)), count)
+    return order[np.arange(len(j)) + np.repeat(first - np.cumsum(count) + count, count)], j
 
 
 # ---------------------------------------------------------------------------
@@ -355,49 +458,79 @@ def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = N
 
 
 def build(spec: CodeSpec) -> Codebook:
-    """Enumerate all members of spec by streaming the packed word space."""
+    """Enumerate all members of spec: the low parts are sorted by their
+    residues, and each high part looks up the one residue vector that
+    completes it to the parameters, so the work follows the members found."""
     if spec.n > BUILD_MAX_N:
         raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
-    zeros, caps, keys = _compiled(spec.family, spec.n, spec.b)
-    targets = [(f, 0) for f in zeros] + list(zip(keys, spec.params))
-    found = np.concatenate([lo + hi for hi, lo, _ in _sweep(spec.n, targets, caps)])
+    n = spec.n
+    zeros, caps, keys = _compiled(spec.family, n, spec.b)
+    mods = [f.mod for f in zeros + keys]
+    targets = [0] * len(zeros) + list(spec.params)
+    L = _split(n, len(mods) + len(caps), math.prod(mods), 1)
+    (w_lo, r_lo, s_lo), (w_hi, r_hi, s_hi) = (
+        _tabulate(spec.family, n, spec.b, lo, hi) for lo, hi in ((0, L), (L, n))
+    )
+    want = [(t + m - r) % m for t, r, m in zip(targets, r_hi, mods)]
+    i, j = _join(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi)))
+    fit = _fit(caps, s_lo, s_hi, i, j)
+    found = w_hi[j[fit]] << L | w_lo[i[fit]]
     as_bytes = found.astype("<u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : spec.n]
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
     # Words sort lexicographically from position 1, that is by the bit-reversed value.
-    order = np.argsort(bits.dot(1 << np.arange(spec.n - 1, -1, -1)))
-    return Codebook(n=spec.n, words=tuple(map(tuple, bits[order].tolist())), spec=spec)
+    order = np.argsort(bits.dot(1 << np.arange(n - 1, -1, -1)))
+    return Codebook(n=n, words=tuple(map(tuple, bits[order].tolist())), spec=spec)
+
+
+def _classes(family: Family, n: int, b: int):
+    """Every non-empty parameter class as its packed key residues (ascending,
+    the first key most significant) and its size, and the key moduli.
+
+    Each part of the words is binned by its tie residues, boundary states
+    and key residues. A low and a high bin join when their ties cancel and
+    their boundary runs keep every cap; the pair adds the product of their
+    counts to the class of their summed key residues."""
+    zeros, caps, keys = _compiled(family, n, b)
+    ties, mods = [f.mod for f in zeros], [f.mod for f in keys]
+    t, c = len(ties), len(caps)
+    radices = ties + [2 * cap + 2 for _, _, cap in caps] + mods
+    L = _split(n, len(radices), math.prod(ties), math.prod(radices[t:]))
+    groups = _key_groups(mods)
+    parts = []
+    for lo, hi in ((0, L), (L, n)):
+        words, residues, states = _tabulate(family, n, b, lo, hi)
+        digits = residues[:t] + states + residues[t:]
+        bins, counts = _tally(_pack(digits, radices, len(words)), math.prod(radices))
+        digits = np.unravel_index(bins, radices)
+        states = [d.astype(np.uint8) for d in digits[t : t + c]]  # cheap gathers in _fit
+        keys = [np.ravel_multi_index(digits[t + c :][run], wide) for run, wide, _ in groups]
+        parts.append((digits[:t], states, keys, counts))
+    (t_lo, s_lo, k_lo, n_lo), (t_hi, s_hi, k_hi, n_hi) = parts
+    cancel = [(m - d) % m for d, m in zip(t_hi, ties)]
+    i, j = _join(_pack(t_lo, ties, len(n_lo)), _pack(cancel, ties, len(n_hi)))
+    fit = _fit(caps, s_lo, s_hi, i, j)
+    i, j = i[fit], j[fit]
+    classes, sizes = np.zeros(len(i), dtype=np.intp), n_lo[i] * n_hi[j]
+    for (_, _, table), x, y in zip(groups, k_lo, k_hi):
+        classes += table[x[i] + y[j]]
+    del i, j  # the pairs are the largest arrays; free them before the tally sorts
+    return _tally(classes, math.prod(mods), sizes), mods
 
 
 def best_params(family: Family, n: int, b: int) -> CodeSpec:
     """The parameter tuple with the largest class, ties broken by the
-    lexicographically smallest tuple. Streams the space once, bucketing the
-    qualifying words of each chunk by their packed key residues."""
+    lexicographically smallest tuple."""
     _validate_structure(family, n, b)
     if n > BUILD_MAX_N:
         raise DomainError(f"search capped at n <= {BUILD_MAX_N}")
-    zeros, caps, keys = _compiled(family, n, b)
-    if not keys:
+    if not param_fields(family, b):
         return CodeSpec(family, n, b, ())
-    # Field i sits above fields i+1.., so packed keys sort like parameter tuples.
-    widths = [(f.mod - 1).bit_length() for f in keys]
-    shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
-    if sum(widths) > 62:
-        raise DomainError("parameter space too wide to pack")
-    classes, sizes = [], []
-    for _, lo, residues in _sweep(n, [(f, 0) for f in zeros], caps, keys):
-        packed = np.zeros(len(lo), dtype=np.uint64)
-        for r, shift in zip(residues, shifts):
-            packed |= r.astype(np.uint64) << np.uint64(shift)
-        k, c = np.unique(packed, return_counts=True)
-        classes.append(k)
-        sizes.append(c)
-    # Merge the chunks' classes; argmax takes the first, smallest, of the largest.
-    uniq, where = np.unique(np.concatenate(classes), return_inverse=True)
-    if not len(uniq):
+    (classes, sizes), mods = _classes(family, n, b)
+    if not len(classes):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")
-    best = int(uniq[np.argmax(np.bincount(where, weights=np.concatenate(sizes)))])
-    params = tuple(best >> shift & (1 << w) - 1 for w, shift in zip(widths, shifts))
-    return CodeSpec(family, n, b, params)
+    # argmax takes the first, smallest, of the largest classes.
+    best = np.unravel_index(classes[np.argmax(sizes)], mods)
+    return CodeSpec(family, n, b, tuple(map(int, best)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +538,19 @@ def best_params(family: Family, n: int, b: int) -> CodeSpec:
 # ---------------------------------------------------------------------------
 
 
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
 def write_codebook(cb: Codebook, out: IO[str]) -> None:
+    """The header and every word in one write; the words' bits become the
+    characters 0 and 1 by one byte translation of all lines at once."""
     if cb.spec is None:
-        out.write(f"# family=adhoc n={cb.n} b=0 params=-\n")
+        header = f"# family=adhoc n={cb.n} b=0 params=-\n"
     else:
         p = ",".join(map(str, cb.spec.params)) or "-"
-        out.write(f"# family={cb.spec.family.value} n={cb.spec.n} b={cb.spec.b} params={p}\n")
-    for w in cb.words:
-        out.write(format_word(w) + "\n")
+        header = f"# family={cb.spec.family.value} n={cb.spec.n} b={cb.spec.b} params={p}\n"
+    body = b"\n".join(map(bytes, cb.words)).translate(_BIT_CHARS).decode("ascii")
+    out.write(header + body + ("\n" if cb.words else ""))
 
 
 def read_codebook(lines: Iterable[str]) -> Codebook:

@@ -172,3 +172,30 @@ def test_non_integer_params_exit_code(capsys):
     code = main(["build", "--family", "burst-exact", "--n", "8", "--b", "2", "--params", "x,y,z"])
     assert code == 2
     assert "--params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lengths", ["8,x", "8,,10"])
+def test_non_integer_lengths_exit_code(capsys, lengths):
+    code = main(["tabulate", "--family", "burst-exact", "--b", "2", "--n", lengths])
+    assert code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_missing_input_file_exit_code(capsys, tmp_path):
+    code = main(["rll-decode", "--in", str(tmp_path / "missing.txt")])
+    assert code == 2
+    assert "--in" in capsys.readouterr().err
+
+
+def test_undecodable_input_file_exit_code(capsys, tmp_path):
+    binary = tmp_path / "words.bin"
+    binary.write_bytes(b"\xff\xfe01\n")
+    code = main(["rll-decode", "--in", str(binary)])
+    assert code == 2
+    assert "--in" in capsys.readouterr().err
+
+
+def test_output_to_directory_exit_code(capsys, tmp_path):
+    code = main(["build", "--family", "burst-exact", "--n", "8", "--b", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err

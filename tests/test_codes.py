@@ -4,9 +4,10 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from burstcodes import _enum, balls, verify
+from burstcodes import _enum, balls, codes, verify
 from burstcodes.bitseq import array_view, enumerate_words, parse_word
 from burstcodes.codes import (
     BUILD_MAX_N,
@@ -176,7 +177,8 @@ def _reference_key(family, n, b, w):
     ],
 )
 def test_sweep_joins_chunks(monkeypatch, family, n, b):
-    # 16-word chunks: every form and capped row spans the high/low split.
+    # 16-word chunks: at n = 12 each half of the split join spans several
+    # chunks (at n = 8 a half is a single chunk).
     monkeypatch.setattr(_enum, "CHUNK_BITS", 4)
     sizes = Counter()
     for w in enumerate_words(n):
@@ -189,6 +191,83 @@ def test_sweep_joins_chunks(monkeypatch, family, n, b):
     cb = build(spec)
     assert len(cb.words) == -size
     assert list(cb.words) == sorted(w for w in enumerate_words(n) if member(spec, w))
+
+
+def _class_sizes(family, n, b):
+    """Every non-empty parameter class of the split join, by parameter tuple."""
+    (classes, sizes), mods = codes._classes(family, n, b)
+    params = zip(*np.unravel_index(classes, mods)) if mods else [()] * len(classes)
+    return {tuple(map(int, p)): int(s) for p, s in zip(params, sizes)}
+
+
+def _part_forms(family, n, b, lo, hi):
+    zeros, caps, keys = codes._compiled(family, n, b, lo, hi)
+    return zeros + keys, [row for row, _, _ in caps]
+
+
+def _has_weight(form):
+    return any(w % form.mod for w in form.weights)
+
+
+@pytest.mark.parametrize(
+    "family,n,b",
+    [
+        (Family.CHENG1, 12, 3),
+        (Family.BURST_EXACT, 8, 2),
+        (Family.BURST_EXACT, 12, 3),
+        (Family.BURST_EXACT, 12, 4),
+        (Family.CL2, 10, 2),
+        (Family.AT_MOST_CONSECUTIVE, 12, 3),
+        (Family.C21, 9, 2),
+        (Family.NONCONS3, 12, 3),
+    ],
+)
+def test_class_sizes_match_reference_at_every_kind_of_split(monkeypatch, family, n, b):
+    # noncons4 has no length below 24 (4! must divide n); see the test below.
+    sizes = Counter()
+    for w in enumerate_words(n):
+        key = _reference_key(family, n, b, w)
+        if key is not None:
+            sizes[tuple(key)] += 1
+    middle = n // 2
+    (lo_forms, lo_rows), (hi_forms, hi_rows) = (
+        _part_forms(family, n, b, 0, middle),
+        _part_forms(family, n, b, middle, n),
+    )
+    # The middle split cuts every tie form, key form and capped row ...
+    assert all(map(_has_weight, lo_forms + lo_rows + hi_forms + hi_rows))
+    splits = [middle]
+    if lo_rows:
+        # ... and the last one leaves a capped row wholly in the low part.
+        _, hi_rows = _part_forms(family, n, b, n - 1, n)
+        assert not all(map(_has_weight, hi_rows))
+        splits.append(n - 1)
+    monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
+    for split in splits:
+        monkeypatch.setattr(codes, "_split", lambda *args: split)
+        got = _class_sizes(family, n, b)
+        # Equal dicts without zero entries: every empty class is absent from both.
+        assert 0 not in got.values()
+        assert got == sizes, split
+    ranges = param_ranges(family, n, b)
+    empty = next(
+        (p for p in itertools.product(*(range(top + 1) for top in ranges)) if p not in sizes), None
+    )
+    if empty is not None:
+        assert build(CodeSpec(family, n, b, empty)).cardinality == 0
+
+
+def test_noncons4_class_sizes_agree_across_splits(monkeypatch):
+    # No reference sweep at n = 24; the join must give one histogram however
+    # the word is cut, and its largest class is the pinned parameter tuple.
+    n, b = 24, 4
+    seen = []
+    for split in (10, 14):
+        monkeypatch.setattr(codes, "_split", lambda *args: split)
+        seen.append(_class_sizes(Family.NONCONS4, n, b))
+    assert seen[0] == seen[1]
+    size, params = min((-size, p) for p, size in seen[0].items())
+    assert params == (1, 2, 4, 1, 10, 2, 10, 2, 3, 0, 14, 0, 14, 0) and -size == 12
 
 
 # sha256 of write_codebook(build(best_params(family, 24, b))), recorded before
