@@ -11,9 +11,13 @@ zero-error event, which decoders instead treat as pass-through when the
 received length equals the code length. Balls are deduplicated sets of words,
 not multisets of events.
 
-Each (n, model) has one cached event table: every admissible event as an
-output length, its inserted bits and at most b+1 copy segments of the packed
-input (position 1 at the LSB). ball_ints applies the table to one int, giving
+Each (n, model) has one cached event table (_events), the only enumeration
+of error events in the package: every admissible event once, as an output
+length, its inserted bits, at most b+1 copy segments of the packed input
+(position 1 at the LSB), and its placement (deleted input positions, inserted
+output positions). The channel sampler draws from it, and the search
+decoders read its inverse (_inverse: the placements with the deleted and
+inserted roles swapped). ball_ints applies the table to one int, giving
 (length, value) pairs; ball_keys applies it to a uint64 array of words, giving
 keys (1 << length) | value, which sort like those pairs. Keys hold elements of
 at most KEY_MAX_BITS = 63 bits; longer ones raise DomainError, never wrap.
@@ -22,6 +26,7 @@ at most KEY_MAX_BITS = 63 bits; longer ones raise DomainError, never wrap.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -99,32 +104,42 @@ def parse_model(name: str, b: int) -> ErrorModel:
 KEY_MAX_BITS = 63  # a key (1 << length) | value must fit in a uint64
 
 
-@lru_cache(maxsize=256)
-def _events(n: int, model: ErrorModel) -> tuple[tuple[int, int, tuple], ...]:
-    """Every admissible event of the model on a length-n word, once each, as
-    (output length, inserted bits, copy segments). A segment (src, mask, dst)
-    copies ((v >> src) & mask) << dst; the output of packed word v is the
-    inserted bits OR-ed with all of its segments."""
+# One admissible event: output length, inserted bits (bit p-1 for output
+# position p), copy segments, and its placement as deleted input positions
+# and inserted output positions.
+_Event = namedtuple("_Event", "length bits segs deleted inserted")
+
+
+def _placements(n: int, model: ErrorModel) -> list[tuple[tuple, tuple]]:
+    """(deleted input positions, inserted output positions) of every event of
+    the model on a length-n word, once each."""
     kind, b = model.kind, model.b
     deleting = kind.value.startswith("del-")
-    # (deleted input positions, inserted output positions) of every event
     if kind is ErrorKind.BURST_2_1:
         if n < 3:
             raise DomainError(f"word length {n} too short for a (2,1)-burst")
-        placements = [((i, i + 1), (i,)) for i in range(1, n)]
-    elif deleting and n <= b:
+        return [((i, i + 1), (i,)) for i in range(1, n)]
+    if deleting and n <= b:
         raise DomainError(f"word length {n} too short for a deletion burst of {b}")
-    else:
-        placements = []
-        for a in (b,) if kind.value.endswith("-exact") else range(1, b + 1):
-            m = n if deleting else n + a  # length of the word the positions index
-            if kind.value.endswith("-nonconsecutive"):
-                # a positions inside a window of b, each set once, by its minimum
-                sets = [(p, *rest) for p in range(1, m + 1)
-                        for rest in combinations(range(p + 1, min(p + b, m + 1)), a - 1)]
-            else:
-                sets = [tuple(range(i, i + a)) for i in range(1, m - a + 2)]
-            placements += [(p, ()) if deleting else ((), p) for p in sets]
+    placements = []
+    for a in (b,) if kind.value.endswith("-exact") else range(1, b + 1):
+        m = n if deleting else n + a  # length of the word the positions index
+        if kind.value.endswith("-nonconsecutive"):
+            # a positions inside a window of b, each set once, by its minimum
+            sets = [(p, *rest) for p in range(1, m + 1)
+                    for rest in combinations(range(p + 1, min(p + b, m + 1)), a - 1)]
+        else:
+            sets = [tuple(range(i, i + a)) for i in range(1, m - a + 2)]
+        placements += [(p, ()) if deleting else ((), p) for p in sets]
+    return placements
+
+
+def _table(n: int, placements) -> tuple[_Event, ...]:
+    """The events of the placements on a length-n word, every choice of
+    inserted bits in the order of itertools.product (the first inserted
+    position most significant). A segment (src, mask, dst) copies
+    ((v >> src) & mask) << dst; the output of packed word v is the inserted
+    bits OR-ed with all of its segments."""
     events = []
     for deleted, inserted in placements:
         kept = [p for p in range(1, n + 1) if p not in deleted]
@@ -136,16 +151,32 @@ def _events(n: int, model: ErrorModel) -> tuple[tuple[int, int, tuple], ...]:
         segs = tuple((kept[i] - 1, (1 << (j - i)) - 1, slots[i] - 1)
                      for i, j in zip([0, *cuts], [*cuts, len(kept)]) if i < j)
         for bits in range(1 << len(inserted)):
-            const = sum(((bits >> k) & 1) << (p - 1) for k, p in enumerate(inserted))
-            events.append((length, const, segs))
+            const = sum((bits >> k & 1) << (p - 1) for k, p in enumerate(reversed(inserted)))
+            events.append(_Event(length, const, segs, deleted, inserted))
     return tuple(events)
+
+
+@lru_cache(maxsize=256)
+def _events(n: int, model: ErrorModel) -> tuple[_Event, ...]:
+    """Every admissible event of the model on a length-n word, once each."""
+    return _table(n, _placements(n, model))
+
+
+@lru_cache(maxsize=64)
+def _inverse(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
+    """The events that undo the model's events from length n to length m, on
+    length-m words: each deletes what one of them inserted and inserts, with
+    every choice of bits, what it deleted. Applied to y they give every
+    length-n word whose ball holds y."""
+    swapped = [(ins, dels) for dels, ins in _placements(n, model) if n - len(dels) + len(ins) == m]
+    return _table(m, swapped)
 
 
 def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
     """The error ball of a packed word, as a set of (length, value) pairs."""
     out = set()
     last = None
-    for length, bits, segs in _events(n, model):
+    for length, bits, segs, _, _ in _events(n, model):
         # Events that differ only in their inserted bits share one segs tuple.
         if segs is not last:
             last, y = segs, 0
@@ -160,12 +191,12 @@ def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
     i holds the key (1 << length) | value of each event applied to vs[i]. A row
     may repeat a key; its distinct keys are the ball_ints of vs[i]."""
     events = _events(n, model)
-    longest = max(length for length, _, _ in events)
+    longest = max(ev.length for ev in events)
     if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
         raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
-    width = max(len(segs) for _, _, segs in events)
-    keys = np.array([(1 << length) | bits for length, bits, _ in events], dtype=np.uint64)
-    segs = np.array([s + ((0, 0, 0),) * (width - len(s)) for _, _, s in events], dtype=np.uint64)
+    width = max(len(ev.segs) for ev in events)
+    keys = np.array([(1 << ev.length) | ev.bits for ev in events], dtype=np.uint64)
+    segs = np.array([ev.segs + ((0, 0, 0),) * (width - len(ev.segs)) for ev in events], dtype=np.uint64)
     vs = np.asarray(vs, dtype=np.uint64).reshape(-1, 1)
     out = np.tile(keys, (len(vs), 1))
     for src, mask, dst in segs.transpose(1, 2, 0):

@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--b", type=int, default=None, help="burst parameter (fixed for some families)")
         p.add_argument("--params", default=params_default, help="comma-separated residues or 'best'")
-        p.add_argument("--slow", action="store_true", help="allow the flagged slow builds")
 
     def io_flags(p: argparse.ArgumentParser, inp: bool = True, out: bool = True) -> None:
         if inp:
@@ -67,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[f.value for f in codes.Family])
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--n", required=True, help="comma-separated lengths, e.g. 8,12,16")
-    p.add_argument("--slow", action="store_true")
     fmt_flag(p)
     io_flags(p, inp=False)
 
@@ -107,8 +105,6 @@ def _resolve_spec(args) -> codes.CodeSpec:
         b = codes.default_burst(family)
         if b is None:
             raise DomainError(f"--b is required for family {family.value}")
-    if family is codes.Family.NONCONS4 and args.n >= 24 and not args.slow:
-        raise DomainError("noncons4 at n >= 24 is the flagged slow path; pass --slow to run it")
     if args.params in (None, "", "best"):
         if args.params == "best" or family is codes.Family.CHENG1:
             return codes.best_params(family, args.n, b)
@@ -308,8 +304,6 @@ def _tabulate(args) -> int:
         raise DomainError(f"--n takes comma-separated integers, got {args.n!r}") from None
     rows = []
     for n in lengths:
-        if family is codes.Family.NONCONS4 and n >= 24 and not args.slow:
-            raise DomainError("noncons4 at n >= 24 is the flagged slow path; pass --slow")
         spec = codes.best_params(family, n, b)
         cb = codes.build(spec)
         refs = bounds.reference_redundancies(n, b)

@@ -41,13 +41,12 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
 from typing import IO, Callable, Iterable
 
 import numpy as np
 
-from . import _enum
-from .bitseq import ArrayRep, Word, array_view, flatten, parse_word, to_int
+from . import _enum, balls
+from .bitseq import ArrayRep, Word, array_view, flatten, from_int, parse_word, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
 from .svt import SvtParams, svt_decode
@@ -582,14 +581,6 @@ def read_codebook(lines: Iterable[str]) -> Codebook:
 # ---------------------------------------------------------------------------
 
 
-def _delete_burst(x: Word, start: int, size: int) -> Word:
-    return x[: start - 1] + x[start - 1 + size :]
-
-
-def _burst_reachable(x: Word, y: Word, size: int) -> bool:
-    return any(_delete_burst(x, i, size) == y for i in range(1, len(x) - size + 2))
-
-
 def _decode_array_burst(spec: CodeSpec, b: int, tag: str, y: Word) -> DecodeResult:
     """Construction core on A_b with the fields a{tag}, c{tag}, d{tag}: VT-decode
     row 1 to localize the lost column, then shifted-VT-decode the other rows
@@ -615,74 +606,36 @@ def _decode_array_burst(spec: CodeSpec, b: int, tag: str, y: Word) -> DecodeResu
     )
 
 
-def _rebuild(y: Word, positions: tuple[int, ...], bits: tuple[int, ...]) -> Word:
-    fill = dict(zip(positions, bits))
-    out: list[int] = []
-    yi = 0
-    for p in range(1, len(y) + len(positions) + 1):
-        if p in fill:
-            out.append(fill[p])
-        else:
-            out.append(y[yi])
-            yi += 1
-    return tuple(out)
-
-
-def _unique_survivor(spec: CodeSpec, cands: dict[Word, dict]) -> DecodeResult:
-    survivors = sorted(x for x in cands if member(spec, x))
+def _search(spec: CodeSpec, y: Word, models: tuple) -> tuple[Word, int, tuple[int, ...]]:
+    """The unique member among the words whose ball under one of the models
+    holds y, that is among y's ball under their inverse events
+    (balls._inverse), with the model index and refilled positions of the
+    first event that gives it. Each distinct candidate is tested with member."""
+    n, v = spec.n, to_int(y)
+    first: dict[int, tuple] = {}
+    for step, model in enumerate(models):
+        for _, x, segs, _, refilled in balls._inverse(n, model, len(y)):
+            # x starts as the refilled bits; the segments copy the rest of y
+            for src, mask, dst in segs:
+                x |= ((v >> src) & mask) << dst
+            first.setdefault(x, (step, refilled))
+    survivors = [x for x in first if member(spec, from_int(x, n))]
     if not survivors:
         raise DecodeFailure("no codeword explains the received word")
     if len(survivors) > 1:
         raise DecodeFailure(f"{len(survivors)} codewords explain the received word")
-    x = survivors[0]
-    meta = cands[x]
-    return DecodeResult(word=x, window=meta.pop("window"), detail=meta)
-
-
-def _decode_c21(spec: CodeSpec, y: Word) -> DecodeResult:
-    n = spec.n
-    cands: dict[Word, dict] = {}
-    for t in range(n):
-        for v in (0, 1):
-            x = y[:t] + (v,) + y[t:]
-            cands.setdefault(
-                x, {"kind": "single-deletion", "position": t + 1, "window": (t + 1, t + 1)}
-            )
-    for i in range(1, n):
-        for b1, b2 in product((0, 1), repeat=2):
-            x = y[: i - 1] + (b1, b2) + y[i:]
-            cands.setdefault(
-                x, {"kind": "burst-2-1", "position": i, "window": (i, i + 1)}
-            )
-    return _unique_survivor(spec, cands)
-
-
-def _decode_windowed(spec: CodeSpec, y: Word, a: int) -> DecodeResult:
-    """Reverse every a-deletion pattern confined to a window of b consecutive
-    positions and keep the unique member among the reconstructions."""
-    n, b = spec.n, spec.b
-    cands: dict[Word, dict] = {}
-    for first in range(1, n + 1):
-        for tail in combinations(range(first + 1, min(first + b, n + 1)), a - 1):
-            positions = (first, *tail)
-            for bits in product((0, 1), repeat=a):
-                x = _rebuild(y, positions, bits)
-                cands.setdefault(
-                    x,
-                    {
-                        "kind": "windowed-deletion",
-                        "positions": positions,
-                        "window": (positions[0], positions[-1]),
-                    },
-                )
-    return _unique_survivor(spec, cands)
+    return from_int(survivors[0], n), *first[survivors[0]]
 
 
 def decode(spec: CodeSpec, y: Word) -> DecodeResult:
     """Recover the unique codeword whose target-model ball contains y.
 
     The number of deletions a = n - |y| follows from the received length;
-    a = 0 is a pass-through for codewords.
+    a = 0 is a pass-through for codewords. VT and array-view decoders
+    rebuild the word; c21 and the windowed patterns of noncons3/noncons4
+    search y's inverse ball. Every path ends in one check: the word is a
+    member whose ball under the path's model (a burst of a deletions, the
+    (2,1)-burst, or the windowed deletions) holds y.
     """
     n = spec.n
     a = n - len(y)
@@ -692,25 +645,33 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
         raise DecodeFailure("length-n input is not a codeword of this code")
     if a < 0:
         raise DecodeFailure("received word longer than the code length")
-    fam = spec.family
+    fam, model = spec.family, balls.del_exact(a)
     if fam is Family.C21:
         if a != 1:
             raise DecodeFailure(f"c21 expects received length {n - 1}, got {len(y)}")
-        return _decode_c21(spec, y)
-    if fam in (Family.CHENG1, Family.BURST_EXACT) and a != spec.b:
+        model = balls.burst21()
+        x, step, refilled = _search(spec, y, (balls.del_exact(1), model))
+        detail = {"kind": ("single-deletion", "burst-2-1")[step], "position": refilled[0]}
+        result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
+    elif fam in (Family.CHENG1, Family.BURST_EXACT) and a != spec.b:
         raise DecodeFailure(f"{fam.value} expects exactly {spec.b} deletions, got {a}")
-    if a > spec.b:
+    elif a > spec.b:
         raise DecodeFailure(f"at most {spec.b} deletions supported, got {a}")
-    if fam is Family.CHENG1:
+    elif fam is Family.CHENG1:
         result = _decode_cheng1(spec, y)
     elif a == 1:  # the whole-word VT component, a_vt or a1
         p = spec.params_by_name()
         result = vt_decode(y, VtParams(n, p.get("a_vt", p.get("a1"))))
     elif fam in (Family.NONCONS3, Family.NONCONS4) and a < spec.b:
-        return _decode_windowed(spec, y, a)
+        model = balls.del_at_most_noncons(spec.b)
+        x, _, refilled = _search(spec, y, (model,))
+        detail = {"kind": "windowed-deletion", "positions": refilled}
+        result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
     else:
         result = _decode_array_burst(spec, a, "" if fam is Family.BURST_EXACT else str(a), y)
-    if not member(spec, result.word) or not _burst_reachable(result.word, y, a):
+    if not member(spec, result.word) or (
+        (len(y), to_int(y)) not in balls.ball_ints(to_int(result.word), n, model)
+    ):
         raise DecodeFailure("decoded word does not explain the received word")
     return result
 
@@ -734,9 +695,7 @@ def _decode_cheng1(spec: CodeSpec, y: Word) -> DecodeResult:
 # ---------------------------------------------------------------------------
 
 
-def target_model(spec: CodeSpec):
-    from . import balls
-
+def target_model(spec: CodeSpec) -> balls.ErrorModel:
     fam = spec.family
     if fam in (Family.CHENG1, Family.BURST_EXACT):
         return balls.del_exact(spec.b)

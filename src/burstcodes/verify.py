@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _enum, balls
-from .bitseq import Word, to_int
+from .bitseq import Word, from_int, to_int
 from .codes import Codebook, codebook_from_words
 from .errors import CodeIntegrityError, DecodeFailure, DomainError
 from .vt import DecodeResult
@@ -164,12 +164,14 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
 
 @dataclass(frozen=True)
 class ChannelEvent:
-    """One admissible error event, reproducible from the seed."""
+    """One admissible error event, reproducible from the seed: the deleted
+    input positions, the inserted output positions and their bits, and
+    start, the smallest of those positions (all 1-based)."""
 
     model: balls.ErrorModel
     start: int
     deleted: tuple[int, ...] = ()
-    inserted_at: int | None = None
+    inserted: tuple[int, ...] = ()
     inserted_bits: tuple[int, ...] = ()
     seed: int = 0
     rng: str = field(default=_RNG_NAME)
@@ -179,102 +181,28 @@ class ChannelEvent:
             "model": str(self.model),
             "start": self.start,
             "deleted_positions": list(self.deleted),
-            "inserted_at": self.inserted_at,
+            "inserted_positions": list(self.inserted),
             "inserted_bits": list(self.inserted_bits),
             "seed": self.seed,
             "rng": self.rng,
         }
 
 
-def _admissible_events(n: int, model: balls.ErrorModel) -> list[tuple]:
-    kind, b = model.kind, model.b
-    events: list[tuple] = []
-    if kind is balls.ErrorKind.DEL_EXACT:
-        if n <= b:
-            raise DomainError("word too short for the model")
-        events = [(i, tuple(range(i, i + b)), None, ()) for i in range(1, n - b + 2)]
-    elif kind is balls.ErrorKind.DEL_AT_MOST_CONSECUTIVE:
-        if n <= b:
-            raise DomainError("word too short for the model")
-        for a in range(1, b + 1):
-            events += [(i, tuple(range(i, i + a)), None, ()) for i in range(1, n - a + 2)]
-    elif kind is balls.ErrorKind.DEL_AT_MOST_NONCONSECUTIVE:
-        if n <= b:
-            raise DomainError("word too short for the model")
-        for w in range(1, n - b + 2):
-            positions = range(w, w + b)
-            for a in range(1, b + 1):
-                for subset in itertools.combinations(positions, a):
-                    events.append((w, subset, None, ()))
-    elif kind is balls.ErrorKind.INS_EXACT:
-        for slot in range(n + 1):
-            for bits in itertools.product((0, 1), repeat=b):
-                events.append((slot, (), slot, bits))
-    elif kind is balls.ErrorKind.INS_AT_MOST_CONSECUTIVE:
-        for a in range(1, b + 1):
-            for slot in range(n + 1):
-                for bits in itertools.product((0, 1), repeat=a):
-                    events.append((slot, (), slot, bits))
-    elif kind is balls.ErrorKind.INS_AT_MOST_NONCONSECUTIVE:
-        for a in range(1, b + 1):
-            m = n + a
-            for w in range(1, max(m - b + 1, 1) + 1):
-                for subset in itertools.combinations(range(w, min(w + b, m + 1)), a):
-                    for bits in itertools.product((0, 1), repeat=a):
-                        events.append((w, subset, None, bits))
-    elif kind is balls.ErrorKind.BURST_2_1:
-        if n < 3:
-            raise DomainError("word too short for the model")
-        for i in range(1, n):
-            for v in (0, 1):
-                events.append((i, (i, i + 1), i, (v,)))
-    else:  # pragma: no cover
-        raise DomainError(f"unhandled model {model}")
-    return events
-
-
-def _apply_event(x: Word, model: balls.ErrorModel, event: tuple) -> Word:
-    kind = model.kind
-    start, deleted, inserted_at, bits = event
-    if kind in (
-        balls.ErrorKind.DEL_EXACT,
-        balls.ErrorKind.DEL_AT_MOST_CONSECUTIVE,
-        balls.ErrorKind.DEL_AT_MOST_NONCONSECUTIVE,
-    ):
-        drop = set(deleted)
-        return tuple(b for i, b in enumerate(x, start=1) if i not in drop)
-    if kind in (balls.ErrorKind.INS_EXACT, balls.ErrorKind.INS_AT_MOST_CONSECUTIVE):
-        return x[:inserted_at] + bits + x[inserted_at:]
-    if kind is balls.ErrorKind.INS_AT_MOST_NONCONSECUTIVE:
-        fill = dict(zip(deleted, bits))
-        out: list[int] = []
-        xi = 0
-        for p in range(1, len(x) + len(bits) + 1):
-            if p in fill:
-                out.append(fill[p])
-            else:
-                out.append(x[xi])
-                xi += 1
-        return tuple(out)
-    if kind is balls.ErrorKind.BURST_2_1:
-        i = start
-        return x[: i - 1] + bits + x[i + 1 :]
-    raise DomainError(f"unhandled model {model}")  # pragma: no cover
-
-
 def apply_error(x: Word, model: balls.ErrorModel, seed: int) -> tuple[Word, ChannelEvent]:
-    """Apply one admissible error event drawn uniformly (over events, not over
-    outcomes) with a generator fully determined by the seed."""
-    events = _admissible_events(len(x), model)
-    rng = random.Random(seed)
-    start, deleted, inserted_at, bits = events[rng.randrange(len(events))]
-    corrupted = _apply_event(x, model, (start, deleted, inserted_at, bits))
+    """Apply one event of the model's event table (balls._events), drawn
+    uniformly over its distinct (positions, bits) patterns with a generator
+    fully determined by the seed. Distinct patterns may give one output."""
+    events = balls._events(len(x), model)
+    length, bits, segs, deleted, inserted = events[random.Random(seed).randrange(len(events))]
+    v, y = to_int(x), bits
+    for src, mask, dst in segs:
+        y |= ((v >> src) & mask) << dst
     event = ChannelEvent(
         model=model,
-        start=start,
-        deleted=tuple(deleted),
-        inserted_at=inserted_at,
-        inserted_bits=tuple(bits),
+        start=min(deleted + inserted),
+        deleted=deleted,
+        inserted=inserted,
+        inserted_bits=tuple(bits >> (p - 1) & 1 for p in inserted),
         seed=seed,
     )
-    return corrupted, event
+    return from_int(y, length), event

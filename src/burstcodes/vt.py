@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import _enum
-from .bitseq import Word, runs
+from .bitseq import Word
 from .errors import DecodeFailure, DomainError
 
 
@@ -89,10 +89,14 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
     x = y[:t] + (value,) + y[t:]
     if not vt_member(x, p):
         raise DecodeFailure(f"no VT_{p.a}({n}) preimage for the received word")
-    run = runs(x).run_at(t + 1)
+    lo, hi = t, t + 1  # x[lo:hi] grows to the run holding position t + 1
+    while lo > 0 and x[lo - 1] == value:
+        lo -= 1
+    while hi < n and x[hi] == value:
+        hi += 1
     return DecodeResult(
         word=x,
-        window=(run.start, run.start + run.length - 1),
+        window=(lo + 1, hi),
         detail={"kind": "deletion", "value": value, "position": t + 1},
     )
 

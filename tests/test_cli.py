@@ -158,13 +158,15 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["build", "--family", "bogus", "--n", "8"])
     assert exc.value.code == 2
-    assert main(["build", "--family", "noncons4", "--n", "24", "--b", "4"]) == 2
-    capsys.readouterr()
 
 
-def test_slow_gate_message(capsys):
-    code = main(["tabulate", "--family", "noncons4", "--n", "24"])
-    assert code == 2
+def test_noncons4_builds_at_24_without_a_gate(capsys, tmp_path):
+    out = tmp_path / "code.txt"
+    code = main(["build", "--family", "noncons4", "--n", "24", "--b", "4", "--params", "best",
+                 "--out", str(out)])
+    assert code == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0]
+    assert header == "# family=noncons4 n=24 b=4 params=1,2,4,1,10,2,10,2,3,0,14,0,14,0"
     capsys.readouterr()
 
 

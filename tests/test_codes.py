@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from burstcodes.codes import (
 )
 from burstcodes.errors import DecodeFailure, DomainError
 from burstcodes.rll import ceil_log2, max_run, urll_cap
+from burstcodes.vt import DecodeResult
 
 
 def _delete(x, positions):
@@ -345,6 +347,143 @@ def test_decode_agrees_with_oracle_all_families_small():
                 res = decode(spec, y)
                 assert res.word == w
                 assert verify.oracle_decode(cb, y, model).word == w
+
+
+def _reference_search_decode(spec, y):
+    """The search decoders as loops of their own, kept as a reference for
+    the search over balls._inverse: the c21 refills of one deleted bit and
+    of one (2,1)-burst, or every windowed a-deletion pattern, in order; the
+    first refill giving a word sets its window and detail, and the unique
+    member survives."""
+    n, b = spec.n, spec.b
+    cands = {}
+    if spec.family is Family.C21:
+        for t in range(n):
+            for v in (0, 1):
+                x = y[:t] + (v,) + y[t:]
+                cands.setdefault(
+                    x, {"kind": "single-deletion", "position": t + 1, "window": (t + 1, t + 1)}
+                )
+        for i in range(1, n):
+            for b1, b2 in itertools.product((0, 1), repeat=2):
+                x = y[: i - 1] + (b1, b2) + y[i:]
+                cands.setdefault(x, {"kind": "burst-2-1", "position": i, "window": (i, i + 1)})
+    else:
+        a = n - len(y)
+        for positions in _window_patterns(n, b, a):
+            for bits in itertools.product((0, 1), repeat=a):
+                fill, rest = dict(zip(positions, bits)), iter(y)
+                x = tuple(fill[p] if p in fill else next(rest) for p in range(1, n + 1))
+                cands.setdefault(
+                    x,
+                    {
+                        "kind": "windowed-deletion",
+                        "positions": positions,
+                        "window": (positions[0], positions[-1]),
+                    },
+                )
+    survivors = sorted(x for x in cands if member(spec, x))
+    if not survivors:
+        raise DecodeFailure("no codeword explains the received word")
+    if len(survivors) > 1:
+        raise DecodeFailure(f"{len(survivors)} codewords explain the received word")
+    meta = dict(cands[survivors[0]])
+    return DecodeResult(word=survivors[0], window=meta.pop("window"), detail=meta)
+
+
+def _outcome(decoder, spec, y):
+    try:
+        res = decoder(spec, y)
+    except DecodeFailure as exc:
+        return str(exc)
+    return res.word, res.window, dict(res.detail)
+
+
+@pytest.mark.parametrize("family,n,m", [(Family.C21, 8, 7), (Family.C21, 10, 9),
+                                        (Family.C21, 12, 11), (Family.NONCONS3, 12, 10)])
+def test_search_decoders_match_reference_on_every_received_word(family, n, m):
+    spec = best_params(family, n, 3 if family is Family.NONCONS3 else 2)
+    outcomes = Counter()
+    for y in enumerate_words(m):
+        got = _outcome(decode, spec, y)
+        assert got == _outcome(_reference_search_decode, spec, y), y
+        outcomes[got if isinstance(got, str) else got[2]["kind"]] += 1
+    assert len(outcomes) >= 2, outcomes  # both decodes and failures occur
+
+
+# 1,000 seeded words per a in the slow run; tier-1 checks their first 100.
+@pytest.mark.parametrize(
+    "a,count",
+    [(2, 100), (3, 100), pytest.param(2, 1000, marks=pytest.mark.slow),
+     pytest.param(3, 1000, marks=pytest.mark.slow)],
+)
+def test_noncons4_search_matches_reference_on_seeded_words(a, count):
+    spec = best_params(Family.NONCONS4, 24, 4)
+    words = build(spec).words
+    rng = random.Random(a)
+    for i in range(count):
+        if i % 2:  # a codeword less a windowed pattern, else a random word
+            x, first = rng.choice(words), rng.randrange(1, 22)
+            y = _delete(x, rng.sample(range(first, first + 4), a))
+        else:
+            y = tuple(rng.randrange(2) for _ in range(24 - a))
+        assert _outcome(decode, spec, y) == _outcome(_reference_search_decode, spec, y), y
+
+
+def _member_past_64_bits(family, n, b, rng):
+    """A random member of some class at length n: a word drawn until its
+    tie forms vanish and its capped rows keep their caps, with the
+    parameters read off its own key forms."""
+    zeros, caps, keys = codes._compiled(family, n, b)
+    while True:
+        v = rng.getrandbits(n)
+        if all(f(v) == 0 for f in zeros) and all(
+            _enum.max_run_le(row(v), m, cap) for row, m, cap in caps
+        ):
+            spec = CodeSpec(family, n, b, tuple(f(v) for f in keys))
+            x = tuple(v >> i & 1 for i in range(n))
+            assert member(spec, x)
+            return spec, x
+
+
+@pytest.mark.parametrize(
+    "family,n,b",
+    [(Family.C21, 64, 2), (Family.C21, 96, 2), (Family.NONCONS3, 72, 3),
+     (Family.NONCONS3, 96, 3), (Family.NONCONS4, 72, 4), (Family.NONCONS4, 96, 4)],
+)
+def test_decode_past_64_bits(family, n, b):
+    rng = random.Random(n * 10 + b)
+    spec, x = _member_past_64_bits(family, n, b, rng)
+    model = target_model(spec)
+    kinds = set()
+    for seed in range(6):
+        y, event = verify.apply_error(x, model, seed)
+        res = decode(spec, y)
+        assert res.word == x, (seed, event)
+        kinds.add(res.detail["kind"])
+    assert kinds & {"single-deletion", "burst-2-1", "windowed-deletion"}, kinds
+
+
+def test_decode_fails_exactly_off_the_balls_of_the_code():
+    # every received word of each length: the VT and array-view paths agree
+    # with the oracle, failing where no codeword's ball holds the word (the
+    # search paths are held to the reference search above)
+    cases = ((Family.CHENG1, 8, 2), (Family.BURST_EXACT, 12, 3), (Family.CL2, 10, 2),
+             (Family.AT_MOST_CONSECUTIVE, 12, 3))
+    for family, n, b in cases:
+        spec = best_params(family, n, b)
+        cb, model = build(spec), target_model(spec)
+        for a in range(1, b + 1):
+            for y in enumerate_words(n - a):
+                try:
+                    want = verify.oracle_decode(cb, y, model).word
+                except DecodeFailure:
+                    want = None
+                try:
+                    got = decode(spec, y).word
+                except DecodeFailure:
+                    got = None
+                assert got == want, (family, y)
 
 
 def test_noncons3_gap_patterns_round_trip():

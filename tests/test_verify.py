@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -152,6 +153,87 @@ def test_apply_error_exhaustive_membership_small():
         for x in enumerate_words(5):
             out, ev = apply_error(x, model, seed=7)
             assert out in balls.ball(x, model)
+
+
+def _patterns(n, model):
+    """The (deleted, inserted, bits) pattern of every event apply_error draws from."""
+    return [(e.deleted, e.inserted, tuple(e.bits >> (p - 1) & 1 for p in e.inserted))
+            for e in balls._events(n, model)]
+
+
+def _independent_patterns(n, model):
+    """Every pattern of the model: position sets of a <= b positions spanning
+    at most b (windowed) or exactly a (consecutive) positions, deleted from
+    the input or inserted, with every choice of bits, into the output."""
+    kind, b = model.kind.value, model.b
+    if model.kind is balls.ErrorKind.BURST_2_1:
+        return {((i, i + 1), (i,), (v,)) for i in range(1, n) for v in (0, 1)}
+    dels = kind.startswith("del-")
+    return {
+        (ps, (), ()) if dels else ((), ps, bits)
+        for a in ([b] if kind.endswith("-exact") else range(1, b + 1))
+        for ps in itertools.combinations(range(1, n + 1 + (0 if dels else a)), a)
+        if ps[-1] - ps[0] < (b if kind.endswith("-nonconsecutive") else a)
+        for bits in itertools.product((0, 1), repeat=0 if dels else a)
+    }
+
+
+def test_sampler_draws_over_distinct_patterns():
+    assert len(_patterns(8, balls.del_at_most_noncons(3))) == 27
+    for kind in balls.ErrorKind:
+        for b in range(1, 5):
+            model = balls.ErrorModel(kind, b)
+            for n in range(model.b + 1, 11):
+                patterns = _patterns(n, model)
+                assert len(patterns) == len(set(patterns)), (model, n)
+                assert set(patterns) == _independent_patterns(n, model), (model, n)
+
+
+# apply_error outputs (x, seed) -> corrupted word, recorded before the sampler
+# drew from balls._events; on these models the event list kept its order.
+_SAMPLER_PINS = {
+    balls.del_exact(2): ["01101001", "01101101", "00100101", "1110001000", "1110011000",
+                         "1110001110", "000000", "000001", "000001"],
+    balls.del_at_most(3): ["01100101", "10100101", "0100101", "100111000", "1110001100",
+                           "11100011000", "000001", "000001", "00000"],
+    balls.ins_exact(2): ["011010000101", "011010000101", "011010010100", "11100000111000",
+                         "11100000111000", "11100011100000", "0000000001", "0000000001",
+                         "0110000001"],
+    balls.ins_at_most(3): ["0110000100101", "0100010100101", "010110100101", "111001000111000",
+                           "100111000111000", "111000111010100", "00000011001", "0000011001",
+                           "00001100001"],
+    balls.burst21(): ["011010001", "011010101", "010100101", "11100001000", "11100011000",
+                      "11100011100", "0000001", "0010001", "0000001"],
+}
+
+
+def test_sampler_keeps_its_draws_on_consecutive_models():
+    for model, outputs in _SAMPLER_PINS.items():
+        cases = [(x, seed) for x in ("0110100101", "111000111000", "00000001") for seed in (0, 7, 42)]
+        for (x, seed), want in zip(cases, outputs):
+            assert apply_error(parse_word(x), model, seed)[0] == parse_word(want), (model, x, seed)
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_channel_event_replays_the_output(n):
+    rng = random.Random(n)
+    models = _ALL_MODELS + (balls.del_exact(1), balls.ins_at_most_noncons(4))
+    for model in models:
+        for seed in range(25):
+            x = tuple(rng.randrange(2) for _ in range(n))
+            y, event = apply_error(x, model, seed)
+            kept = iter(b for i, b in enumerate(x, start=1) if i not in event.deleted)
+            fill = dict(zip(event.inserted, event.inserted_bits))
+            length = n - len(event.deleted) + len(fill)
+            assert tuple(fill[p] if p in fill else next(kept) for p in range(1, length + 1)) == y
+            assert next(kept, None) is None
+            assert event.start == min(event.deleted + event.inserted) >= 1
+            assert all(1 <= p <= n for p in event.deleted)
+            assert all(1 <= p <= length for p in event.inserted)
+            record = event.to_json()
+            assert record["deleted_positions"] == list(event.deleted)
+            assert record["inserted_positions"] == list(event.inserted)
+            assert "inserted_at" not in record
 
 
 def test_channel_then_oracle_recovers_codeword():
