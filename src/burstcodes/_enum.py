@@ -9,8 +9,10 @@ Codebook builds and parameter searches (codes.py) no longer sweep the full
 space: they take the low and the high part of a split word from
 ``iter_chunks`` (one call per part, of 2^L and 2^(n-L) values) and
 evaluate the code families' tabulated forms there, so the row and residue
-kernels below serve vt, svt and rll, not those searches. ``pack`` turns a
-list of Word tuples into such an array.
+kernels below serve vt, svt and rll, not those searches. ``pack`` turns
+codebook rows (``np.packbits`` of each word, position 1 at the most
+significant bit of byte 0) into such an array, and ``unpack`` turns packed
+words back into rows.
 """
 
 from __future__ import annotations
@@ -37,13 +39,31 @@ def iter_chunks(n: int):
         yield np.arange(start, min(start + step, total), dtype=np.uint64)
 
 
-def pack(words, n: int) -> np.ndarray:
-    """Pack length-n words (n <= 64) into a uint64 array, position 1 at the
-    least significant bit as in bitseq.to_int."""
+# Every byte value with its bits in reverse order: it turns the bytes of a
+# row (position 1 at the most significant bit) into the bytes of a packed word
+# (position 1 at the least significant bit), and back.
+_REVERSED = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).ravel()
+
+
+def pack(rows: np.ndarray, n: int) -> np.ndarray:
+    """Pack the rows of length-n words (n <= 64) into a uint64 array, position
+    1 at the least significant bit as in bitseq.to_int."""
     if n > 64:
         raise DomainError(f"{n}-bit words do not fit in a uint64")
-    bits = np.array(words, dtype=np.uint64).reshape(-1, n)
-    return bits @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
+    out = np.zeros((len(rows), 8), dtype=np.uint8)
+    out[:, : rows.shape[1]] = _REVERSED[rows]
+    return out.view("<u8").ravel()
+
+
+def unpack(vs, n: int) -> np.ndarray:
+    """The rows of packed length-n words (n <= 64): np.packbits of each word,
+    shape (len(vs), ceil(n/8)), position 1 at the most significant bit."""
+    if n > 64:
+        raise DomainError(f"{n}-bit words do not fit in a uint64")
+    octets = np.ascontiguousarray(vs, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return _REVERSED[octets[:, : (n + 7) // 8]]
 
 
 def bit(v, pos: int):

@@ -199,8 +199,9 @@ def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
     segs = np.array([ev.segs + ((0, 0, 0),) * (width - len(ev.segs)) for ev in events], dtype=np.uint64)
     vs = np.asarray(vs, dtype=np.uint64).reshape(-1, 1)
     out = np.tile(keys, (len(vs), 1))
+    part = np.empty_like(out)
     for src, mask, dst in segs.transpose(1, 2, 0):
-        part = vs >> src
+        np.right_shift(vs, src, out=part)
         part &= mask
         part <<= dst
         out |= part

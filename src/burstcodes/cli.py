@@ -311,7 +311,7 @@ def _tabulate(args) -> int:
             "n": n,
             "params": ",".join(map(str, spec.params)) or "-",
             "cardinality": cb.cardinality,
-            "redundancy_measured": None if not cb.words else round(cb.redundancy, 4),
+            "redundancy_measured": None if not cb.cardinality else round(cb.redundancy, 4),
         }
         for col in columns:
             val = refs.get(col)

@@ -46,7 +46,7 @@ from typing import IO, Callable, Iterable
 import numpy as np
 
 from . import _enum, balls
-from .bitseq import ArrayRep, Word, array_view, flatten, from_int, parse_word, to_int
+from .bitseq import ArrayRep, Word, array_view, flatten, from_int, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
 from .svt import SvtParams, svt_decode
@@ -424,36 +424,76 @@ def _join(keys: np.ndarray, want: np.ndarray):
 BUILD_MAX_N = 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
+    """Distinct length-n words as `rows`, one read-only row per word in
+    lexicographic order: np.packbits of its bits, shape (k, ceil(n/8)),
+    uint8, position 1 at the most significant bit of byte 0. Word tuples are
+    made only when `words` is read."""
+
     n: int
-    words: tuple[Word, ...]
+    rows: np.ndarray
     spec: CodeSpec | None = None
+
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = False
+
+    @functools.cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, np.unpackbits(self.rows, axis=1, count=self.n).tolist()))
+
+    def _identity(self) -> tuple:
+        return self.n, self.spec, self.rows.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     @property
     def cardinality(self) -> int:
-        return len(self.words)
+        return len(self.rows)
 
     @property
     def redundancy(self) -> float:
-        if not self.words:
+        if not self.cardinality:
             return math.inf
-        return self.n - math.log2(len(self.words))
+        return self.n - math.log2(self.cardinality)
 
     @property
     def label(self) -> str:
         if self.spec is None:
-            return f"adhoc(n={self.n},size={len(self.words)})"
+            return f"adhoc(n={self.n},size={self.cardinality})"
         s = self.spec
         return f"{s.family.value}(n={s.n},b={s.b},params={','.join(map(str, s.params))})"
 
 
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in the lexicographic order of their bytes, which is
+    the lexicographic order of the words they pack."""
+    if len(rows) > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+    return rows
+
+
 def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = None) -> Codebook:
-    uniq = sorted(set(words))
-    for w in uniq:
-        if len(w) != n:
-            raise DomainError("codebook words must share one length")
-    return Codebook(n=n, words=tuple(uniq), spec=spec)
+    words = list(words)
+    if any(len(w) != n for w in words):
+        raise DomainError("codebook words must share one length")
+    bits = np.array(words, dtype=np.int64).reshape(len(words), n)
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise DomainError("codeword bits must be 0 or 1")
+    return Codebook(n, _distinct(np.packbits(bits.astype(np.uint8), axis=1)), spec)
+
+
+def codebook_from_ints(vs, n: int, spec: CodeSpec | None = None) -> Codebook:
+    """The codebook of packed length-n words (n <= 64, position 1 at the
+    least significant bit)."""
+    return Codebook(n, _distinct(_enum.unpack(vs, n)), spec)
 
 
 def build(spec: CodeSpec) -> Codebook:
@@ -473,12 +513,7 @@ def build(spec: CodeSpec) -> Codebook:
     want = [(t + m - r) % m for t, r, m in zip(targets, r_hi, mods)]
     i, j = _join(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi)))
     fit = _fit(caps, s_lo, s_hi, i, j)
-    found = w_hi[j[fit]] << L | w_lo[i[fit]]
-    as_bytes = found.astype("<u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
-    # Words sort lexicographically from position 1, that is by the bit-reversed value.
-    order = np.argsort(bits.dot(1 << np.arange(n - 1, -1, -1)))
-    return Codebook(n=n, words=tuple(map(tuple, bits[order].tolist())), spec=spec)
+    return codebook_from_ints(w_hi[j[fit]] << L | w_lo[i[fit]], n, spec)
 
 
 def _classes(family: Family, n: int, b: int):
@@ -537,19 +572,17 @@ def best_params(family: Family, n: int, b: int) -> CodeSpec:
 # ---------------------------------------------------------------------------
 
 
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
-
-
 def write_codebook(cb: Codebook, out: IO[str]) -> None:
-    """The header and every word in one write; the words' bits become the
-    characters 0 and 1 by one byte translation of all lines at once."""
+    """The header and every word in one write: the rows' bits become the
+    characters 0 and 1 of all lines at once, newlines included."""
     if cb.spec is None:
         header = f"# family=adhoc n={cb.n} b=0 params=-\n"
     else:
         p = ",".join(map(str, cb.spec.params)) or "-"
         header = f"# family={cb.spec.family.value} n={cb.spec.n} b={cb.spec.b} params={p}\n"
-    body = b"\n".join(map(bytes, cb.words)).translate(_BIT_CHARS).decode("ascii")
-    out.write(header + body + ("\n" if cb.words else ""))
+    lines = np.full((cb.cardinality, cb.n + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = np.unpackbits(cb.rows, axis=1, count=cb.n) + ord("0")
+    out.write(header + lines.tobytes().decode("ascii"))
 
 
 def read_codebook(lines: Iterable[str]) -> Codebook:
@@ -572,8 +605,14 @@ def read_codebook(lines: Iterable[str]) -> Codebook:
         raise DomainError(f"malformed codebook header {header!r}: {exc!r}") from None
     if n < 1:
         raise DomainError(f"codebook length must be >= 1, got n={n}")
-    words = [parse_word(line.strip()) for line in it if line.strip()]
-    return codebook_from_words(words, n, spec)
+    words = [line for line in map(str.strip, it) if line]
+    bits = np.frombuffer("".join(words).encode(), dtype=np.uint8) - ord("0")
+    if (bits > 1).any():
+        bad = next(w for w in words if w.strip("01"))
+        raise DomainError(f"not a binary word: {bad!r}")
+    if any(len(w) != n for w in words):
+        raise DomainError("codebook words must share one length")
+    return Codebook(n, _distinct(np.packbits(bits.reshape(len(words), n), axis=1)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +768,7 @@ def redundancy_report(cb: Codebook) -> dict:
         "b": spec.b,
         "params": list(spec.params),
         "cardinality": cb.cardinality,
-        "redundancy_measured": None if not cb.words else round(cb.redundancy, 6),
+        "redundancy_measured": None if not cb.cardinality else round(cb.redundancy, 6),
         "redundancy_formula": refs.get(formula_key),
         "lower_bound": refs.get("lower_bound"),
     }

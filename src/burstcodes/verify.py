@@ -8,7 +8,6 @@ fully determined by the seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import _enum, balls
 from .bitseq import Word, from_int, to_int
-from .codes import Codebook, codebook_from_words
+from .codes import Codebook, codebook_from_ints
 from .errors import CodeIntegrityError, DecodeFailure, DomainError
 from .vt import DecodeResult
 
@@ -52,9 +51,11 @@ class VerifyReport:
 def _ball_members(vs, n: int, model: balls.ErrorModel) -> tuple[np.ndarray, np.ndarray]:
     """The balls of packed words vs as (keys, owners): each distinct key of
     each ball once, row by row in key order, with the index of its word."""
-    keys = np.sort(balls.ball_keys(vs, n, model), axis=1)
-    fresh = np.diff(keys, axis=1, prepend=np.uint64(0)) != 0  # no key is 0
-    return keys[fresh], np.nonzero(fresh)[0]
+    keys = balls.ball_keys(vs, n, model)
+    keys.sort(axis=1)
+    fresh = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=fresh[:, 1:])
+    return keys[fresh], np.repeat(np.arange(len(keys)), np.count_nonzero(fresh, axis=1))
 
 
 def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
@@ -62,16 +63,18 @@ def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     disjoint. Exact: every ball element of every codeword is indexed, so any
     intersecting pair is found. Violations are (first owner, later owner,
     element), in (later owner, element) order."""
-    flat, owner = _ball_members(_enum.pack(cb.words, cb.n), cb.n, model)
-    distinct, counts = np.unique(flat, return_counts=True)
-    shared = np.flatnonzero(np.isin(flat, distinct[counts > 1]))
+    packed = _enum.pack(cb.rows, cb.n)
+    flat, owner = _ball_members(packed, cb.n, model)
+    owner_word = lambda i: from_int(int(packed[owner[i]]), cb.n)
+    ordered = np.sort(flat)
+    shared = np.flatnonzero(np.isin(flat, ordered[1:][ordered[1:] == ordered[:-1]]))
     _, first, group = np.unique(flat[shared], return_index=True, return_inverse=True)
     violations = tuple(
-        (cb.words[owner[prev]], cb.words[owner[i]], balls.key_word(int(flat[i])))
+        (owner_word(prev), owner_word(i), balls.key_word(int(flat[i])))
         for i, prev in zip(shared.tolist(), shared[first[group]].tolist())
         if i != prev
     )
-    k = len(cb.words)
+    k = cb.cardinality
     return VerifyReport(model, cb.label, k * (k - 1) // 2, violations)
 
 
@@ -145,16 +148,18 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     ball avoids every previously accepted ball."""
     if not 1 <= n <= GREEDY_MAX_BITS:
         raise DomainError(f"greedy construction needs 1 <= n <= {GREEDY_MAX_BITS}")
-    words = list(itertools.product((0, 1), repeat=n))
+    # Every word in lexicographic order: its index, position 1 most significant.
+    index = np.arange(1 << n, dtype=np.uint64) << np.uint64(64 - n)
+    words = _enum.pack(index.astype(">u8").view(np.uint8).reshape(-1, 8), n)
     used: set[int] = set()
-    chosen: list[Word] = []
+    chosen: list[int] = []
     for start in range(0, len(words), 1 << 12):
         block = words[start : start + (1 << 12)]
-        for w, row in zip(block, balls.ball_keys(_enum.pack(block, n), n, model)):
+        for v, row in zip(block.tolist(), balls.ball_keys(block, n, model)):
             if used.isdisjoint(keys := row.tolist()):
                 used.update(keys)
-                chosen.append(w)
-    return codebook_from_words(chosen, n)
+                chosen.append(v)
+    return codebook_from_ints(chosen, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import burstcodes
 from burstcodes.cli import main, run
 
 
@@ -201,3 +206,17 @@ def test_output_to_directory_exit_code(capsys, tmp_path):
     code = main(["build", "--family", "burst-exact", "--n", "8", "--b", "2", "--out", str(tmp_path)])
     assert code == 2
     assert "--out" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(burstcodes.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "burstcodes", "bound", "--n", "12", "--b", "2", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "upper_bound" in json.loads(proc.stdout)

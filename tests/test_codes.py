@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from burstcodes import _enum, balls, codes, verify
-from burstcodes.bitseq import array_view, enumerate_words, parse_word
+from burstcodes.bitseq import array_view, enumerate_words, format_word, parse_word, to_int
 from burstcodes.codes import (
     BUILD_MAX_N,
     CodeSpec,
     Family,
     best_params,
     build,
+    codebook_from_ints,
     codebook_from_words,
     decode,
     member,
@@ -562,6 +563,111 @@ def test_codebook_file_adhoc():
 def test_read_codebook_rejects_malformed_header(header):
     with pytest.raises(DomainError):
         read_codebook(io.StringIO(header + "\n"))
+
+
+def _reference_write_codebook(cb, out):
+    """write_codebook from Word tuples, one formatted line per word, as it was
+    before codebooks held packed rows."""
+    if cb.spec is None:
+        header = f"# family=adhoc n={cb.n} b=0 params=-\n"
+    else:
+        p = ",".join(map(str, cb.spec.params)) or "-"
+        header = f"# family={cb.spec.family.value} n={cb.spec.n} b={cb.spec.b} params={p}\n"
+    out.write(header + "".join(format_word(w) + "\n" for w in cb.words))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 64, 65, 100])
+def test_packed_codebook_round_trips(n):
+    rng = random.Random(n)
+    words = [tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(40)]
+    words += words[:10]  # unsorted, with duplicates
+    cb = codebook_from_words(words, n)
+    assert cb.words == tuple(sorted(set(words)))
+    assert cb.rows.dtype == np.uint8 and cb.rows.shape == (len(set(words)), (n + 7) // 8)
+    assert not cb.rows.flags.writeable
+    if n <= 64:
+        assert codebook_from_ints([to_int(w) for w in words], n) == cb
+    buf, ref = io.StringIO(), io.StringIO()
+    write_codebook(cb, buf)
+    _reference_write_codebook(cb, ref)
+    assert buf.getvalue() == ref.getvalue()
+    back = read_codebook(io.StringIO(buf.getvalue()))
+    assert back == cb and hash(back) == hash(cb) and back.words == cb.words
+    header, *body = buf.getvalue().splitlines(keepends=True)
+    body += body[:5]
+    rng.shuffle(body)
+    assert read_codebook([header, *body]) == cb
+
+
+def test_built_codebook_writes_like_the_tuple_writer():
+    cb = build(best_params(Family.NONCONS3, 12, 3))
+    buf, ref = io.StringIO(), io.StringIO()
+    write_codebook(cb, buf)
+    _reference_write_codebook(cb, ref)
+    assert buf.getvalue() == ref.getvalue()
+    assert read_codebook(io.StringIO(buf.getvalue())) == cb
+
+
+@pytest.mark.parametrize("n", [1, 9, 100])
+def test_empty_codebook(n):
+    cb = codebook_from_words([], n)
+    assert cb.cardinality == 0 and cb.redundancy == math.inf and cb.words == ()
+    buf = io.StringIO()
+    write_codebook(cb, buf)
+    assert buf.getvalue() == f"# family=adhoc n={n} b=0 params=-\n"
+    back = read_codebook(io.StringIO(buf.getvalue()))
+    assert back == cb and back.rows.shape == (0, (n + 7) // 8)
+
+
+def test_codebook_from_words_rejects_malformed_words():
+    with pytest.raises(DomainError, match="share one length"):
+        codebook_from_words([(0, 1, 1), (0, 1)], 3)
+    with pytest.raises(DomainError, match="0 or 1"):
+        codebook_from_words([(0, 1, 2)], 3)
+
+
+def test_codebook_equality_takes_length_spec_and_words():
+    a = codebook_from_words([parse_word("0110")], 4)
+    assert a == codebook_from_words([parse_word("0110")] * 2, 4)
+    assert a != codebook_from_words([parse_word("0111")], 4)
+    assert a != codebook_from_words([parse_word("0110")], 4, CodeSpec(Family.CHENG1, 4, 2))
+    assert a != codebook_from_words([parse_word("01100")], 5)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0101", "share one length"),
+        ("010101", "share one length"),
+        ("01a10", "not a binary word"),
+        ("01 10", "not a binary word"),
+        ("0121", "not a binary word"),  # wrong length too: the bits are checked first
+        ("01\u00e910", "not a binary word"),
+    ],
+)
+def test_read_codebook_rejects_malformed_body_lines(line, message):
+    text = f"# family=adhoc n=5 b=0 params=-\n01010\n{line}\n11000\n"
+    with pytest.raises(DomainError, match=message):
+        read_codebook(io.StringIO(text))
+
+
+def test_read_codebook_strips_whitespace_around_lines():
+    text = "# family=adhoc n=5 b=0 params=-\n01010  \n\t11000\r\n\n   \n"
+    cb = read_codebook(io.StringIO(text))
+    assert cb.words == (parse_word("01010"), parse_word("11000"))
+
+
+def test_cheng1_pipeline_at_24_makes_no_word_tuples():
+    cb = build(CodeSpec(Family.CHENG1, 24, 1))
+    assert cb.cardinality == 671_092
+    buf = io.StringIO()
+    write_codebook(cb, buf)
+    # recorded from the tuple-based build and writer
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "0cd9eb0b9ad093af89b44471a1b728e779b5e25beb9aabe981e1ad4fc4126a66"
+    )
+    assert verify.verify_code(cb, balls.del_exact(1)).passed
+    assert "words" not in vars(cb)
 
 
 def test_redundancy_report_fields():

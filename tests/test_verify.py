@@ -10,7 +10,7 @@ from burstcodes import balls
 from burstcodes.bitseq import enumerate_words, from_int, parse_word, to_int
 from burstcodes.bounds import upper_bound
 from burstcodes.cli import run as cli_run
-from burstcodes.codes import CodeSpec, Family, build, codebook_from_words
+from burstcodes.codes import CodeSpec, Family, build, codebook_from_ints, codebook_from_words
 from burstcodes.errors import CodeIntegrityError, DecodeFailure, DomainError
 from burstcodes.verify import (
     _FLAVORS,
@@ -289,6 +289,19 @@ def test_verify_code_matches_reference_on_bad_codebooks():
         rep = verify_code(bad, model)
         assert not rep.passed, model
         assert rep == _reference_verify_code(bad, model), model
+
+
+def test_verify_code_reads_the_rows_however_the_codebook_was_made():
+    words = list(enumerate_words(10))[::7]
+    bad = codebook_from_words(words, 10)
+    shuffled = words + words[::3]
+    random.Random(7).shuffle(shuffled)
+    same = (codebook_from_words(shuffled, 10), codebook_from_ints([to_int(w) for w in shuffled], 10))
+    for model in (balls.del_exact(2), balls.ins_at_most_noncons(3), balls.burst21()):
+        want = _reference_verify_code(bad, model)
+        assert want.violations
+        assert all(verify_code(cb, model) == want for cb in same), model
+    assert all("words" not in vars(cb) for cb in same)
 
 
 def test_verify_json_output_matches_reference(capsys):
