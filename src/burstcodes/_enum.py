@@ -1,18 +1,14 @@
-"""Bit-level helpers for full-space sweeps.
+"""Bit-level helpers on packed words.
 
 Every function here treats a word as an integer with position 1 at the least
 significant bit, and is polymorphic over a plain Python int and a numpy array
-of packed words: the same expression drives both per-word checks and the
-chunked vectorized counting sweeps of vt, svt and rll. Keeping one
-implementation for both paths is what the cross-validation tests rely on.
-Codebook builds and parameter searches (codes.py) no longer sweep the full
-space: they take the low and the high part of a split word from
-``iter_chunks`` (one call per part, of 2^L and 2^(n-L) values) and
-evaluate the code families' tabulated forms there, so the row and residue
-kernels below serve vt, svt and rll, not those searches. ``pack`` turns
-codebook rows (``np.packbits`` of each word, position 1 at the most
-significant bit of byte 0) into such an array, and ``unpack`` turns packed
-words back into rows.
+of packed words. ``iter_chunks`` draws the parts of a split word for the join
+in codes.py, which builds codebooks, searches parameters and counts the VT,
+SVT and URLL classes. ``max_run_le`` serves codes.member, the join and
+``count_max_run_le``, the full sweep kept as the oracle for rll.rll_count; the
+row kernels serve only perfbench's kernel timing. ``pack`` turns codebook rows
+(``np.packbits`` of each word, position 1 at the most significant bit of byte
+0) into such an array, and ``unpack`` turns packed words back into rows.
 """
 
 from __future__ import annotations
@@ -30,9 +26,10 @@ CHUNK_BITS = 20
 
 
 def iter_chunks(n: int):
-    """Yield uint64 arrays that together cover all 2^n packed words."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    """Yield uint64 arrays that together cover all 2^n packed words (the one
+    empty word at n = 0)."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     total = 1 << n
     step = 1 << CHUNK_BITS
     for start in range(0, total, step):
@@ -69,22 +66,6 @@ def unpack(vs, n: int) -> np.ndarray:
 def bit(v, pos: int):
     """Bit at 1-indexed position pos."""
     return (v >> (pos - 1)) & 1
-
-
-def weight_mod(v, n: int, mod: int):
-    """Hamming weight of the low n bits, reduced mod `mod`."""
-    s = bit(v, 1)
-    for i in range(2, n + 1):
-        s = s + bit(v, i)
-    return s % mod
-
-
-def weighted_sum_mod(v, n: int, mod: int):
-    """VT checksum sum(i * x_i) over the low n bits, reduced mod `mod`."""
-    s = bit(v, 1)
-    for i in range(2, n + 1):
-        s = s + bit(v, i) * i
-    return s % mod
 
 
 def row_int(v, n: int, b: int, r: int):

@@ -29,9 +29,9 @@ parts are tabulated once (2^L and 2^(n-L) entries, drawn from
 ``_enum.iter_chunks``) and joined. ``build`` looks up, for each hi, the one
 low residue vector that completes it to the parameters; ``best_params`` bins
 each part by residues and boundary runs and adds products of bin counts into
-classes, which counts every class exactly (``_classes``). L is computed
-from n and the table, to balance the parts tabulated against the pairs
-joined.
+classes, which counts every class exactly (``_classes``); vt, svt and rll
+count their classes with it too. L is computed from n and the table, to
+balance the parts tabulated against the pairs joined.
 """
 
 from __future__ import annotations
@@ -150,7 +150,9 @@ def _burst_consts(n: int, b: int) -> tuple[int, int, int]:
 _Form = namedtuple("_Form", "lev row weighted mod")
 
 
-@dataclass(frozen=True)
+# Hashed by identity: the tables come from cached constructors, so a lookup in
+# _compiled's cache need not hash every nested form.
+@dataclass(frozen=True, eq=False)
 class _Table:
     keys: tuple = ()  # (name, form): the parameters, in order
     ties: tuple = ()  # (form, name of the key form it equals, or None for 0)
@@ -229,7 +231,7 @@ class _Linear:
 
     def __init__(self, weights: list[int], mod: int) -> None:
         self.weights, self.mod, self.bytes = weights, mod, []
-        for i in range(0, len(weights), 8):
+        for i in range(0, max(len(weights), 1), 8):  # a form on no positions is 0
             t = [0]
             for w in weights[i : i + 8]:
                 t += [(s + w) % mod for s in t]
@@ -252,12 +254,13 @@ class _Linear:
 
 
 @functools.lru_cache(maxsize=128)
-def _compiled(family: Family, n: int, b: int, lo: int = 0, hi: int | None = None):
+def _compiled(table: _Table, n: int, lo: int = 0, hi: int | None = None):
     """The table at length n: the ties as forms that must be 0, the caps as
-    (packed row, row length, run cap), and the key forms in parameter order.
-    Restricted to positions lo+1..hi, packed from bit 0, a form gives that
-    part's share of its residue and a packed row that part's columns."""
-    table = _family_table(family, b)
+    (packed row, its number of columns, run cap), and the key forms in
+    parameter order. Restricted to positions lo+1..hi, packed from bit 0, a
+    form gives that part's share of its residue and a packed row that part's
+    columns, its first column at bit 0."""
+    hi = n if hi is None else hi
 
     def weights(f: _Form) -> list[int]:
         w = [0] * n
@@ -274,10 +277,12 @@ def _compiled(family: Family, n: int, b: int, lo: int = 0, hi: int | None = None
         zeros.append(_Linear(w[lo:hi], f.mod(n)))
     caps = []
     for lev, cap in table.caps:
-        m, top = n // lev, cap(n)
-        if top < m:  # otherwise no row of length m can break the cap
-            row = [1 << p // lev if p % lev == 0 else 0 for p in range(n)]
-            caps.append((_Linear(row[lo:hi], 1 << m), m, top))
+        top = cap(n)
+        if top < n // lev:  # otherwise no row can break the cap
+            first = -(-lo // lev)  # the part's first column
+            row = [1 << p // lev - first if p % lev == 0 else 0 for p in range(lo, hi)]
+            cols = len(range(first * lev, hi, lev))
+            caps.append((_Linear(row, 1 << cols), cols, top))
     return zeros, caps, [_Linear(weights(f)[lo:hi], f.mod(n)) for f in keys.values()]
 
 
@@ -285,7 +290,7 @@ def member(spec: CodeSpec, x: Word) -> bool:
     """Per-word membership predicate."""
     if len(x) != spec.n:
         raise DomainError(f"expected length {spec.n}, got {len(x)}")
-    zeros, caps, keys = _compiled(spec.family, spec.n, spec.b)
+    zeros, caps, keys = _compiled(_family_table(spec.family, spec.b), spec.n)
     v = to_int(x)
     return (
         all(f(v) == 0 for f in zeros)
@@ -303,24 +308,19 @@ def member(spec: CodeSpec, x: Word) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _edges(row: _Linear, m: int, cap: int) -> np.ndarray:
-    """The boundary state of one part of a capped row, at every packed row
-    value: -1 where the part has a run longer than cap, else 2 * length + bit
-    of its run at the split (0 for an empty part). The part is the columns
-    `row` packs: a prefix, which meets the split at its top, or a suffix."""
-    part = sum(row.weights)
-    cols = [k for k in range(m) if part >> k & 1]
-    v = np.arange(1 << m)
-    if not cols:
-        return np.zeros(1 << m, dtype=np.int8)
-    ok = _enum.max_run_le(v >> cols[0], len(cols), cap)
-    if cols[0] == 0:
-        cols.reverse()
-    edge, run, same = v >> cols[0] & 1, 0, True
-    for k in cols:
+def _edges(cols: int, cap: int, low: bool) -> np.ndarray:
+    """The boundary state of one part of a capped row at every value of its
+    `cols` columns, packed from bit 0: -1 where the part has a run longer
+    than cap, else 2 * length + bit of its run at the split. The split meets
+    the low part at its top column and the high part at its bottom one; the
+    low part holds column 1 of every row, and a high part of no columns has
+    state 0."""
+    v = np.arange(1 << cols)
+    edge, run, same = v >> (cols - 1 if low else 0) & 1, 0, True
+    for k in range(cols - 1, -1, -1) if low else range(cols):
         same &= (v >> k & 1) == edge
         run += same
-    return np.where(ok, 2 * run + edge, -1).astype(np.int8)
+    return np.where(_enum.max_run_le(v, cols, cap), 2 * run + edge, -1).astype(np.int8)
 
 
 def _fit(caps, lo_states, hi_states, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -333,17 +333,17 @@ def _fit(caps, lo_states, hi_states, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return ok
 
 
-def _tabulate(family: Family, n: int, b: int, lo: int, hi: int):
+def _tabulate(table: _Table, n: int, lo: int, hi: int):
     """The parts on positions lo+1..hi of all words, drawn from
     _enum.iter_chunks, that keep the cap on their own part of every capped
     row: the parts, the residues of the tie and then the key forms at each,
     and the boundary state of every capped row at each."""
-    zeros, caps, keys = _compiled(family, n, b, lo, hi)
-    edges = [(row, _edges(row, m, cap)) for row, m, cap in caps]
+    zeros, caps, keys = _compiled(table, n, lo, hi)
+    edges = [(row, _edges(cols, cap, lo == 0)) for row, cols, cap in caps]
     parts = []
     for chunk in _enum.iter_chunks(hi - lo):
         words = chunk.astype(np.intp)
-        octets = [words >> i & 0xFF for i in range(0, hi - lo, 8)]
+        octets = [words >> i & 0xFF for i in range(0, max(hi - lo, 1), 8)]
         states = [np.take(table, row.at(octets)) for row, table in edges]
         keep = np.ones(len(words), dtype=bool)
         for s in states:
@@ -357,16 +357,17 @@ def _tabulate(family: Family, n: int, b: int, lo: int, hi: int):
 
 def _split(n: int, forms: int, classes: int, bins: float) -> int:
     """The width L of the low part. It minimizes the work of the join: one
-    lookup pass per form over each part tabulated, 2^L and 2^(n-L) values,
-    plus one pass over the pairs the join visits, when each part spreads
-    evenly over `classes` join classes with at most `bins` distinct entries
-    per class."""
+    lookup pass per form, and at least one, over each part tabulated, 2^L and
+    2^(n-L) values, plus one pass over the pairs the join visits, when each
+    part spreads evenly over `classes` join classes with at most `bins`
+    distinct entries per class."""
+    forms = max(forms, 1)  # a table of no forms would otherwise put L at 1
 
     def cost(L: int) -> float:
         lo, hi = 2.0**L, 2.0 ** (n - L)
         return forms * (lo + hi) + classes * min(lo / classes, bins) * min(hi / classes, bins)
 
-    return min(range(1, n), key=cost)
+    return min(range(1, n), key=cost, default=n)  # at n = 1 the high part is empty
 
 
 def _pack(digits, radices, count: int) -> np.ndarray:
@@ -502,13 +503,13 @@ def build(spec: CodeSpec) -> Codebook:
     completes it to the parameters, so the work follows the members found."""
     if spec.n > BUILD_MAX_N:
         raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
-    n = spec.n
-    zeros, caps, keys = _compiled(spec.family, n, spec.b)
+    n, table = spec.n, _family_table(spec.family, spec.b)
+    zeros, caps, keys = _compiled(table, n)
     mods = [f.mod for f in zeros + keys]
     targets = [0] * len(zeros) + list(spec.params)
     L = _split(n, len(mods) + len(caps), math.prod(mods), 1)
     (w_lo, r_lo, s_lo), (w_hi, r_hi, s_hi) = (
-        _tabulate(spec.family, n, spec.b, lo, hi) for lo, hi in ((0, L), (L, n))
+        _tabulate(table, n, lo, hi) for lo, hi in ((0, L), (L, n))
     )
     want = [(t + m - r) % m for t, r, m in zip(targets, r_hi, mods)]
     i, j = _join(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi)))
@@ -516,7 +517,7 @@ def build(spec: CodeSpec) -> Codebook:
     return codebook_from_ints(w_hi[j[fit]] << L | w_lo[i[fit]], n, spec)
 
 
-def _classes(family: Family, n: int, b: int):
+def _classes(table: _Table, n: int):
     """Every non-empty parameter class as its packed key residues (ascending,
     the first key most significant) and its size, and the key moduli.
 
@@ -524,7 +525,7 @@ def _classes(family: Family, n: int, b: int):
     and key residues. A low and a high bin join when their ties cancel and
     their boundary runs keep every cap; the pair adds the product of their
     counts to the class of their summed key residues."""
-    zeros, caps, keys = _compiled(family, n, b)
+    zeros, caps, keys = _compiled(table, n)
     ties, mods = [f.mod for f in zeros], [f.mod for f in keys]
     t, c = len(ties), len(caps)
     radices = ties + [2 * cap + 2 for _, _, cap in caps] + mods
@@ -532,10 +533,10 @@ def _classes(family: Family, n: int, b: int):
     groups = _key_groups(mods)
     parts = []
     for lo, hi in ((0, L), (L, n)):
-        words, residues, states = _tabulate(family, n, b, lo, hi)
+        words, residues, states = _tabulate(table, n, lo, hi)
         digits = residues[:t] + states + residues[t:]
         bins, counts = _tally(_pack(digits, radices, len(words)), math.prod(radices))
-        digits = np.unravel_index(bins, radices)
+        digits = np.unravel_index(bins, radices) if radices else ()
         states = [d.astype(np.uint8) for d in digits[t : t + c]]  # cheap gathers in _fit
         keys = [np.ravel_multi_index(digits[t + c :][run], wide) for run, wide, _ in groups]
         parts.append((digits[:t], states, keys, counts))
@@ -559,7 +560,7 @@ def best_params(family: Family, n: int, b: int) -> CodeSpec:
         raise DomainError(f"search capped at n <= {BUILD_MAX_N}")
     if not param_fields(family, b):
         return CodeSpec(family, n, b, ())
-    (classes, sizes), mods = _classes(family, n, b)
+    (classes, sizes), mods = _classes(_family_table(family, b), n)
     if not len(classes):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")
     # argmax takes the first, smallest, of the largest classes.

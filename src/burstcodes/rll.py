@@ -1,10 +1,12 @@
 """Run-length-limited machinery.
 
 Three pieces live here: counting of the set S_n(f) of words whose longest run
-is at most f, the universal constraint that applies a shared run cap to the
-first row of every array view A_i(x) for 3 <= i <= b, and a systematic
-single-redundancy-bit encoder that maps any length-n word to a length-(n+1)
-word with maximum run ceil(log2 n) + 3.
+is at most f (a recurrence, with a full sweep kept as its oracle), the
+universal constraint that applies a shared run cap to the first row of every
+array view A_i(x) for 3 <= i <= b (counted by the split join of codes.py, one
+capped row per level), and a systematic single-redundancy-bit encoder that
+maps any length-n word to a length-(n+1) word with maximum run
+ceil(log2 n) + 3.
 
 The encoder appends a sentinel 0, then repeatedly excises ceil(log2 n) + 3
 bits from any run still longer than that and appends a fixed-width marker
@@ -202,18 +204,19 @@ def urll_member(x: Word, spec: UrllSpec) -> bool:
     return True
 
 
-def urll_count(spec: UrllSpec) -> int:
-    """|U_{n,b}(f)| by a vectorized sweep over all 2^n words."""
-    if spec.n > 30:
-        raise DomainError("count capped at n <= 30")
-    import numpy as np
+@lru_cache(maxsize=64)
+def _urll_table(b: int, f: int):
+    """Run cap f on row 1 of A_i for every 3 <= i <= b."""
+    from .codes import _Table
 
-    total = 0
-    for chunk in _enum.iter_chunks(spec.n):
-        ok = (chunk & 0) == 0
-        for i in range(3, spec.b + 1):
-            m = spec.n // i
-            row = _enum.row_int(chunk, spec.n, i, 1)
-            ok = ok & _enum.max_run_le(row, m, spec.cap)
-        total += int(np.count_nonzero(ok))
-    return total
+    return _Table(caps=tuple((i, lambda n: f) for i in range(3, b + 1)))
+
+
+def urll_count(spec: UrllSpec) -> int:
+    """|U_{n,b}(f)|, counted by the split join (codes._classes)."""
+    from .codes import _classes
+
+    if not 1 <= spec.n <= 30:
+        raise DomainError(f"count needs 1 <= n <= 30, got n={spec.n}")
+    (_, sizes), _ = _classes(_urll_table(spec.b, spec.cap), spec.n)
+    return int(sizes.sum())

@@ -5,14 +5,15 @@ known to within P consecutive positions.
 sum(x_i) = d mod 2. The parity pins down the deleted bit's value; the mod-P
 checksum then locates it inside the uncertainty window. The decoder takes the
 first possible deletion position u and works on the window slice
-(y_u, ..., y_{u+P-2}), clamped at the word end.
+(y_u, ..., y_{u+P-2}), clamped at the word end. ``svt_class_sizes`` counts the
+2P classes with the split join of codes.py, both forms as key forms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from . import _enum
 from .bitseq import Word
 from .errors import DecodeFailure, DomainError
 from .vt import DecodeResult
@@ -104,21 +105,25 @@ def svt_decode(y: Word, p: SvtParams, u: int) -> DecodeResult:
     )
 
 
-def svt_class_sizes(n: int, P: int) -> dict[tuple[int, int], int]:
-    """Cardinality of every (c, d) class; the 2P classes partition {0,1}^n."""
-    if n > 30:
-        raise DomainError("sweep capped at n <= 30")
-    import numpy as np
+@functools.lru_cache(maxsize=64)
+def _table(P: int):
+    """The checksum mod P and the weight mod 2 as the key forms c and d."""
+    from .codes import _Form, _Table
 
-    counts: dict[tuple[int, int], int] = {}
-    for chunk in _enum.iter_chunks(n):
-        c = _enum.weighted_sum_mod(chunk, n, P)
-        d = _enum.weight_mod(chunk, n, 2)
-        key = c * 2 + d
-        vals, cnt = np.unique(key, return_counts=True)
-        for k, num in zip(vals.tolist(), cnt.tolist()):
-            counts[(k // 2, k % 2)] = counts.get((k // 2, k % 2), 0) + num
-    return counts
+    return _Table((("c", _Form(1, 1, True, lambda n: P)), ("d", _Form(1, 1, False, lambda n: 2))))
+
+
+def svt_class_sizes(n: int, P: int) -> dict[tuple[int, int], int]:
+    """Cardinality of every non-empty (c, d) class, counted by the split join
+    (codes._classes); the 2P classes partition {0,1}^n."""
+    from .codes import _classes
+
+    if not 1 <= n <= 30:
+        raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
+    if P < 2:
+        raise DomainError("position span P must be >= 2")
+    (classes, sizes), _ = _classes(_table(P), n)
+    return {(k // 2, k % 2): size for k, size in zip(classes.tolist(), sizes.tolist())}
 
 
 def svt_best_params(n: int, P: int) -> tuple[int, int, int]:

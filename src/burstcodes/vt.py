@@ -6,15 +6,17 @@ constructions.
 decoder recovers the unique codeword a single deletion came from and reports
 the full run of the restored word in which the deletion occurred; the deletion
 position is ambiguous exactly within that run, and downstream array decoders
-consume the interval rather than a single position.
+consume the interval rather than a single position. ``vt_class_sizes`` counts
+the classes with the split join of codes.py: the checksum is its one key form,
+and a run cap is a capped row on the word itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from . import _enum
 from .bitseq import Word
 from .errors import DecodeFailure, DomainError
 
@@ -108,21 +110,27 @@ def vt_rll_member(x: Word, p: VtParams, f: int) -> bool:
     return vt_member(x, p) and max_run(x) <= f
 
 
+@functools.lru_cache(maxsize=64)
+def _table(run_cap: int | None):
+    """The VT checksum as the one key form, under a run cap on the word."""
+    from .codes import _Form, _Table
+
+    caps = () if run_cap is None else ((1, lambda n: max(run_cap, 0)),)
+    return _Table((("a", _Form(1, 1, True, lambda n: n + 1)),), caps=caps)
+
+
 def vt_class_sizes(n: int, run_cap: int | None = None) -> list[int]:
     """Cardinality of each residue class a = 0..n, optionally restricted to
-    words whose longest run is at most run_cap."""
-    if n > 30:
-        raise DomainError("sweep capped at n <= 30")
-    import numpy as np
+    words whose longest run is at most run_cap; counted by the split join
+    (codes._classes)."""
+    from .codes import _classes
 
+    if not 1 <= n <= 30:
+        raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
+    (classes, sizes), _ = _classes(_table(run_cap), n)
     counts = [0] * (n + 1)
-    for chunk in _enum.iter_chunks(n):
-        residues = _enum.weighted_sum_mod(chunk, n, n + 1)
-        if run_cap is not None and run_cap < n:
-            residues = residues[_enum.max_run_le(chunk, n, run_cap)]
-        vals, cnt = np.unique(residues, return_counts=True)
-        for a, c in zip(vals.tolist(), cnt.tolist()):
-            counts[a] += c
+    for a, size in zip(classes.tolist(), sizes.tolist()):
+        counts[a] = size
     return counts
 
 

@@ -29,8 +29,18 @@ from burstcodes.codes import (
     write_codebook,
 )
 from burstcodes.errors import DecodeFailure, DomainError
-from burstcodes.rll import ceil_log2, max_run, urll_cap
-from burstcodes.vt import DecodeResult
+from burstcodes.rll import (
+    RllSpec,
+    UrllSpec,
+    ceil_log2,
+    max_run,
+    rll_count,
+    urll_cap,
+    urll_count,
+    urll_member,
+)
+from burstcodes.svt import svt_class_sizes
+from burstcodes.vt import DecodeResult, checksum, vt_class_sizes
 
 
 def _delete(x, positions):
@@ -198,13 +208,13 @@ def test_sweep_joins_chunks(monkeypatch, family, n, b):
 
 def _class_sizes(family, n, b):
     """Every non-empty parameter class of the split join, by parameter tuple."""
-    (classes, sizes), mods = codes._classes(family, n, b)
+    (classes, sizes), mods = codes._classes(codes._family_table(family, b), n)
     params = zip(*np.unravel_index(classes, mods)) if mods else [()] * len(classes)
     return {tuple(map(int, p)): int(s) for p, s in zip(params, sizes)}
 
 
 def _part_forms(family, n, b, lo, hi):
-    zeros, caps, keys = codes._compiled(family, n, b, lo, hi)
+    zeros, caps, keys = codes._compiled(codes._family_table(family, b), n, lo, hi)
     return zeros + keys, [row for row, _, _ in caps]
 
 
@@ -271,6 +281,94 @@ def test_noncons4_class_sizes_agree_across_splits(monkeypatch):
     assert seen[0] == seen[1]
     size, params = min((-size, p) for p, size in seen[0].items())
     assert params == (1, 2, 4, 1, 10, 2, 10, 2, 3, 0, 14, 0, 14, 0) and -size == 12
+
+
+def _vt_brute(words, cap):
+    sizes = [0] * (len(words[0]) + 1)
+    for x in words:
+        if cap is None or max_run(x) <= cap:
+            sizes[checksum(x, len(x) + 1)] += 1
+    return sizes
+
+
+def _urll_brute(spec):
+    return sum(urll_member(x, spec) for x in enumerate_words(spec.n))
+
+
+def test_vt_svt_urll_counts_match_per_word_brute_force():
+    for n in range(1, 13):
+        words = list(enumerate_words(n))
+        for cap in [None, *range(-1, n + 2)]:
+            assert vt_class_sizes(n, cap) == _vt_brute(words, cap), (n, cap)
+        for P in range(2, n + 3):
+            sizes = Counter((checksum(x, P), sum(x) % 2) for x in words)
+            assert svt_class_sizes(n, P) == sizes, (n, P)
+    for b in (3, 4):
+        for f in range(1, 5):
+            spec = UrllSpec(12, b, f)
+            assert urll_count(spec) == _urll_brute(spec), spec
+    for n in (-1, 0, 31):
+        for count in (vt_class_sizes, lambda n: vt_class_sizes(n, 3)):
+            with pytest.raises(DomainError):
+                count(n)
+        with pytest.raises(DomainError):
+            svt_class_sizes(n, 3)
+    for n in (0, 33):
+        with pytest.raises(DomainError):
+            urll_count(UrllSpec(n, 3, 2))
+
+
+def test_capped_counts_at_every_split(monkeypatch):
+    # A run cap on the whole word meets the split at every position; the
+    # URLL rows meet it only where one of their columns sits.
+    monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
+    n = 10
+    words = list(enumerate_words(n))
+    vt_sizes = {cap: _vt_brute(words, cap) for cap in range(1, n)}
+    urll_specs = [UrllSpec(12, 3, f) for f in (1, 2, 3)] + [UrllSpec(12, 4, 2)]
+    urll_sizes = {spec: _urll_brute(spec) for spec in urll_specs}
+    for split in range(1, 12):
+        monkeypatch.setattr(codes, "_split", lambda *args: split)
+        if split < n:
+            for cap, sizes in vt_sizes.items():
+                assert vt_class_sizes(n, cap) == sizes, (split, cap)
+        for spec, size in urll_sizes.items():
+            assert urll_count(spec) == size, (split, spec)
+
+
+def test_counts_at_24_tabulate_only_parts(monkeypatch):
+    # Each count tabulates the two parts of a split word, never all 2^24
+    # words, and a capped row's boundary table covers only its part.
+    widths, edges = [], []
+    iter_chunks, tabulate, make_edges = _enum.iter_chunks, codes._tabulate, codes._edges
+
+    def chunks(width):
+        widths.append(width)
+        return iter_chunks(width)
+
+    def parts(table, n, lo, hi):
+        edges.append((hi - lo, []))
+        return tabulate(table, n, lo, hi)
+
+    def boundary(*args):
+        states = make_edges(*args)
+        edges[-1][1].append(len(states))
+        return states
+
+    monkeypatch.setattr(_enum, "iter_chunks", chunks)
+    monkeypatch.setattr(codes, "_tabulate", parts)
+    monkeypatch.setattr(codes, "_edges", boundary)
+    assert sum(vt_class_sizes(24)) == 1 << 24
+    assert sum(vt_class_sizes(24, 5)) == rll_count(RllSpec(24, 5))
+    assert sum(svt_class_sizes(24, 7).values()) == 1 << 24
+    assert urll_count(UrllSpec(24, 4)) == 16646144
+    assert urll_count(UrllSpec(24, 3, 8)) == 1 << 24  # no row can break the cap
+    # Together the counts tabulate under 2^20 part values, a sixteenth of
+    # one sweep, however the split balances the parts.
+    assert widths and max(widths) <= 23 and sum(1 << w for w in widths) < 1 << 20
+    assert any(sizes for _, sizes in edges)
+    for width, sizes in edges:
+        assert all(size <= 1 << width for size in sizes), (width, sizes)
 
 
 # sha256 of write_codebook(build(best_params(family, 24, b))), recorded before
@@ -435,11 +533,11 @@ def _member_past_64_bits(family, n, b, rng):
     """A random member of some class at length n: a word drawn until its
     tie forms vanish and its capped rows keep their caps, with the
     parameters read off its own key forms."""
-    zeros, caps, keys = codes._compiled(family, n, b)
+    zeros, caps, keys = codes._compiled(codes._family_table(family, b), n)
     while True:
         v = rng.getrandbits(n)
         if all(f(v) == 0 for f in zeros) and all(
-            _enum.max_run_le(row(v), m, cap) for row, m, cap in caps
+            _enum.max_run_le(row(v), cols, cap) for row, cols, cap in caps
         ):
             spec = CodeSpec(family, n, b, tuple(f(v) for f in keys))
             x = tuple(v >> i & 1 for i in range(n))

@@ -233,7 +233,6 @@ def test_urll_redundancy_slack_bound():
     assert r <= math.log2(math.log2(3)) - 1 + 1
 
 
-@pytest.mark.slow
 def test_urll_redundancy_slack_bound_b4():
     spec = UrllSpec(24, 4)
     r = 24 - math.log2(urll_count(spec))

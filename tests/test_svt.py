@@ -29,6 +29,14 @@ def test_classes_partition_space():
         assert sum(sizes.values()) == 1 << n
 
 
+def test_class_counts_reject_spans_below_2():
+    for P in (-3, 0, 1):
+        with pytest.raises(DomainError):
+            svt_class_sizes(8, P)
+        with pytest.raises(DomainError):
+            svt_best_params(8, P)
+
+
 def test_decode_worked_example():
     x = parse_word("1111011001100011")
     y = x[:8] + x[9:]  # delete the 9th bit
