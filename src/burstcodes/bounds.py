@@ -156,18 +156,14 @@ class BoundReport:
         }
 
 
-def bound_report(n: int, b: int, enumerate_transversal: bool | None = None) -> BoundReport:
+def bound_report(n: int, b: int) -> BoundReport:
     """Assemble the full bound report; the transversal sum is included whenever
-    the enumeration is desk-scale (or as requested)."""
-    ub = upper_bound(n, b)
-    if enumerate_transversal is None:
-        enumerate_transversal = n - b <= 18
-    tw = transversal_weight(n, b) if enumerate_transversal else None
+    the enumeration is desk-scale (n - b <= 18)."""
     return BoundReport(
         n=n,
         b=b,
-        upper_bound_cardinality=ub,
+        upper_bound_cardinality=upper_bound(n, b),
         lower_bound_redundancy=lower_bound_redundancy(n, b),
-        transversal_weight_enumerated=tw,
+        transversal_weight_enumerated=transversal_weight(n, b) if n - b <= 18 else None,
         formulas=reference_redundancies(n, b),
     )

@@ -98,15 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _burst(args, family: codes.Family) -> int:
+    """--b, or the burst parameter the family fixes."""
+    b = codes.default_burst(family) if args.b is None else args.b
+    if b is None:
+        raise DomainError(f"--b is required for family {family.value}")
+    return b
+
+
 def _resolve_spec(args) -> codes.CodeSpec:
     family = codes.parse_family(args.family)
-    b = args.b
-    if b is None:
-        b = codes.default_burst(family)
-        if b is None:
-            raise DomainError(f"--b is required for family {family.value}")
+    b = _burst(args, family)
     if args.params in (None, "", "best"):
-        if args.params == "best" or family is codes.Family.CHENG1:
+        # checked first: an unchecked b could ask param_fields for ~b^2 forms
+        codes._validate_structure(family, args.n, b)
+        if args.params == "best" or not codes.param_fields(family, b):
             return codes.best_params(family, args.n, b)
         raise DomainError("--params is required (residues or 'best')")
     try:
@@ -137,13 +143,6 @@ def _emit(args, text: str) -> None:
                 fh.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write --out {args.outfile!r}: {exc}") from None
-
-
-def _spec_header(spec: codes.CodeSpec) -> str:
-    return (
-        f"family={spec.family.value} n={spec.n} b={spec.b} "
-        f"params={','.join(map(str, spec.params)) or '-'}"
-    )
 
 
 def run(argv: list[str], stdin_text: str | None = None) -> int:
@@ -287,9 +286,7 @@ def run(argv: list[str], stdin_text: str | None = None) -> int:
 
 def _tabulate(args) -> int:
     family = codes.parse_family(args.family)
-    b = args.b if args.b is not None else codes.default_burst(family)
-    if b is None:
-        raise DomainError(f"--b is required for family {family.value}")
+    b = _burst(args, family)
     columns = (
         "lower_bound",
         "cheng_baseline",

@@ -1,24 +1,10 @@
 """Composite code constructions over the array view.
 
-Families:
+Every family is one record (``_FAMILIES``) that holds all of its facts: its
+constraint table at b, the error model it corrects, its domain and its column
+of ``bounds.reference_redundancies``. Nothing else switches on the family.
 
-* ``cheng1``       - every row of A_b(x) is a VT_0(n/b) code (baseline).
-* ``burst-exact``  - row 1 of A_b(x) is a run-length-limited VT code, rows
-  2..b share one shifted-VT code; corrects one deletion burst of exactly b.
-* ``cl2``          - a whole-word VT residue intersected with burst-exact at
-  b=2; corrects a burst of at most 2 consecutive deletions. Stands in for the
-  classical two-adjacent-deletions code, at the cost of about log2(n) extra
-  redundancy (reports flag this).
-* ``at-most-consecutive`` - cl2 intersected with per-level burst-exact-style
-  codes for levels 3..b under a universal run cap; corrects bursts of at most
-  b consecutive deletions.
-* ``c21``          - weight mod 4 plus checksum mod 2n-1; corrects one
-  (2,1)-burst (and in particular one deletion).
-* ``noncons3`` / ``noncons4`` - VT plus burst-exact plus (2,1)-burst codes on
-  the rows of A_2 (and A_3); correct up to 3 (resp. 4) deletions confined to a
-  window of 3 (resp. 4) consecutive positions.
-
-Each family is one table of linear residue forms (``_family_table``): its
+A family's table is made of linear residue forms (``_family_table``): its
 parameters are the residues of the key forms, in the order ``param_fields``
 lists, and a word qualifies when its tie forms equal their key forms (or 0)
 and row 1 of an array view keeps its run cap. Membership evaluates the table
@@ -46,6 +32,7 @@ from typing import IO, Callable, Iterable
 import numpy as np
 
 from . import _enum, balls
+from .balls import ErrorKind
 from .bitseq import ArrayRep, Word, array_view, flatten, from_int, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
@@ -70,15 +57,6 @@ def parse_family(name: str) -> Family:
     raise DomainError(f"unknown code family {name!r}")
 
 
-# Families whose burst parameter is fixed by the family itself.
-_FIXED_B = {Family.CL2: 2, Family.C21: 2, Family.NONCONS3: 3, Family.NONCONS4: 4}
-
-
-def default_burst(family: Family) -> int | None:
-    """The burst parameter a family fixes on its own, if any."""
-    return _FIXED_B.get(family)
-
-
 @dataclass(frozen=True)
 class CodeSpec:
     family: Family
@@ -100,35 +78,6 @@ class CodeSpec:
 
     def params_by_name(self) -> dict[str, int]:
         return dict(zip(param_fields(self.family, self.b), self.params))
-
-
-def _validate_structure(family: Family, n: int, b: int) -> None:
-    if n < 1:
-        raise DomainError("code length must be >= 1")
-    fixed = _FIXED_B.get(family)
-    if fixed is not None and b != fixed:
-        raise DomainError(f"{family.value} has burst parameter fixed at {fixed}")
-    if family in (Family.CHENG1, Family.BURST_EXACT):
-        if b < (2 if family is Family.BURST_EXACT else 1):
-            raise DomainError(f"{family.value} needs a larger burst parameter")
-        if n % b != 0 or n // b < 2:
-            raise DomainError(f"{family.value} needs b | n and n/b >= 2")
-    elif family is Family.CL2:
-        if n % 2 != 0 or n < 4:
-            raise DomainError("cl2 needs an even length >= 4")
-    elif family is Family.AT_MOST_CONSECUTIVE:
-        if b < 3:
-            raise DomainError("at-most-consecutive is defined for b >= 3 (use cl2 for b = 2)")
-        if n % math.factorial(b) != 0:
-            raise DomainError(f"at-most-consecutive needs b! = {math.factorial(b)} to divide n")
-    elif family is Family.C21:
-        if n < 4:
-            raise DomainError("c21 needs length >= 4")
-    elif family in (Family.NONCONS3, Family.NONCONS4):
-        if n % math.factorial(b) != 0:
-            raise DomainError(f"{family.value} needs b! = {math.factorial(b)} to divide n")
-        if n // 2 < 4 or (family is Family.NONCONS4 and n // 3 < 4):
-            raise DomainError(f"{family.value} needs longer words at this b")
 
 
 def _burst_consts(n: int, b: int) -> tuple[int, int, int]:
@@ -162,9 +111,14 @@ class _Table:
         return _Table(self.keys + other.keys, self.ties + other.ties, self.caps + other.caps)
 
 
-def _burst_rows(lev: int, tag: str, cap: Callable, span: Callable) -> _Table:
+def _burst_rows(
+    lev: int, tag: str, cap: Callable | None = None, span: Callable | None = None
+) -> _Table:
     """The burst-exact array code on A_lev: row 1 a VT code under a run cap,
-    rows 2..lev in one shifted-VT class (checksum mod span, weight mod 2)."""
+    rows 2..lev in one shifted-VT class (checksum mod span, weight mod 2).
+    The cap and span default to the burst-exact family's (_burst_consts)."""
+    cap = cap or (lambda n: _burst_consts(n, lev)[1])
+    span = span or (lambda n: _burst_consts(n, lev)[2])
     c, d = _Form(lev, 2, True, span), _Form(lev, 2, False, lambda n: 2)
     vt = _Form(lev, 1, True, lambda n: n // lev + 1)
     keys = ((f"a{tag}", vt), (f"c{tag}", c), (f"d{tag}", d))
@@ -182,37 +136,98 @@ def _row_keys(lev: int, tag: str) -> _Table:
     )
 
 
+def _vt_word(name: str) -> _Table:
+    return _Table(((name, _Form(1, 1, True, lambda n: n + 1)),))
+
+
+def _cheng1(b: int) -> _Table:
+    vt0 = lambda n: n // b + 1
+    return _Table(ties=tuple((_Form(b, r, True, vt0), None) for r in range(1, b + 1)))
+
+
+def _at_most_consecutive(b: int) -> _Table:
+    cap = lambda n: urll_cap(n, b)
+    table = _vt_word("a_vt") + _burst_rows(2, "2")
+    for lev in range(3, b + 1):
+        table += _burst_rows(lev, str(lev), cap, lambda n: cap(n) + 1)
+    return table
+
+
+@dataclass(frozen=True)
+class _Record:
+    """A family: its table at b, the kind of error it corrects, its column of
+    bounds.reference_redundancies, and its domain: b equal to `b` when fixed,
+    else at least `b`; n a multiple of divisor(b) and at least least_n(b)."""
+
+    table: Callable[[int], _Table]
+    model: ErrorKind
+    bound: str
+    b: int
+    fixed: bool = True
+    divisor: Callable[[int], int] = lambda b: 1
+    least_n: Callable[[int], int] = lambda b: 1
+
+
+_FAMILIES = {
+    # every row of A_b a VT_0 code (the baseline)
+    Family.CHENG1: _Record(
+        _cheng1, ErrorKind.DEL_EXACT, "cheng_baseline",
+        b=1, fixed=False, divisor=lambda b: b, least_n=lambda b: 2 * b,
+    ),
+    # row 1 of A_b a run-length-limited VT code, rows 2..b one shifted-VT code
+    Family.BURST_EXACT: _Record(
+        lambda b: _burst_rows(b, ""), ErrorKind.DEL_EXACT, "burst_exact_bound",
+        b=2, fixed=False, divisor=lambda b: b, least_n=lambda b: 2 * b,
+    ),
+    # a whole-word VT residue with burst-exact at b = 2 (see the report's note)
+    Family.CL2: _Record(
+        lambda b: _vt_word("a_vt") + _burst_rows(2, "2"), ErrorKind.DEL_AT_MOST_CONSECUTIVE,
+        "two_burst_reference", b=2, divisor=lambda b: 2, least_n=lambda b: 4,
+    ),
+    # cl2 with burst-exact-style codes for levels 3..b under a universal run cap
+    Family.AT_MOST_CONSECUTIVE: _Record(
+        _at_most_consecutive, ErrorKind.DEL_AT_MOST_CONSECUTIVE, "at_most_consecutive_bound",
+        b=3, fixed=False, divisor=math.factorial,
+    ),
+    # weight mod 4 (c) and checksum mod 2n - 1 (a): one (2,1)-burst or deletion
+    Family.C21: _Record(
+        lambda b: _Table(tuple((k[-1], f) for k, f in _row_keys(1, "").keys)),
+        ErrorKind.BURST_2_1, "burst21_bound", b=2, least_n=lambda b: 4,
+    ),
+    # VT, burst-exact and (2,1)-burst codes on the rows of A_2 (and A_3 at b = 4)
+    Family.NONCONS3: _Record(
+        lambda b: _vt_word("a1") + _burst_rows(3, "3") + _row_keys(2, "h"),
+        ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, "noncons3_bound",
+        b=3, divisor=math.factorial, least_n=lambda b: 8,
+    ),
+    Family.NONCONS4: _Record(
+        lambda b: _vt_word("a1") + _burst_rows(4, "4") + _row_keys(2, "h") + _row_keys(3, "t"),
+        ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, "noncons4_bound",
+        b=4, divisor=math.factorial, least_n=lambda b: 12,
+    ),
+}
+
+
 @functools.lru_cache(maxsize=64)
 def _family_table(family: Family, b: int) -> _Table:
     """The family's table at burst parameter b; moduli and caps take n."""
+    return _FAMILIES[family].table(b)
 
-    def burst(lev: int, tag: str) -> _Table:
-        cap, span = (lambda n: _burst_consts(n, lev)[1]), (lambda n: _burst_consts(n, lev)[2])
-        return _burst_rows(lev, tag, cap, span)
 
-    def vt_word(name: str) -> _Table:
-        return _Table(((name, _Form(1, 1, True, lambda n: n + 1)),))
+def default_burst(family: Family) -> int | None:
+    """The burst parameter a family fixes on its own, if any."""
+    rec = _FAMILIES[family]
+    return rec.b if rec.fixed else None
 
-    if family is Family.CHENG1:
-        vt0 = lambda n: n // b + 1
-        return _Table(ties=tuple((_Form(b, r, True, vt0), None) for r in range(1, b + 1)))
-    if family is Family.BURST_EXACT:
-        return burst(b, "")
-    if family is Family.CL2:
-        return vt_word("a_vt") + burst(2, "2")
-    if family is Family.AT_MOST_CONSECUTIVE:
-        cap = lambda n: urll_cap(n, b)
-        table = vt_word("a_vt") + burst(2, "2")
-        for lev in range(3, b + 1):
-            table += _burst_rows(lev, str(lev), cap, lambda n: cap(n) + 1)
-        return table
-    if family is Family.C21:  # the (2,1)-burst code on the word itself, fields a and c
-        return _Table(tuple((k[-1], f) for k, f in _row_keys(1, "").keys))
-    if family is Family.NONCONS3:
-        return vt_word("a1") + burst(3, "3") + _row_keys(2, "h")
-    if family is Family.NONCONS4:
-        return vt_word("a1") + burst(4, "4") + _row_keys(2, "h") + _row_keys(3, "t")
-    raise DomainError(f"unhandled family {family}")
+
+def _validate_structure(family: Family, n: int, b: int) -> None:
+    rec, name = _FAMILIES[family], family.value
+    if b != rec.b and (rec.fixed or b < rec.b):
+        raise DomainError(f"{name} needs b {'=' if rec.fixed else '>='} {rec.b}, got b={b}")
+    if n % rec.divisor(b):
+        raise DomainError(f"{name} needs n a multiple of {rec.divisor(b)} at b={b}, got n={n}")
+    if n < rec.least_n(b):
+        raise DomainError(f"{name} needs n >= {rec.least_n(b)} at b={b}, got n={n}")
 
 
 def param_fields(family: Family, b: int) -> tuple[str, ...]:
@@ -685,30 +700,30 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
         raise DecodeFailure("length-n input is not a codeword of this code")
     if a < 0:
         raise DecodeFailure("received word longer than the code length")
-    fam, model = spec.family, balls.del_exact(a)
-    if fam is Family.C21:
+    kind, model = _FAMILIES[spec.family].model, balls.del_exact(a)
+    if kind is ErrorKind.BURST_2_1:
         if a != 1:
-            raise DecodeFailure(f"c21 expects received length {n - 1}, got {len(y)}")
+            raise DecodeFailure(f"{spec.family.value} expects received length {n - 1}, got {len(y)}")
         model = balls.burst21()
         x, step, refilled = _search(spec, y, (balls.del_exact(1), model))
         detail = {"kind": ("single-deletion", "burst-2-1")[step], "position": refilled[0]}
         result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
-    elif fam in (Family.CHENG1, Family.BURST_EXACT) and a != spec.b:
-        raise DecodeFailure(f"{fam.value} expects exactly {spec.b} deletions, got {a}")
+    elif kind is ErrorKind.DEL_EXACT and a != spec.b:
+        raise DecodeFailure(f"{spec.family.value} expects exactly {spec.b} deletions, got {a}")
     elif a > spec.b:
         raise DecodeFailure(f"at most {spec.b} deletions supported, got {a}")
-    elif fam is Family.CHENG1:
+    elif not spec.params:  # a table of no key forms: every row of A_b is a VT_0 code
         result = _decode_cheng1(spec, y)
     elif a == 1:  # the whole-word VT component, a_vt or a1
         p = spec.params_by_name()
         result = vt_decode(y, VtParams(n, p.get("a_vt", p.get("a1"))))
-    elif fam in (Family.NONCONS3, Family.NONCONS4) and a < spec.b:
+    elif kind is ErrorKind.DEL_AT_MOST_NONCONSECUTIVE and a < spec.b:
         model = balls.del_at_most_noncons(spec.b)
         x, _, refilled = _search(spec, y, (model,))
         detail = {"kind": "windowed-deletion", "positions": refilled}
         result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
-    else:
-        result = _decode_array_burst(spec, a, "" if fam is Family.BURST_EXACT else str(a), y)
+    else:  # an exact-burst code has the fields a, c, d, the others a{a}, c{a}, d{a}
+        result = _decode_array_burst(spec, a, "" if kind is ErrorKind.DEL_EXACT else str(a), y)
     if not member(spec, result.word) or (
         (len(y), to_int(y)) not in balls.ball_ints(to_int(result.word), n, model)
     ):
@@ -736,14 +751,7 @@ def _decode_cheng1(spec: CodeSpec, y: Word) -> DecodeResult:
 
 
 def target_model(spec: CodeSpec) -> balls.ErrorModel:
-    fam = spec.family
-    if fam in (Family.CHENG1, Family.BURST_EXACT):
-        return balls.del_exact(spec.b)
-    if fam in (Family.CL2, Family.AT_MOST_CONSECUTIVE):
-        return balls.del_at_most(spec.b)
-    if fam is Family.C21:
-        return balls.burst21()
-    return balls.del_at_most_noncons(spec.b)
+    return balls.ErrorModel(_FAMILIES[spec.family].model, spec.b)
 
 
 def redundancy_report(cb: Codebook) -> dict:
@@ -753,16 +761,8 @@ def redundancy_report(cb: Codebook) -> dict:
     spec = cb.spec
     if spec is None:
         raise DomainError("redundancy report needs a family codebook")
+    rec = _FAMILIES[spec.family]
     refs = bounds.reference_redundancies(spec.n, spec.b)
-    formula_key = {
-        Family.CHENG1: "cheng_baseline",
-        Family.BURST_EXACT: "burst_exact_bound",
-        Family.CL2: "two_burst_reference",
-        Family.AT_MOST_CONSECUTIVE: "at_most_consecutive_bound",
-        Family.C21: "burst21_bound",
-        Family.NONCONS3: "noncons3_bound",
-        Family.NONCONS4: "noncons4_bound",
-    }[spec.family]
     report = {
         "family": spec.family.value,
         "n": spec.n,
@@ -770,10 +770,10 @@ def redundancy_report(cb: Codebook) -> dict:
         "params": list(spec.params),
         "cardinality": cb.cardinality,
         "redundancy_measured": None if not cb.cardinality else round(cb.redundancy, 6),
-        "redundancy_formula": refs.get(formula_key),
+        "redundancy_formula": refs.get(rec.bound),
         "lower_bound": refs.get("lower_bound"),
     }
-    if spec.family in (Family.CL2, Family.AT_MOST_CONSECUTIVE):
+    if rec.model is ErrorKind.DEL_AT_MOST_CONSECUTIVE:
         report["note"] = (
             "the at-most-2 component is a VT intersection with an exact-2-burst "
             "code, which adds about log2(n) redundancy over the two-adjacent-"

@@ -167,6 +167,8 @@ def urll_cap(n: int, b: int) -> int:
     """Default run cap for the universal constraint: ceil(log2(n log2 b)) + 1."""
     if b < 3:
         raise DomainError("universal constraint applies for b >= 3")
+    if n < 1:
+        raise DomainError(f"universal constraint needs length n >= 1, got n={n}")
     return math.ceil(math.log2(n * math.log2(b))) + 1
 
 
@@ -181,6 +183,8 @@ class UrllSpec:
     def __post_init__(self) -> None:
         if self.b < 3:
             raise DomainError("universal constraint applies for b >= 3")
+        if self.n < 1:
+            raise DomainError(f"universal constraint needs length n >= 1, got n={self.n}")
         for i in range(3, self.b + 1):
             if self.n % i != 0:
                 raise DomainError(f"level {i} does not divide n={self.n}")

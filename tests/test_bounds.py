@@ -90,5 +90,5 @@ def test_bound_report_shape():
     assert j["upper_bound_float"] == pytest.approx(24.8)
     assert j["transversal_weight"] == "124/5"
     assert "lower_bound" in j["formulas"]
-    rep = bound_report(26, 2, enumerate_transversal=False)
+    rep = bound_report(26, 2)  # n - b > 18: not enumerated
     assert rep.transversal_weight_enumerated is None

@@ -68,6 +68,61 @@ def test_parse_family_and_structure():
         CodeSpec(Family.BURST_EXACT, 8, 2, (9, 0, 0))  # residue out of range
 
 
+_FIXED_B = {Family.CL2: 2, Family.C21: 2, Family.NONCONS3: 3, Family.NONCONS4: 4}
+
+
+def _reference_domain(family, n, b):
+    """An oracle for the domain, independent of the registry: one
+    hand-written check per family."""
+    if n < 1:
+        raise DomainError("code length must be >= 1")
+    fixed = _FIXED_B.get(family)
+    if fixed is not None and b != fixed:
+        raise DomainError(f"{family.value} has burst parameter fixed at {fixed}")
+    if family in (Family.CHENG1, Family.BURST_EXACT):
+        if b < (2 if family is Family.BURST_EXACT else 1):
+            raise DomainError(f"{family.value} needs a larger burst parameter")
+        if n % b != 0 or n // b < 2:
+            raise DomainError(f"{family.value} needs b | n and n/b >= 2")
+    elif family is Family.CL2:
+        if n % 2 != 0 or n < 4:
+            raise DomainError("cl2 needs an even length >= 4")
+    elif family is Family.AT_MOST_CONSECUTIVE:
+        if b < 3:
+            raise DomainError("at-most-consecutive is defined for b >= 3 (use cl2 for b = 2)")
+        if n % math.factorial(b) != 0:
+            raise DomainError(f"at-most-consecutive needs b! = {math.factorial(b)} to divide n")
+    elif family is Family.C21:
+        if n < 4:
+            raise DomainError("c21 needs length >= 4")
+    elif family in (Family.NONCONS3, Family.NONCONS4):
+        if n % math.factorial(b) != 0:
+            raise DomainError(f"{family.value} needs b! = {math.factorial(b)} to divide n")
+        if n // 2 < 4 or (family is Family.NONCONS4 and n // 3 < 4):
+            raise DomainError(f"{family.value} needs longer words at this b")
+
+
+def _rejection(check, family, n, b):
+    try:
+        check(family, n, b)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_registry_domain_matches_reference():
+    assert set(codes._FAMILIES) == set(Family)
+    grid = [(f, n, b) for f in Family for n in range(-1, 61) for b in range(-1, 7)]
+    assert len(grid) == 3472
+    accepted = [c for c in grid if _rejection(_reference_domain, *c) is None]
+    assert len(accepted) == 332
+    messages = {c: _rejection(codes._validate_structure, *c) for c in grid}
+    assert [c for c in grid if messages[c] is None] == accepted
+    assert all(c[0].value in m for c, m in messages.items() if m is not None)
+    for family in Family:
+        assert codes.default_burst(family) == _FIXED_B.get(family)
+
+
 def test_param_fields_and_ranges_agree():
     cases = (
         (Family.CHENG1, 8, 2),
@@ -545,22 +600,37 @@ def _member_past_64_bits(family, n, b, rng):
             return spec, x
 
 
-@pytest.mark.parametrize(
-    "family,n,b",
-    [(Family.C21, 64, 2), (Family.C21, 96, 2), (Family.NONCONS3, 72, 3),
-     (Family.NONCONS3, 96, 3), (Family.NONCONS4, 72, 4), (Family.NONCONS4, 96, 4)],
-)
+# (seeded events, the decode kinds they reach) per case. The first six reach
+# the search decoders (single-deletion, burst-2-1, windowed-deletion); the
+# rest reach every other path the target model and the deletion count select.
+_PAST_64_BITS = {
+    (Family.C21, 64, 2): (6, {"single-deletion", "burst-2-1"}),
+    (Family.C21, 96, 2): (6, {"single-deletion", "burst-2-1"}),
+    (Family.NONCONS3, 72, 3): (6, {"deletion", "windowed-deletion"}),
+    (Family.NONCONS3, 96, 3): (6, {"deletion", "windowed-deletion", "burst-deletion"}),
+    (Family.NONCONS4, 72, 4): (6, {"deletion", "windowed-deletion"}),
+    (Family.NONCONS4, 96, 4): (6, {"deletion", "windowed-deletion"}),
+    (Family.BURST_EXACT, 72, 3): (40, {"burst-deletion"}),
+    (Family.BURST_EXACT, 96, 4): (40, {"burst-deletion"}),
+    (Family.CL2, 96, 2): (40, {"deletion", "burst-deletion"}),
+    (Family.AT_MOST_CONSECUTIVE, 72, 3): (40, {"deletion", "burst-deletion"}),
+    (Family.CHENG1, 72, 3): (40, {"burst-deletion"}),
+}
+
+
+@pytest.mark.parametrize("family,n,b", list(_PAST_64_BITS))
 def test_decode_past_64_bits(family, n, b):
+    seeds, want = _PAST_64_BITS[family, n, b]
     rng = random.Random(n * 10 + b)
     spec, x = _member_past_64_bits(family, n, b, rng)
     model = target_model(spec)
     kinds = set()
-    for seed in range(6):
+    for seed in range(seeds):
         y, event = verify.apply_error(x, model, seed)
         res = decode(spec, y)
         assert res.word == x, (seed, event)
         kinds.add(res.detail["kind"])
-    assert kinds & {"single-deletion", "burst-2-1", "windowed-deletion"}, kinds
+    assert kinds == want
 
 
 def test_decode_fails_exactly_off_the_balls_of_the_code():

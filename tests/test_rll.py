@@ -217,6 +217,18 @@ def test_urll_default_cap():
     assert UrllSpec(12, 3).cap == 6
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: UrllSpec(0, 3), lambda: UrllSpec(-6, 3), lambda: UrllSpec(0, 3, f=2),
+     lambda: urll_cap(0, 3)],
+)
+def test_urll_rejects_lengths_below_one(make):
+    # every level divides 0 and -6, so only the length check stands between
+    # these calls and log2 of a non-positive number
+    with pytest.raises(DomainError, match="n >= 1"):
+        make()
+
+
 def test_urll_count_against_brute_force():
     spec = UrllSpec(12, 3, 3)
     brute = sum(1 for x in enumerate_words(12) if urll_member(x, spec))
