@@ -21,6 +21,8 @@ inserted roles swapped). ball_ints applies the table to one int, giving
 (length, value) pairs; ball_keys applies it to a uint64 array of words, giving
 keys (1 << length) | value, which sort like those pairs. Keys hold elements of
 at most KEY_MAX_BITS = 63 bits; longer ones raise DomainError, never wrap.
+A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted from
+its placements, not built, and raises DomainError.
 """
 
 from __future__ import annotations
@@ -110,28 +112,50 @@ KEY_MAX_BITS = 63  # a key (1 << length) | value must fit in a uint64
 _Event = namedtuple("_Event", "length bits segs deleted inserted")
 
 
-def _placements(n: int, model: ErrorModel) -> list[tuple[tuple, tuple]]:
+EVENTS_MAX = 1 << 20  # events in one table; a larger table raises DomainError unbuilt
+
+
+def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[tuple, tuple]]:
     """(deleted input positions, inserted output positions) of every event of
-    the model on a length-n word, once each."""
+    the model on a length-n word, once each. Given m, only the events that end
+    at length m, with the two roles swapped: the events that take a length-m
+    word back to length n. The events they give, 2^(inserted positions) per
+    placement, are counted first and raise DomainError past EVENTS_MAX."""
     kind, b = model.kind, model.b
     deleting = kind.value.startswith("del-")
     if kind is ErrorKind.BURST_2_1:
         if n < 3:
             raise DomainError(f"word length {n} too short for a (2,1)-burst")
-        return [((i, i + 1), (i,)) for i in range(1, n)]
-    if deleting and n <= b:
-        raise DomainError(f"word length {n} too short for a deletion burst of {b}")
+        sizes = [(2, 1)]  # (deleted, inserted): two adjacent bits, one bit at the first
+    else:
+        if deleting and n <= b:
+            raise DomainError(f"word length {n} too short for a deletion burst of {b}")
+        sizes = [(a, 0) if deleting else (0, a)
+                 for a in ((b,) if kind.value.endswith("-exact") else range(1, b + 1))]
+    sizes = [(d, i) for d, i in sizes if m in (None, n - d + i)]
+    window = kind.value.endswith("-nonconsecutive")
+
+    def sets(k: int, a: int) -> int:
+        # a positions of 1..k inside a window of b, each set by its minimum p
+        # (C(min(b-1, k-p), a-1) sets), or a consecutive positions
+        if window:
+            return max(0, k - b + 1) * math.comb(b - 1, a - 1) + math.comb(min(b - 1, k), a)
+        return max(0, k - a + 1)
+
+    # positions index the input when bits are deleted, else the output
+    events = sum(sets(n if d else n + i, d or i) << (i if m is None else d) for d, i in sizes)
+    if events > EVENTS_MAX:
+        raise DomainError(f"{model} at length {n} has {events} events; tables stop at {EVENTS_MAX}")
     placements = []
-    for a in (b,) if kind.value.endswith("-exact") else range(1, b + 1):
-        m = n if deleting else n + a  # length of the word the positions index
-        if kind.value.endswith("-nonconsecutive"):
-            # a positions inside a window of b, each set once, by its minimum
-            sets = [(p, *rest) for p in range(1, m + 1)
-                    for rest in combinations(range(p + 1, min(p + b, m + 1)), a - 1)]
+    for d, i in sizes:
+        a, k = d or i, n if d else n + i
+        if window:
+            chosen = [(p, *rest) for p in range(1, k + 1)
+                      for rest in combinations(range(p + 1, min(p + b, k + 1)), a - 1)]
         else:
-            sets = [tuple(range(i, i + a)) for i in range(1, m - a + 2)]
-        placements += [(p, ()) if deleting else ((), p) for p in sets]
-    return placements
+            chosen = [tuple(range(p, p + a)) for p in range(1, k - a + 2)]
+        placements += [(p, p[:i]) if d else ((), p) for p in chosen]
+    return placements if m is None else [(ins, dels) for dels, ins in placements]
 
 
 def _table(n: int, placements) -> tuple[_Event, ...]:
@@ -168,8 +192,7 @@ def _inverse(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
     length-m words: each deletes what one of them inserted and inserts, with
     every choice of bits, what it deleted. Applied to y they give every
     length-n word whose ball holds y."""
-    swapped = [(ins, dels) for dels, ins in _placements(n, model) if n - len(dels) + len(ins) == m]
-    return _table(m, swapped)
+    return _table(m, _placements(n, model, m))
 
 
 def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:

@@ -53,11 +53,6 @@ def from_int(v: int, n: int) -> Word:
     return tuple((v >> i) & 1 for i in range(n))
 
 
-def weight(x: Word) -> int:
-    """Hamming weight."""
-    return sum(x)
-
-
 def enumerate_words(n: int) -> Iterator[Word]:
     """Yield all words of length n in lexicographic order (n <= 30 enforced)."""
     if not 1 <= n <= MAX_ENUM_BITS:
@@ -81,13 +76,6 @@ class RunProfile:
     @property
     def total_runs(self) -> int:
         return len(self.runs)
-
-    def run_at(self, position: int) -> Run:
-        """The maximal run containing the given 1-indexed position."""
-        for r in self.runs:
-            if r.start <= position < r.start + r.length:
-                return r
-        raise DomainError(f"position {position} outside word")
 
 
 def runs(x: Word) -> RunProfile:

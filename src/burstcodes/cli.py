@@ -4,6 +4,14 @@ Verbs: build, verify, decode, bound, tabulate, rll-encode, rll-decode, ball,
 equiv, simulate. Words travel as '0'/'1' lines on --in/--out (default the
 standard streams); every run is deterministic given its flags and seed.
 
+The CLI is one table of verbs (_VERBS). Each verb is registered with its help
+line and its flags, and is a function (args, stdin_text) -> (status, text);
+run parses the arguments, calls the verb and writes its text once, so a verb
+that raises writes nothing. One rule (_render) picks the output form: a verb
+hands it a JSON-ready record and its text lines, and --format json prints the
+record as one JSON line, text the lines. decode, rll-encode and rll-decode map
+each input word to one output word through one path (_map_words).
+
 Exit codes: 0 success, 1 decode failure or verification violations, 2 usage
 or domain errors.
 """
@@ -19,6 +27,40 @@ from . import balls, bounds, codes, rll, verify
 from .bitseq import format_word, parse_word
 from .errors import BurstCodesError, DecodeFailure, DomainError
 
+# verb name -> (function, help, flags), in the order the help lists them
+_VERBS: dict = {}
+
+
+def _verb(name: str, help_: str, *flags):
+    """Register the decorated function as verb `name`; each flag adds its
+    arguments to the verb's parser."""
+
+    def register(fn):
+        _VERBS[name] = (fn, help_, flags)
+        return fn
+
+    return register
+
+
+def _flag(*names, **kwargs):
+    """A flag, as the function that adds it to a verb's parser."""
+    return lambda p: p.add_argument(*names, **kwargs)
+
+
+_FAMILY = _flag("--family", required=True, choices=[f.value for f in codes.Family])
+_N = _flag("--n", type=int, required=True)
+_B = _flag("--b", type=int, required=True)
+_BURST = _flag("--b", type=int, default=None, help="burst parameter (fixed for some families)")
+_MODEL_FLAGS = (_flag("--model", required=True), _flag("--b", type=int, default=1))
+_FORMAT = _flag("--format", choices=("text", "json"), default="text")
+_IN = _flag("--in", dest="infile", default="-", help="input file or - for stdin")
+_OUT = _flag("--out", dest="outfile", default="-", help="output file or - for stdout")
+
+
+def _spec_flags(params_default: str | None = "best") -> tuple:
+    params = _flag("--params", default=params_default, help="comma-separated residues or 'best'")
+    return _FAMILY, _N, _BURST, params
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -26,75 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="burst-deletion/insertion-correcting codes with brute-force verification",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def family_flags(p: argparse.ArgumentParser, params_default: str | None = "best") -> None:
-        p.add_argument("--family", required=True, choices=[f.value for f in codes.Family])
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--b", type=int, default=None, help="burst parameter (fixed for some families)")
-        p.add_argument("--params", default=params_default, help="comma-separated residues or 'best'")
-
-    def io_flags(p: argparse.ArgumentParser, inp: bool = True, out: bool = True) -> None:
-        if inp:
-            p.add_argument("--in", dest="infile", default="-", help="input file or - for stdin")
-        if out:
-            p.add_argument("--out", dest="outfile", default="-", help="output file or - for stdout")
-
-    def fmt_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("build", help="enumerate a codebook and write it as a file")
-    family_flags(p)
-    io_flags(p, inp=False)
-
-    p = sub.add_parser("verify", help="exhaustively verify ball disjointness")
-    family_flags(p)
-    p.add_argument("--model", default=None, help="error model (defaults to the family target)")
-    fmt_flag(p)
-    io_flags(p, inp=False)
-
-    p = sub.add_parser("decode", help="decode received words line by line")
-    family_flags(p, params_default=None)
-    io_flags(p)
-
-    p = sub.add_parser("bound", help="cardinality bound report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    fmt_flag(p)
-    io_flags(p, inp=False)
-
-    p = sub.add_parser("tabulate", help="redundancy comparison across lengths")
-    p.add_argument("--family", required=True, choices=[f.value for f in codes.Family])
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--n", required=True, help="comma-separated lengths, e.g. 8,12,16")
-    fmt_flag(p)
-    io_flags(p, inp=False)
-
-    p = sub.add_parser("rll-encode", help="run-length-limited systematic encoding")
-    io_flags(p)
-
-    p = sub.add_parser("rll-decode", help="invert rll-encode")
-    io_flags(p)
-
-    p = sub.add_parser("ball", help="list or size error balls of input words")
-    p.add_argument("--model", required=True)
-    p.add_argument("--b", type=int, default=1)
-    fmt_flag(p)
-    io_flags(p)
-
-    p = sub.add_parser("equiv", help="deletion/insertion equivalence sweep")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--model", default="exact", help="exact | at-most-consecutive | at-most-nonconsecutive")
-    fmt_flag(p)
-    io_flags(p, inp=False)
-
-    p = sub.add_parser("simulate", help="apply seeded channel errors to input words")
-    p.add_argument("--model", required=True)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    fmt_flag(p)
-    io_flags(p)
-
+    for name, (_, help_, flags) in _VERBS.items():
+        p = sub.add_parser(name, help=help_)
+        for add in flags:
+            add(p)
     return ap
 
 
@@ -135,7 +112,7 @@ def _read_words(args, stdin_text: str | None) -> list:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "outfile", "-") == "-":
+    if args.outfile == "-":
         sys.stdout.write(text)
     else:
         try:
@@ -145,156 +122,83 @@ def _emit(args, text: str) -> None:
             raise DomainError(f"cannot write --out {args.outfile!r}: {exc}") from None
 
 
+def _render(args, record, lines) -> str:
+    """The record as one JSON line under --format json, else the text lines."""
+    if args.format == "json":
+        return json.dumps(record) + "\n"
+    return "".join(line + "\n" for line in lines)
+
+
+def _map_words(args, stdin_text, fn) -> tuple[int, str]:
+    """Status 0 and one line per input word: fn of the word."""
+    return 0, "".join(format_word(fn(x)) + "\n" for x in _read_words(args, stdin_text))
+
+
 def run(argv: list[str], stdin_text: str | None = None) -> int:
     """Execute one command; returns the exit status. Testable entry point."""
     args = _build_parser().parse_args(argv)
-    verb = args.verb
-
-    if verb == "build":
-        spec = _resolve_spec(args)
-        cb = codes.build(spec)
-        buf = StringIO()
-        codes.write_codebook(cb, buf)
-        _emit(args, buf.getvalue())
-        return 0
-
-    if verb == "verify":
-        spec = _resolve_spec(args)
-        cb = codes.build(spec)
-        model = (
-            codes.target_model(spec)
-            if args.model is None
-            else balls.parse_model(args.model, spec.b)
-        )
-        report = verify.verify_code(cb, model)
-        if args.format == "json":
-            _emit(args, json.dumps(report.to_json()) + "\n")
-        else:
-            lines = [
-                f"codebook: {report.codebook}",
-                f"model: {report.model}",
-                f"cardinality: {cb.cardinality}",
-                f"pairs_checked: {report.pairs_checked}",
-                f"passed: {str(report.passed).lower()}",
-            ]
-            for x, y, z in report.violations:
-                lines.append(f"violation: {format_word(x)} {format_word(y)} -> {format_word(z)}")
-            _emit(args, "\n".join(lines) + "\n")
-        return 0 if report.passed else 1
-
-    if verb == "decode":
-        spec = _resolve_spec(args)
-        out_lines = []
-        for y in _read_words(args, stdin_text):
-            res = codes.decode(spec, y)
-            out_lines.append(format_word(res.word))
-        _emit(args, "\n".join(out_lines) + ("\n" if out_lines else ""))
-        return 0
-
-    if verb == "bound":
-        report = bounds.bound_report(args.n, args.b)
-        if args.format == "json":
-            _emit(args, json.dumps(report.to_json()) + "\n")
-        else:
-            j = report.to_json()
-            lines = [
-                f"upper_bound: {j['upper_bound']} ({j['upper_bound_float']:.6g})",
-                f"lower_bound_redundancy: {j['lower_bound_redundancy']:.6f}",
-                f"transversal_weight: {j['transversal_weight']}",
-            ]
-            lines += [
-                f"formula {k}: {v:.6f}" if isinstance(v, float) else f"formula {k}: {v}"
-                for k, v in j["formulas"].items()
-            ]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    if verb == "tabulate":
-        return _tabulate(args)
-
-    if verb == "rll-encode":
-        out = [format_word(rll.rll_encode(x)) for x in _read_words(args, stdin_text)]
-        _emit(args, "\n".join(out) + ("\n" if out else ""))
-        return 0
-
-    if verb == "rll-decode":
-        out = [format_word(rll.rll_decode(y)) for y in _read_words(args, stdin_text)]
-        _emit(args, "\n".join(out) + ("\n" if out else ""))
-        return 0
-
-    if verb == "ball":
-        model = balls.parse_model(args.model, args.b)
-        chunks = []
-        for x in _read_words(args, stdin_text):
-            elements = sorted(balls.ball(x, model))
-            if args.format == "json":
-                chunks.append(
-                    json.dumps(
-                        {
-                            "word": format_word(x),
-                            "model": str(model),
-                            "size": len(elements),
-                            "elements": [format_word(e) for e in elements],
-                        }
-                    )
-                    + "\n"
-                )
-            else:
-                chunks.append(f"ball({format_word(x)}) model={model} size={len(elements)}\n")
-                chunks.extend(format_word(e) + "\n" for e in elements)
-        _emit(args, "".join(chunks))
-        return 0
-
-    if verb == "equiv":
-        result = verify.equivalence_check(args.n, args.b, args.model)
-        if args.format == "json":
-            _emit(
-                args,
-                json.dumps({"n": args.n, "b": args.b, "flavor": args.model, "equivalent": result})
-                + "\n",
-            )
-        else:
-            _emit(args, f"equivalent: {str(result).lower()}\n")
-        return 0
-
-    if verb == "simulate":
-        model = balls.parse_model(args.model, args.b)
-        chunks = []
-        for idx, x in enumerate(_read_words(args, stdin_text)):
-            corrupted, event = verify.apply_error(x, model, args.seed + idx)
-            if args.format == "json":
-                chunks.append(
-                    json.dumps(
-                        {
-                            "input": format_word(x),
-                            "output": format_word(corrupted),
-                            "event": event.to_json(),
-                        }
-                    )
-                    + "\n"
-                )
-            else:
-                chunks.append(
-                    f"{format_word(x)} -> {format_word(corrupted)} "
-                    f"event={json.dumps(event.to_json())}\n"
-                )
-        _emit(args, "".join(chunks))
-        return 0
-
-    raise DomainError(f"unhandled verb {verb}")  # pragma: no cover
+    status, text = _VERBS[args.verb][0](args, stdin_text)
+    _emit(args, text)
+    return status
 
 
-def _tabulate(args) -> int:
+@_verb("build", "enumerate a codebook and write it as a file", *_spec_flags(), _OUT)
+def _build(args, stdin_text):
+    buf = StringIO()
+    codes.write_codebook(codes.build(_resolve_spec(args)), buf)
+    return 0, buf.getvalue()
+
+
+@_verb(
+    "verify", "exhaustively verify ball disjointness", *_spec_flags(),
+    _flag("--model", default=None, help="error model (defaults to the family target)"),
+    _FORMAT, _OUT,
+)
+def _verify(args, stdin_text):
+    spec = _resolve_spec(args)
+    cb = codes.build(spec)
+    model = codes.target_model(spec) if args.model is None else balls.parse_model(args.model, spec.b)
+    report = verify.verify_code(cb, model)
+    lines = [
+        f"codebook: {report.codebook}",
+        f"model: {report.model}",
+        f"cardinality: {cb.cardinality}",
+        f"pairs_checked: {report.pairs_checked}",
+        f"passed: {str(report.passed).lower()}",
+    ]
+    lines += [f"violation: {format_word(x)} {format_word(y)} -> {format_word(z)}"
+              for x, y, z in report.violations]
+    return int(not report.passed), _render(args, report.to_json(), lines)
+
+
+@_verb("decode", "decode received words line by line", *_spec_flags(None), _IN, _OUT)
+def _decode(args, stdin_text):
+    spec = _resolve_spec(args)
+    return _map_words(args, stdin_text, lambda y: codes.decode(spec, y).word)
+
+
+@_verb("bound", "cardinality bound report", _N, _B, _FORMAT, _OUT)
+def _bound(args, stdin_text):
+    j = bounds.bound_report(args.n, args.b).to_json()
+    lines = [
+        f"upper_bound: {j['upper_bound']} ({j['upper_bound_float']:.6g})",
+        f"lower_bound_redundancy: {j['lower_bound_redundancy']:.6f}",
+        f"transversal_weight: {j['transversal_weight']}",
+    ]
+    lines += [f"formula {k}: {v:.6f}" if isinstance(v, float) else f"formula {k}: {v}"
+              for k, v in j["formulas"].items()]
+    return 0, _render(args, j, lines)
+
+
+@_verb(
+    "tabulate", "redundancy comparison across lengths", _FAMILY, _flag("--b", type=int, default=None),
+    _flag("--n", required=True, help="comma-separated lengths, e.g. 8,12,16"), _FORMAT, _OUT,
+)
+def _tabulate(args, stdin_text):
     family = codes.parse_family(args.family)
     b = _burst(args, family)
-    columns = (
-        "lower_bound",
-        "cheng_baseline",
-        "burst_exact_bound",
-        "at_most_consecutive_bound",
-        "noncons3_bound",
-        "noncons4_bound",
-    )
+    # the lower bound, then each family's own column, in registry order
+    columns = ["lower_bound", *dict.fromkeys(rec.bound for rec in codes._FAMILIES.values())]
     try:
         lengths = [int(t) for t in args.n.split(",")]
     except ValueError:
@@ -304,34 +208,64 @@ def _tabulate(args) -> int:
         spec = codes.best_params(family, n, b)
         cb = codes.build(spec)
         refs = bounds.reference_redundancies(n, b)
-        row = {
+        rows.append({
             "n": n,
             "params": ",".join(map(str, spec.params)) or "-",
             "cardinality": cb.cardinality,
             "redundancy_measured": None if not cb.cardinality else round(cb.redundancy, 4),
-        }
-        for col in columns:
-            val = refs.get(col)
-            row[col] = None if val is None else round(val, 4)
-        rows.append(row)
-    if args.format == "json":
-        _emit(args, json.dumps({"family": family.value, "b": b, "rows": rows}) + "\n")
-        return 0
-    headers = ["n", "params", "cardinality", "redundancy_measured", *columns]
-    widths = {
-        h: max(len(h), *(len(_cell(r.get(h))) for r in rows)) for h in headers
-    }
-    lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
-    for r in rows:
-        lines.append("  ".join(_cell(r.get(h)).ljust(widths[h]) for h in headers))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+            **{col: None if refs.get(col) is None else round(refs[col], 4) for col in columns},
+        })
+    cells = [[h, *("-" if r[h] is None else str(r[h]) for r in rows)] for h in rows[0]]
+    widths = [max(map(len, col)) for col in cells]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in zip(*cells)]
+    return 0, _render(args, {"family": family.value, "b": b, "rows": rows}, lines)
 
 
-def _cell(v) -> str:
-    if v is None:
-        return "-"
-    return str(v)
+@_verb("rll-encode", "run-length-limited systematic encoding", _IN, _OUT)
+def _rll_encode(args, stdin_text):
+    return _map_words(args, stdin_text, rll.rll_encode)
+
+
+@_verb("rll-decode", "invert rll-encode", _IN, _OUT)
+def _rll_decode(args, stdin_text):
+    return _map_words(args, stdin_text, rll.rll_decode)
+
+
+@_verb("ball", "list or size error balls of input words", *_MODEL_FLAGS, _FORMAT, _IN, _OUT)
+def _ball(args, stdin_text):
+    model = balls.parse_model(args.model, args.b)
+    out = []
+    for x in _read_words(args, stdin_text):
+        word, elements = format_word(x), [format_word(e) for e in sorted(balls.ball(x, model))]
+        record = {"word": word, "model": str(model), "size": len(elements), "elements": elements}
+        out.append(_render(args, record, [f"ball({word}) model={model} size={len(elements)}", *elements]))
+    return 0, "".join(out)
+
+
+@_verb(
+    "equiv", "deletion/insertion equivalence sweep", _N, _B,
+    _flag("--model", default="exact", help="exact | at-most-consecutive | at-most-nonconsecutive"),
+    _FORMAT, _OUT,
+)
+def _equiv(args, stdin_text):
+    result = verify.equivalence_check(args.n, args.b, args.model)
+    record = {"n": args.n, "b": args.b, "flavor": args.model, "equivalent": result}
+    return 0, _render(args, record, [f"equivalent: {str(result).lower()}"])
+
+
+@_verb(
+    "simulate", "apply seeded channel errors to input words", *_MODEL_FLAGS,
+    _flag("--seed", type=int, default=0), _FORMAT, _IN, _OUT,
+)
+def _simulate(args, stdin_text):
+    model = balls.parse_model(args.model, args.b)
+    out = []
+    for idx, x in enumerate(_read_words(args, stdin_text)):
+        corrupted, event = verify.apply_error(x, model, args.seed + idx)
+        record = {"input": format_word(x), "output": format_word(corrupted), "event": event.to_json()}
+        line = f"{record['input']} -> {record['output']} event={json.dumps(record['event'])}"
+        out.append(_render(args, record, [line]))
+    return 0, "".join(out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -571,10 +571,10 @@ def best_params(family: Family, n: int, b: int) -> CodeSpec:
     """The parameter tuple with the largest class, ties broken by the
     lexicographically smallest tuple."""
     _validate_structure(family, n, b)
+    if not param_fields(family, b):
+        return CodeSpec(family, n, b, ())  # nothing to search, at any n
     if n > BUILD_MAX_N:
         raise DomainError(f"search capped at n <= {BUILD_MAX_N}")
-    if not param_fields(family, b):
-        return CodeSpec(family, n, b, ())
     (classes, sizes), mods = _classes(_family_table(family, b), n)
     if not len(classes):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")

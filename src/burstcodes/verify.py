@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _enum, balls
-from .bitseq import Word, from_int, to_int
+from .bitseq import Word, format_word, from_int, to_int
 from .codes import Codebook, codebook_from_ints
 from .errors import CodeIntegrityError, DecodeFailure, DomainError
 from .vt import DecodeResult
@@ -34,8 +34,6 @@ class VerifyReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        from .bitseq import format_word
-
         return {
             "model": str(self.model),
             "codebook": self.codebook,

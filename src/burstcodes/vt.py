@@ -19,6 +19,7 @@ from typing import Mapping
 
 from .bitseq import Word
 from .errors import DecodeFailure, DomainError
+from .rll import max_run
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
 
 def vt_rll_member(x: Word, p: VtParams, f: int) -> bool:
     """Membership in the intersection of VT_a(n) with the max-run-f constraint."""
-    from .rll import max_run
-
     return vt_member(x, p) and max_run(x) <= f
 
 

@@ -199,3 +199,32 @@ def test_ball_keys_at_the_key_limit():
                 assert set(row) == {(1 << m) | y for m, y in ball_ints(v, n, model)}, (model, v)
             with pytest.raises(DomainError):
                 ball_keys([0], n + 1, model)
+
+
+@pytest.mark.parametrize("kind", list(ErrorKind))
+def test_event_count_is_exact_and_bounds_every_table(monkeypatch, kind):
+    # the count made before enumerating equals the table built, forward and
+    # inverse: a limit one below it raises, a limit equal to it builds
+    for b in (1, 2, 3, 4, 5):
+        model = ErrorModel(kind, b)
+        # insertions take any n, so windows may be cut short at both ends
+        for n in range(1 if kind.value.startswith("ins-") else model.b + 1, 11):
+            for m in (None, *range(n - b - 1, n + b + 2)):
+                monkeypatch.setattr(balls, "EVENTS_MAX", math.inf)
+                size = len(balls._table(n if m is None else m, balls._placements(n, model, m)))
+                monkeypatch.setattr(balls, "EVENTS_MAX", size - 1)
+                with pytest.raises(DomainError, match="events; tables stop at"):
+                    balls._placements(n, model, m)
+                monkeypatch.setattr(balls, "EVENTS_MAX", size)
+                balls._placements(n, model, m)
+
+
+def test_oversized_event_tables_raise_before_enumerating():
+    # each would enumerate about 2^40 window sets or inserted-bit choices
+    for n, model in ((4, ins_exact(18)), (10, ins_exact(40)), (60, del_at_most_noncons(40))):
+        with pytest.raises(DomainError, match=f"tables stop at {balls.EVENTS_MAX}"):
+            balls._events(n, model)
+    # 31 placements of a 30-burst: 31 events forward, 31 * 2^30 to undo them
+    assert len(balls._events(60, del_exact(30))) == 31
+    with pytest.raises(DomainError, match="tables stop at"):
+        balls._inverse(60, del_exact(30), 30)

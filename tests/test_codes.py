@@ -859,6 +859,17 @@ def test_build_cap():
         build(CodeSpec(Family.CHENG1, BUILD_MAX_N + 2, 2))
 
 
+def test_parameterless_family_skips_the_search_cap():
+    # cheng1 has no parameters to search, so best_params answers past the
+    # search cap; building that code still stops at the build cap
+    spec = best_params(Family.CHENG1, 30, 3)
+    assert spec == CodeSpec(Family.CHENG1, 30, 3, ())
+    with pytest.raises(DomainError, match=f"build capped at n <= {BUILD_MAX_N}"):
+        build(spec)
+    with pytest.raises(DomainError, match=f"search capped at n <= {BUILD_MAX_N}"):
+        best_params(Family.BURST_EXACT, 30, 3)
+
+
 def test_target_models():
     assert target_model(CodeSpec(Family.CHENG1, 8, 2)).kind is balls.ErrorKind.DEL_EXACT
     assert (
