@@ -19,7 +19,9 @@ output positions). The channel sampler draws from it, and the search
 decoders read its inverse (_inverse: the placements with the deleted and
 inserted roles swapped). ball_ints applies the table to one int, giving
 (length, value) pairs; ball_keys applies it to a uint64 array of words, giving
-keys (1 << length) | value, which sort like those pairs. Keys hold elements of
+keys (1 << length) | value, which sort like those pairs, and sorted_ball_keys
+sorts each word's keys and masks its repeats, the one dedupe of verify_code,
+greedy codes, the equivalence sweep and the ball-size tally. Keys hold elements of
 at most KEY_MAX_BITS = 63 bits; longer ones raise DomainError, never wrap.
 A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted from
 its placements, not built, and raises DomainError.
@@ -32,7 +34,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -212,23 +215,44 @@ def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
 def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
     """The balls of many packed length-n words at once, shape (len(vs), E): row
     i holds the key (1 << length) | value of each event applied to vs[i]. A row
-    may repeat a key; its distinct keys are the ball_ints of vs[i]."""
+    may repeat a key; its distinct keys are the ball_ints of vs[i].
+
+    Event-major: the events of one placement share a segment tuple, so the
+    segments are applied once per placement to the whole word array, with
+    scalar shift counts, and each event, one choice of inserted bits, is one
+    OR of that result into its column."""
     events = _events(n, model)
     longest = max(ev.length for ev in events)
     if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
         raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
-    width = max(len(ev.segs) for ev in events)
-    keys = np.array([(1 << ev.length) | ev.bits for ev in events], dtype=np.uint64)
-    segs = np.array([ev.segs + ((0, 0, 0),) * (width - len(ev.segs)) for ev in events], dtype=np.uint64)
-    vs = np.asarray(vs, dtype=np.uint64).reshape(-1, 1)
-    out = np.tile(keys, (len(vs), 1))
-    part = np.empty_like(out)
-    for src, mask, dst in segs.transpose(1, 2, 0):
-        np.right_shift(vs, src, out=part)
-        part &= mask
-        part <<= dst
-        out |= part
+    vs = np.asarray(vs, dtype=np.uint64).reshape(-1)
+    out = np.empty((len(vs), len(events)), dtype=np.uint64)
+    y, part = np.empty_like(vs), np.empty_like(vs)
+    column = 0
+    for segs, group in groupby(events, key=attrgetter("segs")):
+        y.fill(0)
+        for src, mask, dst in segs:
+            np.right_shift(vs, src, out=part)
+            part &= mask
+            part <<= dst
+            y |= part
+        for ev in group:
+            np.bitwise_or(y, (1 << ev.length) | ev.bits, out=out[:, column])
+            column += 1
     return out
+
+
+def sorted_ball_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndarray]:
+    """ball_keys with each row sorted in place, and the mask of the first copy
+    of each key in its row: the ball of vs[i] is keys[i][fresh[i]], in key
+    order, and np.compress(fresh.ravel(), keys.ravel()) lists the balls in
+    turn."""
+    keys = ball_keys(vs, n, model)
+    keys.sort(axis=1)
+    fresh = np.empty(keys.shape, dtype=bool)
+    fresh[:, :1] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=fresh[:, 1:])
+    return keys, fresh
 
 
 def key_word(key: int) -> Word:
@@ -317,9 +341,8 @@ def ball_size_tally(n: int, b: int) -> dict[int, int]:
     counts = np.zeros(n - b + 2, dtype=np.int64)
     for start in range(0, 1 << n, block):
         vs = np.arange(start, min(start + block, 1 << n), dtype=np.uint64)
-        keys = np.sort(ball_keys(vs, n, model), axis=1)
-        sizes = 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
-        counts += np.bincount(sizes, minlength=len(counts))
+        _, fresh = sorted_ball_keys(vs, n, model)
+        counts += np.bincount(np.count_nonzero(fresh, axis=1), minlength=len(counts))
     return {size: int(c) for size, c in enumerate(counts) if c}
 
 

@@ -19,6 +19,7 @@ or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from io import StringIO
@@ -62,6 +63,7 @@ def _spec_flags(params_default: str | None = "best") -> tuple:
     return _FAMILY, _N, _BURST, params
 
 
+@functools.cache  # built once per process: _VERBS is complete at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="burstcodes",
@@ -248,6 +250,8 @@ def _ball(args, stdin_text):
     _FORMAT, _OUT,
 )
 def _equiv(args, stdin_text):
+    if args.model not in verify._FLAVORS:
+        raise DomainError(f"--model must be one of {sorted(verify._FLAVORS)}, got {args.model!r}")
     result = verify.equivalence_check(args.n, args.b, args.model)
     record = {"n": args.n, "b": args.b, "flavor": args.model, "equivalent": result}
     return 0, _render(args, record, [f"equivalent: {str(result).lower()}"])

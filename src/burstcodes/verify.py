@@ -46,32 +46,54 @@ class VerifyReport:
         }
 
 
-def _ball_members(vs, n: int, model: balls.ErrorModel) -> tuple[np.ndarray, np.ndarray]:
-    """The balls of packed words vs as (keys, owners): each distinct key of
-    each ball once, row by row in key order, with the index of its word."""
-    keys = balls.ball_keys(vs, n, model)
-    keys.sort(axis=1)
-    fresh = np.ones(keys.shape, dtype=bool)
-    np.not_equal(keys[:, 1:], keys[:, :-1], out=fresh[:, 1:])
-    return keys[fresh], np.repeat(np.arange(len(keys)), np.count_nonzero(fresh, axis=1))
+BLOCK_KEYS = 1 << 18  # ball keys per block of words: 2 MB per uint64 temporary
+
+
+def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel):
+    """(index of the first word, sorted_ball_keys) per block of packed words;
+    at least one block, so that an empty array still checks n and model."""
+    rows = max(1, BLOCK_KEYS // len(balls._events(n, model)))
+    for start in range(0, max(len(packed), 1), rows):
+        yield start, balls.sorted_ball_keys(packed[start : start + rows], n, model)
 
 
 def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     """Exhaustively confirm that the error balls of all codewords are pairwise
     disjoint. Exact: every ball element of every codeword is indexed, so any
     intersecting pair is found. Violations are (first owner, later owner,
-    element), in (later owner, element) order."""
+    element), in (later owner, element) order.
+
+    The balls are made block by block, and each block's distinct keys are
+    written into one array that is sorted in place, so the keys of the whole
+    codebook are held once: it is sized for k x E keys, but the pages past
+    the last key written are never touched and cost no memory. Owners are
+    found, in a second walk, only for keys that two balls share."""
     packed = _enum.pack(cb.rows, cb.n)
-    flat, owner = _ball_members(packed, cb.n, model)
-    owner_word = lambda i: from_int(int(packed[owner[i]]), cb.n)
-    ordered = np.sort(flat)
-    shared = np.flatnonzero(np.isin(flat, ordered[1:][ordered[1:] == ordered[:-1]]))
-    _, first, group = np.unique(flat[shared], return_index=True, return_inverse=True)
-    violations = tuple(
-        (owner_word(prev), owner_word(i), balls.key_word(int(flat[i])))
-        for i, prev in zip(shared.tolist(), shared[first[group]].tolist())
-        if i != prev
-    )
+    held = np.empty(len(packed) * len(balls._events(cb.n, model)), dtype=np.uint64)
+    end = 0
+    for _, (keys, fresh) in _blocks(packed, cb.n, model):
+        count = np.count_nonzero(fresh)
+        held[end : end + count] = np.compress(fresh.ravel(), keys.ravel())
+        end += count
+    held = held[:end]
+    held.sort()
+    shared = np.unique(held[1:][held[1:] == held[:-1]])
+    del held
+    violations = ()
+    if shared.size:
+        owner, flat = [], []
+        for start, (keys, fresh) in _blocks(packed, cb.n, model):
+            fresh &= np.isin(keys, shared)
+            owner.append(start + np.nonzero(fresh)[0])
+            flat.append(np.compress(fresh.ravel(), keys.ravel()))
+        owner, flat = np.concatenate(owner), np.concatenate(flat)
+        _, first, group = np.unique(flat, return_index=True, return_inverse=True)
+        owner_word = lambda i: from_int(int(packed[i]), cb.n)
+        violations = tuple(
+            (owner_word(prev), owner_word(i), balls.key_word(key))
+            for i, prev, key in zip(owner.tolist(), owner[first[group]].tolist(), flat.tolist())
+            if i != prev
+        )
     k = cb.cardinality
     return VerifyReport(model, cb.label, k * (k - 1) // 2, violations)
 
@@ -91,7 +113,8 @@ def _conflicts(n: int, model: balls.ErrorModel) -> np.ndarray:
     Sorting the members of all balls by key (stably, so owners ascend within a
     key) lines up the owners of each key; entries d apart in one key group give
     the pairs at distance d, for d up to the largest group."""
-    keys, owners = _ball_members(np.arange(1 << n), n, model)
+    keys, fresh = balls.sorted_ball_keys(np.arange(1 << n), n, model)
+    keys, owners = np.compress(fresh.ravel(), keys.ravel()), np.nonzero(fresh)[0]
     order = np.argsort(keys, kind="stable")
     keys, owners = keys[order], owners[order]
     conflict = np.zeros((1 << n, 1 << n), dtype=bool)
@@ -151,11 +174,12 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     words = _enum.pack(index.astype(">u8").view(np.uint8).reshape(-1, 8), n)
     used: set[int] = set()
     chosen: list[int] = []
-    for start in range(0, len(words), 1 << 12):
-        block = words[start : start + (1 << 12)]
-        for v, row in zip(block.tolist(), balls.ball_keys(block, n, model)):
-            if used.isdisjoint(keys := row.tolist()):
-                used.update(keys)
+    for start, (keys, fresh) in _blocks(words, n, model):
+        ends = np.cumsum(np.count_nonzero(fresh, axis=1)).tolist()
+        flat = np.compress(fresh.ravel(), keys.ravel()).tolist()
+        for v, lo, hi in zip(words[start : start + len(keys)].tolist(), [0, *ends], ends):
+            if used.isdisjoint(ball := flat[lo:hi]):
+                used.update(ball)
                 chosen.append(v)
     return codebook_from_ints(chosen, n)
 

@@ -1,4 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# ru_maxrss survives exec: a child started straight from pytest reports at
+# least pytest's own peak. So a small launcher starts the snippet and reports
+# the peak of its one child, which begins from the launcher's few MB.
+_LAUNCHER = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def _peak_rss_mb(snippet: str, timeout: float = 120) -> float:
+    """Run snippet in a fresh interpreter that imports the library from src/,
+    and return its peak resident set (ru_maxrss) in MB."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, snippet],
+        env=env, capture_output=True, text=True, check=True, timeout=timeout,
+    )
+    return int(out.stdout.split()[-1]) / 1024  # Linux reports KB
+
+
+@pytest.fixture
+def peak_rss_mb():
+    """The function (snippet) -> peak RSS in MB of a fresh interpreter running it."""
+    return _peak_rss_mb
 
 
 def pytest_addoption(parser):

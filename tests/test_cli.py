@@ -106,6 +106,16 @@ def test_equiv_verb(capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+def test_equiv_unknown_model_names_the_flag(capsys):
+    assert main(["equiv", "--n", "6", "--b", "2", "--model", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --model must be one of ['at-most-consecutive', 'at-most-nonconsecutive', 'exact'],"
+        " got 'bogus'\n"
+    )
+
+
 def test_simulate_deterministic(capsys):
     argv = ["simulate", "--model", "del-at-most-consecutive", "--b", "2", "--seed", "9",
             "--format", "json"]

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from burstcodes import balls
+from burstcodes import balls, verify
 from burstcodes.bitseq import enumerate_words, from_int, parse_word, to_int
 from burstcodes.bounds import upper_bound
 from burstcodes.cli import run as cli_run
@@ -289,6 +289,34 @@ def test_verify_code_matches_reference_on_bad_codebooks():
         rep = verify_code(bad, model)
         assert not rep.passed, model
         assert rep == _reference_verify_code(bad, model), model
+
+
+def test_blocked_verify_code_matches_reference(monkeypatch):
+    # blocks of a few codewords, so that the owners of a shared key and the
+    # violations they give fall in different blocks
+    words = list(enumerate_words(10))[::7]
+    bad = codebook_from_words(words, 10)
+    index = {w: i for i, w in enumerate(words)}
+    crossed = 0
+    for model in _models_b1_to_3():
+        want = _reference_verify_code(bad, model)
+        events = len(balls._events(10, model))
+        for rows in (3, 10):
+            monkeypatch.setattr(verify, "BLOCK_KEYS", rows * events)
+            assert verify_code(bad, model) == want, (model, rows)
+            crossed += sum(index[x] // rows != index[y] // rows for x, y, _ in want.violations)
+    assert crossed
+
+
+def test_verify_code_of_cheng1_n24_stays_under_150_mb(peak_rss_mb):
+    # 671,092 codewords whose del-exact(1) balls hold 2^23 distinct keys, 64 MB as uint64
+    peak = peak_rss_mb(
+        "from burstcodes import balls, codes, verify\n"
+        "cb = codes.build(codes.CodeSpec(codes.Family.CHENG1, 24, 1, ()))\n"
+        "assert cb.cardinality == 671092\n"
+        "assert verify.verify_code(cb, balls.del_exact(1)).passed\n"
+    )
+    assert peak < 150, peak
 
 
 def test_verify_code_reads_the_rows_however_the_codebook_was_made():
