@@ -19,9 +19,9 @@ from .errors import DomainError
 
 # log2 of the words per chunk in full-space sweeps and in the parts of a split
 # word. At n = 24, a codebook build plus parameter search tabulates parts of at
-# most 2^20 values and peaks at 40-113 MB RSS, the interpreter included (40 MB
-# for burst-exact at b = 3; 113 MB for noncons3, whose join visits about 1.5M
-# pairs of part bins).
+# most 2^20 values and peaks at 33-114 MB RSS, the interpreter included (33 MB
+# for burst-exact at b = 3; 114 MB for noncons3, whose join sorts about 1.66M
+# pairs of part bins at once).
 CHUNK_BITS = 20
 
 

@@ -18,11 +18,13 @@ length, its inserted bits, at most b+1 copy segments of the packed input
 output positions). The channel sampler draws from it, and the search
 decoders read its inverse (_inverse: the placements with the deleted and
 inserted roles swapped). ball_ints applies the table to one int, giving
-(length, value) pairs; ball_keys applies it to a uint64 array of words, giving
+(length, value) pairs; ball_keys applies it to an array of words, giving
 keys (1 << length) | value, which sort like those pairs, and sorted_ball_keys
 sorts each word's keys and masks its repeats, the one dedupe of verify_code,
-greedy codes, the equivalence sweep and the ball-size tally. Keys hold elements of
-at most KEY_MAX_BITS = 63 bits; longer ones raise DomainError, never wrap.
+greedy codes, the equivalence sweep and the ball-size tally. Keys are uint32
+where the words and every key fit in 32 bits (elements of at most 31 bits),
+else uint64; they hold elements of at most KEY_MAX_BITS = 63 bits, and longer
+ones raise DomainError, never wrap.
 A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted from
 its placements, not built, and raises DomainError.
 """
@@ -212,21 +214,29 @@ def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
     return out
 
 
+def key_dtype(n: int, model: ErrorModel) -> np.dtype:
+    """The dtype of the model's ball_keys at length n, the narrowest that holds
+    the words and every key: uint32 when n <= 32 and no element is longer
+    than 31 bits, else uint64. Elements past KEY_MAX_BITS raise DomainError."""
+    longest = max(ev.length for ev in _events(n, model))
+    if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
+        raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
+    return np.dtype(np.uint32 if max(n, longest + 1) <= 32 else np.uint64)
+
+
 def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
-    """The balls of many packed length-n words at once, shape (len(vs), E): row
-    i holds the key (1 << length) | value of each event applied to vs[i]. A row
-    may repeat a key; its distinct keys are the ball_ints of vs[i].
+    """The balls of many packed length-n words at once, shape (len(vs), E), of
+    key_dtype(n, model): row i holds the key (1 << length) | value of each
+    event applied to vs[i]. A row may repeat a key; its distinct keys are the
+    ball_ints of vs[i].
 
     Event-major: the events of one placement share a segment tuple, so the
     segments are applied once per placement to the whole word array, with
     scalar shift counts, and each event, one choice of inserted bits, is one
     OR of that result into its column."""
     events = _events(n, model)
-    longest = max(ev.length for ev in events)
-    if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
-        raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
-    vs = np.asarray(vs, dtype=np.uint64).reshape(-1)
-    out = np.empty((len(vs), len(events)), dtype=np.uint64)
+    vs = np.asarray(vs, dtype=key_dtype(n, model)).reshape(-1)
+    out = np.empty((len(vs), len(events)), dtype=vs.dtype)
     y, part = np.empty_like(vs), np.empty_like(vs)
     column = 0
     for segs, group in groupby(events, key=attrgetter("segs")):

@@ -16,8 +16,10 @@ parts are tabulated once (2^L and 2^(n-L) entries, drawn from
 low residue vector that completes it to the parameters; ``best_params`` bins
 each part by residues and boundary runs and adds products of bin counts into
 classes, which counts every class exactly (``_classes``); vt, svt and rll
-count their classes with it too. L is computed from n and the table, to
-balance the parts tabulated against the pairs joined.
+count their classes with it too. L balances the parts tabulated against the
+pairs joined: ``build`` looks up one bucket per high part, whatever L, and
+``_classes`` estimates the bins of each part from the table's structure,
+scaled by the bins of the low half (``_pairs``).
 """
 
 from __future__ import annotations
@@ -370,19 +372,71 @@ def _tabulate(table: _Table, n: int, lo: int, hi: int):
     return words, columns[: len(zeros) + len(keys)], columns[len(zeros) + len(keys) :]
 
 
-def _split(n: int, forms: int, classes: int, bins: float) -> int:
+def _split(n: int, forms: int, pairs: Callable[[int], float]) -> int:
     """The width L of the low part. It minimizes the work of the join: one
     lookup pass per form, and at least one, over each part tabulated, 2^L and
-    2^(n-L) values, plus one pass over the pairs the join visits, when each
-    part spreads evenly over `classes` join classes with at most `bins`
-    distinct entries per class."""
+    2^(n-L) values, plus one pass over the pairs of bins the join visits,
+    pairs(L) of them."""
     forms = max(forms, 1)  # a table of no forms would otherwise put L at 1
 
     def cost(L: int) -> float:
-        lo, hi = 2.0**L, 2.0 ** (n - L)
-        return forms * (lo + hi) + classes * min(lo / classes, bins) * min(hi / classes, bins)
+        return forms * (2.0**L + 2.0 ** (n - L)) + pairs(L)
 
     return min(range(1, n), key=cost, default=n)  # at n = 1 the high part is empty
+
+
+def _bins(table: _Table, n: int, lo: int, hi: int):
+    """The parts on positions lo+1..hi binned by their tie residues, boundary
+    states and key residues, packed in that order: the distinct bins,
+    ascending, with the parts in each, and the radices they are packed in."""
+    zeros, caps, keys = _compiled(table, n)
+    radices = [f.mod for f in zeros] + [2 * cap + 2 for _, _, cap in caps] + [f.mod for f in keys]
+    words, residues, states = _tabulate(table, n, lo, hi)
+    packed = _pack(residues[: len(zeros)] + states + residues[len(zeros) :], radices, len(words))
+    return _tally([(packed, None)], math.prod(radices), len(words)), radices
+
+
+@functools.lru_cache(maxsize=128)
+def _pairs(table: _Table, n: int) -> tuple[float, ...]:
+    """For each L in 0..n, about how many pairs of bins _classes joins when
+    its low part holds positions 1..L.
+
+    A part fills at most its ceiling: forms that share a position fall in
+    one group, a group takes at most min(2^positions, product of its
+    radices) values, and the groups of a part vary independently (so
+    burst-exact's rows 1 and 2..b make two groups, and a form on the whole
+    word one). Residues are correlated, so each part is taken to fill the
+    share of its ceiling that the low half of the words fills, tabulated
+    here once per table and length, and at most one bin per value; the bins
+    spread evenly over the tie classes."""
+
+    def row(f: _Form) -> int:  # the positions of a form, as a bit mask
+        return sum(1 << (f.row - 1 + k * f.lev) for k in range(n // f.lev))
+
+    keys = dict(table.keys)
+    forms = [(row(f) | (row(keys[key]) if key else 0), f.mod(n)) for f, key in table.ties]
+    forms += [(row(f), f.mod(n)) for f in keys.values()]
+    forms += [(sum(1 << p for p in range(0, n, lev)), 2 * cap(n) + 2)
+              for lev, cap in table.caps if cap(n) < n // lev]  # as _compiled keeps them
+
+    def ceiling(part: int) -> int:
+        groups = []
+        for mask, radix in forms:
+            if mask := mask & part:
+                for g in [g for g in groups if g[0] & mask]:
+                    groups.remove(g)
+                    mask, radix = mask | g[0], radix * g[1]
+                groups.append((mask, radix))
+        return math.prod(min(1 << mask.bit_count(), radix) for mask, radix in groups)
+
+    whole = (1 << n) - 1
+    ceilings = [(ceiling(whole >> (n - L)), ceiling(whole >> L << L)) for L in range(n + 1)]
+    (bins, _), _ = _bins(table, n, 0, n // 2)
+    fill, ties = len(bins) / ceilings[n // 2][0], math.prod(f.mod for f in _compiled(table, n)[0])
+    return tuple(
+        min(2.0**L, fill * lo) * min(2.0 ** (n - L), fill * hi) / ties
+        for L, (lo, hi) in enumerate(ceilings)
+    )
 
 
 def _pack(digits, radices, count: int) -> np.ndarray:
@@ -393,22 +447,30 @@ def _pack(digits, radices, count: int) -> np.ndarray:
     return np.ravel_multi_index(digits, radices) if digits else np.zeros(count, dtype=np.intp)
 
 
-def _tally(values: np.ndarray, size: int, weights=None):
+def _tally(blocks, size: int, total: int):
     """The distinct values, all below size, in ascending order, with how
-    often each occurs (or the sum of its weights)."""
-    if size <= max(len(values), 1 << 16):
-        counts = np.bincount(values, weights, minlength=size)
+    often each occurs (or the sum of its weights), over blocks of (values,
+    weights or None), `total` values in all. Where size is at most total (or
+    2^16) the blocks add into one count per value, one block at a time; else
+    the values are sorted, and they must come as one block."""
+    if size <= max(total, 1 << 16):
+        counts = np.zeros(size)  # float: bincount gives float64 counts of weights
+        for values, weights in blocks:
+            counts += np.bincount(values, weights, minlength=size)
         found = np.flatnonzero(counts)
         return found, counts[found].astype(np.int64)
+    ((values, weights),) = blocks
     found, where = np.unique(values, return_inverse=True)
     return found, np.bincount(where, weights).astype(np.int64)
 
 
-def _key_groups(mods: list[int]):
+@functools.lru_cache(maxsize=32)
+def _key_groups(mods: tuple[int, ...]):
     """Runs of consecutive key moduli whose sums of two residues, packed in
     radices 2m - 1, index a table of at most 2^16 entries (or one key),
     each as (its slice, those radices, the table from such a sum to the
-    run's share of the packed class, the first key most significant)."""
+    run's share of the packed class, read-only, the first key most
+    significant)."""
     groups, start, place = [], 0, math.prod(mods)
     while start < len(mods):
         stop = start + 1
@@ -418,9 +480,13 @@ def _key_groups(mods: list[int]):
         place //= math.prod(run)
         digits = np.unravel_index(np.arange(math.prod(wide)), wide)
         table = np.ravel_multi_index([d % m for d, m in zip(digits, run)], run) * place
+        table.flags.writeable = False
         groups.append((slice(start, stop), wide, table))
         start = stop
     return groups
+
+
+JOIN_PAIRS = 1 << 16  # bin pairs per block of _classes' join: 0.5 MB per intp temporary
 
 
 def _join(keys: np.ndarray, want: np.ndarray):
@@ -522,7 +588,7 @@ def build(spec: CodeSpec) -> Codebook:
     zeros, caps, keys = _compiled(table, n)
     mods = [f.mod for f in zeros + keys]
     targets = [0] * len(zeros) + list(spec.params)
-    L = _split(n, len(mods) + len(caps), math.prod(mods), 1)
+    L = _split(n, len(mods) + len(caps), lambda L: 0)  # one bucket per high part at any L
     (w_lo, r_lo, s_lo), (w_hi, r_hi, s_hi) = (
         _tabulate(table, n, lo, hi) for lo, hi in ((0, L), (L, n))
     )
@@ -539,32 +605,45 @@ def _classes(table: _Table, n: int):
     Each part of the words is binned by its tie residues, boundary states
     and key residues. A low and a high bin join when their ties cancel and
     their boundary runs keep every cap; the pair adds the product of their
-    counts to the class of their summed key residues."""
+    counts to the class of their summed key residues.
+
+    L comes from the estimate of the pairs joined at each split (_pairs)."""
     zeros, caps, keys = _compiled(table, n)
     ties, mods = [f.mod for f in zeros], [f.mod for f in keys]
     t, c = len(ties), len(caps)
-    radices = ties + [2 * cap + 2 for _, _, cap in caps] + mods
-    L = _split(n, len(radices), math.prod(ties), math.prod(radices[t:]))
-    groups = _key_groups(mods)
+    L = _split(n, t + c + len(mods), _pairs(table, n).__getitem__)
+    groups = _key_groups(tuple(mods))
     parts = []
     for lo, hi in ((0, L), (L, n)):
-        words, residues, states = _tabulate(table, n, lo, hi)
-        digits = residues[:t] + states + residues[t:]
-        bins, counts = _tally(_pack(digits, radices, len(words)), math.prod(radices))
+        (bins, counts), radices = _bins(table, n, lo, hi)
         digits = np.unravel_index(bins, radices) if radices else ()
         states = [d.astype(np.uint8) for d in digits[t : t + c]]  # cheap gathers in _fit
         keys = [np.ravel_multi_index(digits[t + c :][run], wide) for run, wide, _ in groups]
         parts.append((digits[:t], states, keys, counts))
     (t_lo, s_lo, k_lo, n_lo), (t_hi, s_hi, k_hi, n_hi) = parts
-    cancel = [(m - d) % m for d, m in zip(t_hi, ties)]
-    i, j = _join(_pack(t_lo, ties, len(n_lo)), _pack(cancel, ties, len(n_hi)))
-    fit = _fit(caps, s_lo, s_hi, i, j)
-    i, j = i[fit], j[fit]
-    classes, sizes = np.zeros(len(i), dtype=np.intp), n_lo[i] * n_hi[j]
-    for (_, _, table), x, y in zip(groups, k_lo, k_hi):
-        classes += table[x[i] + y[j]]
-    del i, j  # the pairs are the largest arrays; free them before the tally sorts
-    return _tally(classes, math.prod(mods), sizes), mods
+    low = _pack(t_lo, ties, len(n_lo))
+    want = _pack([(m - d) % m for d, m in zip(t_hi, ties)], ties, len(n_hi))
+    # The high bins join in blocks of about `step` pairs, each made when the
+    # tally takes it. A block of fewer pairs than classes saves nothing: a
+    # dense tally passes over every class per block, and a sparse one (more
+    # classes than pairs) sorts all pairs at once, so it gets one block.
+    ordered, size = np.sort(low), math.prod(mods)
+    ends = np.cumsum(np.searchsorted(ordered, want, "right") - np.searchsorted(ordered, want))
+    total = int(ends[-1]) if len(ends) else 0  # pairs before the caps are checked
+    step = max(JOIN_PAIRS, size)
+    cuts = np.searchsorted(ends, np.arange(step, total, step))
+
+    def block(start: int, stop: int):
+        i, j = _join(low, want[start:stop])
+        j += start
+        fit = _fit(caps, s_lo, s_hi, i, j)
+        i, j = i[fit], j[fit]
+        classes, sizes = np.zeros(len(i), dtype=np.intp), n_lo[i] * n_hi[j]
+        for (_, _, table), x, y in zip(groups, k_lo, k_hi):
+            classes += table[x[i] + y[j]]
+        return classes, sizes
+
+    return _tally(map(block, [0, *cuts], [*cuts, len(want)]), size, total), mods
 
 
 def best_params(family: Family, n: int, b: int) -> CodeSpec:

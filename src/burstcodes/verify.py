@@ -46,7 +46,7 @@ class VerifyReport:
         }
 
 
-BLOCK_KEYS = 1 << 18  # ball keys per block of words: 2 MB per uint64 temporary
+BLOCK_KEYS = 1 << 18  # ball keys per block of words: 1 MB per uint32 temporary, 2 MB per uint64
 
 
 def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel):
@@ -69,7 +69,8 @@ def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     the last key written are never touched and cost no memory. Owners are
     found, in a second walk, only for keys that two balls share."""
     packed = _enum.pack(cb.rows, cb.n)
-    held = np.empty(len(packed) * len(balls._events(cb.n, model)), dtype=np.uint64)
+    events = len(balls._events(cb.n, model))
+    held = np.empty(len(packed) * events, dtype=balls.key_dtype(cb.n, model))
     end = 0
     for _, (keys, fresh) in _blocks(packed, cb.n, model):
         count = np.count_nonzero(fresh)

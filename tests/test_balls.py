@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from burstcodes import balls
+from burstcodes import balls, codes, verify
 from burstcodes.balls import (
     KEY_MAX_BITS,
     ErrorKind,
@@ -199,6 +199,30 @@ def test_ball_keys_at_the_key_limit():
                 assert set(row) == {(1 << m) | y for m, y in ball_ints(v, n, model)}, (model, v)
             with pytest.raises(DomainError):
                 ball_keys([0], n + 1, model)
+
+
+def test_ball_keys_at_the_uint32_boundary():
+    # keys are uint32 up to 31-bit elements of words of at most 32 bits, and
+    # uint64 one bit past either; both sides give the scalar balls, and
+    # verify_code finds the reference's violations in the same order
+    from test_verify import _reference_verify_code
+
+    rng = random.Random(32)
+    for b in (1, 2, 3):
+        for model in _models(b):
+            grow = max(ev.length for ev in balls._events(b + 2, model)) - (b + 2)
+            for n in sorted({30 - grow, 31 - grow, 32 - grow, 32, 33}):
+                longest = n + grow
+                words = [rng.getrandbits(n) for _ in range(8)] + [(1 << n) - 1]
+                keys = ball_keys(words, n, model)
+                narrow = n <= 32 and longest <= 31
+                assert keys.dtype == (np.uint32 if narrow else np.uint64), (model, n)
+                for v, row in zip(words, keys.tolist()):
+                    assert set(row) == {(1 << m) | y for m, y in ball_ints(v, n, model)}, (model, v)
+                # each word beside its copy with bit 1 flipped: their balls meet
+                cb = codes.codebook_from_ints(words + [v ^ 1 for v in words], n)
+                want = _reference_verify_code(cb, model)
+                assert want.violations and verify.verify_code(cb, model) == want, (model, n)
 
 
 @pytest.mark.parametrize("kind", list(ErrorKind))

@@ -311,6 +311,7 @@ def test_class_sizes_match_reference_at_every_kind_of_split(monkeypatch, family,
         assert not all(map(_has_weight, hi_rows))
         splits.append(n - 1)
     monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
+    monkeypatch.setattr(codes, "JOIN_PAIRS", 1)  # and blocks of as many pairs as classes
     for split in splits:
         monkeypatch.setattr(codes, "_split", lambda *args: split)
         got = _class_sizes(family, n, b)
@@ -424,6 +425,17 @@ def test_counts_at_24_tabulate_only_parts(monkeypatch):
     assert any(sizes for _, sizes in edges)
     for width, sizes in edges:
         assert all(size <= 1 << width for size in sizes), (width, sizes)
+
+
+def test_best_params_of_noncons3_at_24_stays_under_130_mb(peak_rss_mb):
+    # the widest join at n = 24: about 1.66M bin pairs fall into 483,655 of
+    # 19,044,000 classes, so they are tallied in one block, by sorting
+    peak = peak_rss_mb(
+        "from burstcodes import codes\n"
+        "spec = codes.best_params(codes.Family.NONCONS3, 24, 3)\n"
+        "assert spec.params == (0, 0, 3, 0, 16, 2, 16, 2)\n"
+    )
+    assert peak < 130, peak
 
 
 # sha256 of write_codebook(build(best_params(family, 24, b))), recorded before

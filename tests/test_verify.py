@@ -309,7 +309,7 @@ def test_blocked_verify_code_matches_reference(monkeypatch):
 
 
 def test_verify_code_of_cheng1_n24_stays_under_150_mb(peak_rss_mb):
-    # 671,092 codewords whose del-exact(1) balls hold 2^23 distinct keys, 64 MB as uint64
+    # 671,092 codewords whose del-exact(1) balls hold 2^23 distinct keys, 32 MB as uint32
     peak = peak_rss_mb(
         "from burstcodes import balls, codes, verify\n"
         "cb = codes.build(codes.CodeSpec(codes.Family.CHENG1, 24, 1, ()))\n"
