@@ -454,9 +454,10 @@ def _tally(blocks, size: int, total: int):
     2^16) the blocks add into one count per value, one block at a time; else
     the values are sorted, and they must come as one block."""
     if size <= max(total, 1 << 16):
-        counts = np.zeros(size)  # float: bincount gives float64 counts of weights
+        counts = None  # the first block's counts take the others
         for values, weights in blocks:
-            counts += np.bincount(values, weights, minlength=size)
+            count = np.bincount(values, weights, minlength=size)
+            counts = count if counts is None else counts + count  # an empty block counts in int64
         found = np.flatnonzero(counts)
         return found, counts[found].astype(np.int64)
     ((values, weights),) = blocks
@@ -489,13 +490,19 @@ def _key_groups(mods: tuple[int, ...]):
 JOIN_PAIRS = 1 << 16  # bin pairs per block of _classes' join: 0.5 MB per intp temporary
 
 
-def _join(keys: np.ndarray, want: np.ndarray):
-    """Every pair (i, j) with keys[i] == want[j], grouped by j."""
+def _matches(keys: np.ndarray, want: np.ndarray):
+    """The positions of keys in ascending order of key, and for each want[j]
+    the first of them whose key equals it and how many do."""
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.searchsorted(ordered, want, "left")
-    count = np.searchsorted(ordered, want, "right") - first
-    j = np.repeat(np.arange(len(want)), count)
+    return order, first, np.searchsorted(ordered, want, "right") - first
+
+
+def _expand(order: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """The pairs (i, j) with keys[i] == want[j] that _matches found, grouped
+    by j."""
+    j = np.repeat(np.arange(len(first)), count)
     return order[np.arange(len(j)) + np.repeat(first - np.cumsum(count) + count, count)], j
 
 
@@ -588,12 +595,13 @@ def build(spec: CodeSpec) -> Codebook:
     zeros, caps, keys = _compiled(table, n)
     mods = [f.mod for f in zeros + keys]
     targets = [0] * len(zeros) + list(spec.params)
-    L = _split(n, len(mods) + len(caps), lambda L: 0)  # one bucket per high part at any L
+    # One bucket per high part at any L, so the split is at n // 2.
+    L = _split(n, 1, lambda L: 0)
     (w_lo, r_lo, s_lo), (w_hi, r_hi, s_hi) = (
         _tabulate(table, n, lo, hi) for lo, hi in ((0, L), (L, n))
     )
     want = [(t + m - r) % m for t, r, m in zip(targets, r_hi, mods)]
-    i, j = _join(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi)))
+    i, j = _expand(*_matches(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi))))
     fit = _fit(caps, s_lo, s_hi, i, j)
     return codebook_from_ints(w_hi[j[fit]] << L | w_lo[i[fit]], n, spec)
 
@@ -627,14 +635,14 @@ def _classes(table: _Table, n: int):
     # tally takes it. A block of fewer pairs than classes saves nothing: a
     # dense tally passes over every class per block, and a sparse one (more
     # classes than pairs) sorts all pairs at once, so it gets one block.
-    ordered, size = np.sort(low), math.prod(mods)
-    ends = np.cumsum(np.searchsorted(ordered, want, "right") - np.searchsorted(ordered, want))
+    order, first, count = _matches(low, want)
+    ends, size = np.cumsum(count), math.prod(mods)
     total = int(ends[-1]) if len(ends) else 0  # pairs before the caps are checked
     step = max(JOIN_PAIRS, size)
     cuts = np.searchsorted(ends, np.arange(step, total, step))
 
     def block(start: int, stop: int):
-        i, j = _join(low, want[start:stop])
+        i, j = _expand(order, first[start:stop], count[start:stop])
         j += start
         fit = _fit(caps, s_lo, s_hi, i, j)
         i, j = i[fit], j[fit]

@@ -1,23 +1,24 @@
 """Layer timings of the certify pipeline, kept in BENCH_certify.json.
 
-    python tools/bench_certify_layers.py --label after [--src DIR] [--runs 31] [--rounds 5]
+    python tools/bench_certify_layers.py --label after [--src DIR]
 
 Imports burstcodes from DIR (default: this repository's src/) and measures,
 in one process:
 
 - each stage of the certify pipeline, burst-exact at n = 24, b = 3:
   codes.best_params, codes.build, codes.write_codebook to memory and
-  verify.verify_code under del-exact(3), as medians over --runs runs, after
+  verify.verify_code under del-exact(3), as medians over RUNS runs, after
   one warm-up run whose outputs are checked against pinned values;
 - codes._classes at every split width L in 1..n-1 for burst-exact b = 3 and
   cl2 b = 2 at n = 24, L forced by replacing codes._split as the tests do,
   and with the L that codes._split chooses (timed right after that L
-  forced), as medians over --rounds rounds that each visit every L once.
+  forced), as medians over ROUNDS rounds that each visit every L once.
 
 The figures are stored under the label in BENCH_certify.json at the
 repository root, beside those of other labels, with the host they were
-measured on; a label measured again is replaced. Compare labels measured on
-one host in one session only: the host's speed drifts between sessions.
+measured on and RUNS and ROUNDS; a label measured again is replaced.
+Compare labels measured on one host in one session only: the host's speed
+drifts between sessions.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ OUT = ROOT / "BENCH_certify.json"
 EXPECT = ((0, 0, 0), 17576, "b061452a3ba9e3efc176f789e0aa25491837493c939176159a58b289f9e76429")
 SWEEPS = (("burst-exact", 3), ("cl2", 2))
 N = 24
+RUNS = 31  # pipeline runs per stage median
+ROUNDS = 5  # visits of every L per _classes median
 
 
 def _host() -> dict:
@@ -62,7 +65,7 @@ def _timed(ms: dict, stage: str, f, *args):
     return out
 
 
-def _stages(runs: int) -> dict:
+def _stages() -> dict:
     from burstcodes import balls, codes, verify
 
     def once() -> tuple[dict, tuple]:
@@ -77,13 +80,13 @@ def _stages(runs: int) -> dict:
     _, out = once()
     if out != (*EXPECT, True):
         raise SystemExit(f"certify pipeline gave {out}, expected {(*EXPECT, True)}")
-    samples = [once()[0] for _ in range(runs)]
+    samples = [once()[0] for _ in range(RUNS)]
     medians = {k: round(statistics.median(s[k] for s in samples), 3) for k in samples[0]}
     medians["total"] = round(statistics.median(sum(s.values()) for s in samples), 3)
     return medians
 
 
-def _sweep(family: str, b: int, rounds: int) -> dict:
+def _sweep(family: str, b: int) -> dict:
     import numpy as np
     from burstcodes import codes
 
@@ -100,7 +103,7 @@ def _sweep(family: str, b: int, rounds: int) -> dict:
         # the chosen split runs right after the same L forced, so that both
         # follow a run of about their own size
         ms = {L: [] for L in (*range(1, chosen[0] + 1), "chosen", *range(chosen[0] + 1, N))}
-        for _ in range(rounds):
+        for _ in range(ROUNDS):
             for L in ms:
                 codes._split = spy if L == "chosen" else lambda *args: L
                 start = time.perf_counter()
@@ -118,12 +121,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of these figures in BENCH_certify.json")
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory that holds burstcodes")
-    ap.add_argument("--runs", type=int, default=31, help="pipeline runs per stage median")
-    ap.add_argument("--rounds", type=int, default=5, help="visits of every L per _classes median")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
-    record = {"host": _host(), "stages_ms": _stages(args.runs)}
-    record["classes_ms"] = {f"{family} b={b} n={N}": _sweep(family, b, args.rounds) for family, b in SWEEPS}
+    record = {"host": _host(), "runs": RUNS, "rounds": ROUNDS, "stages_ms": _stages()}
+    record["classes_ms"] = {f"{family} b={b} n={N}": _sweep(family, b) for family, b in SWEEPS}
     bench = json.loads(OUT.read_text()) if OUT.exists() else {"about": __doc__.split("\n\n")[0]}
     bench.setdefault("labels", {})[args.label] = record
     OUT.write_text(json.dumps(bench, indent=1) + "\n")
