@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -525,11 +526,14 @@ class Codebook:
     spec: CodeSpec | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DomainError(f"codebook length must be >= 1, got n={self.n}")
         self.rows.flags.writeable = False
 
     @functools.cached_property
     def words(self) -> tuple[Word, ...]:
-        return tuple(map(tuple, np.unpackbits(self.rows, axis=1, count=self.n).tolist()))
+        bits = np.unpackbits(self.rows, axis=1, count=self.n)
+        return tuple(struct.iter_unpack(f"{self.n}B", bits.tobytes()))
 
     def _identity(self) -> tuple:
         return self.n, self.spec, self.rows.tobytes()
@@ -571,6 +575,8 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
 
 def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = None) -> Codebook:
     words = list(words)
+    if n < 1:
+        raise DomainError(f"codebook length must be >= 1, got n={n}")
     if any(len(w) != n for w in words):
         raise DomainError("codebook words must share one length")
     bits = np.array(words, dtype=np.int64).reshape(len(words), n)

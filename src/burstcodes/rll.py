@@ -14,11 +14,15 @@ block (1, position, 0, 1) on the right; the decoder pops marker blocks off the
 right and reinserts the excised runs. A run long enough to fire k times simply
 produces k identical marker blocks. Both work on byte strings of 0s and 1s:
 bytes.find locates the runs that fire, and slicing excises and reinserts them.
+A word in which no run fires costs only its conversions: the encoder returns
+it with its sentinel, and the decoder accepts a word ending in 0 exactly when
+no run fires in it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -79,34 +83,38 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _as_bytes(x: Word) -> bytes:
-    """x as a byte string of 0s and 1s; DomainError on any other entry."""
+def _as_bytes(x: Word, layout: struct.Struct) -> bytes:
+    """x packed by layout, one byte per entry; DomainError unless every entry
+    is 0 or 1."""
     try:
-        y = bytes(x)
-        if not y.translate(None, b"\0\1"):
+        y = layout.pack(*x)
+        if not y.lstrip(b"\0\1"):  # empty exactly when every byte is 0 or 1
             return y
-    except (TypeError, ValueError):
+    except (struct.error, TypeError, ValueError):
         pass
     raise DomainError(f"RLL words take entries 0 and 1 only, got {tuple(x)!r}")
 
 
 @lru_cache(maxsize=256)
-def _layout(n: int) -> tuple[int, int, bytes, bytes]:
+def _layout(n: int) -> tuple[int, int, bytes, bytes, struct.Struct, struct.Struct]:
     """Marker position width, block size ceil(log2 n) + 3 and the two runs
-    that fire, for length n."""
+    that fire, for length n; and the byte layouts of a source word x (n
+    entries then the sentinel 0) and of a code word (n + 1 entries), which
+    pack a word into bytes and unpack bytes into a tuple of ints."""
     width = ceil_log2(n)
     block = width + 3
-    return width, block, b"\0" * (block + 1), b"\1" * (block + 1)
+    zeros, ones = b"\0" * (block + 1), b"\1" * (block + 1)
+    return width, block, zeros, ones, struct.Struct(f"{n}Bx"), struct.Struct(f"{n + 1}B")
 
 
-def _encode(x: bytes, steps: list[Word] | None = None) -> bytes:
-    """The encoder on a byte string. Each excision takes the leftmost run of
-    more than block equal bytes that starts at a position <= i_end: runs
-    starting left of the previous excision are all shorter, so bytes.find from
-    there gives the same position as a bit-by-bit scan."""
-    n = len(x)
-    width, block, zeros, ones = _layout(n)
-    y = x + b"\0"
+def _encode(y: bytes, steps: list[Word] | None = None) -> bytes:
+    """The encoder on a byte string y that already ends in its sentinel 0.
+    Each excision takes the leftmost run of more than block equal bytes that
+    starts at a position <= i_end: runs starting left of the previous
+    excision are all shorter, so bytes.find from there gives the same
+    position as a bit-by-bit scan."""
+    n = len(y) - 1
+    width, block, zeros, ones, _, _ = _layout(n)
     p, i_end = 0, n
     while True:
         # a run firing at position <= i_end has its first block + 1 bytes
@@ -126,22 +134,38 @@ def rll_encode(x: Word, trace: bool = False):
     """Encode x (length n >= 2) into a length-(n+1) word with max run <=
     ceil(log2 n) + 3. With trace=True also returns the intermediate word after
     each excision."""
-    if len(x) < 2:
+    n = len(x)
+    if n < 2:
         raise DomainError("encoding needs length >= 2")
+    _, _, zeros, ones, source, code = _layout(n)
+    y = _as_bytes(x, source)
+    # the first search of _encode spans all of y, so if no run fires there
+    # the output is x and its sentinel
+    if y.find(zeros) < 0 and y.find(ones) < 0:
+        return (code.unpack(y), []) if trace else code.unpack(y)
     steps: list[Word] | None = [] if trace else None
-    y = tuple(_encode(_as_bytes(x), steps))
+    y = code.unpack(_encode(y, steps))
     return (y, steps) if trace else y
 
 
 def rll_decode(y: Word) -> Word:
     """Invert rll_encode: pop marker blocks off the right while the last bit is
     1, reinserting the excised run each time; then strip the sentinel. Words
-    the encoder never outputs are rejected: the result must re-encode to y."""
+    the encoder never outputs are rejected: the result must re-encode to y.
+
+    A word ending in 0 has no marker block and is its own candidate x + (0,).
+    The encoder returns that unchanged if no run fires in it, and otherwise
+    appends a marker, which ends in 1; so such a word is accepted exactly when
+    no run fires, and only words ending in 1 are re-encoded."""
     n = len(y) - 1
     if n < 2:
         raise DomainError("decoding needs length >= 3")
-    _, block, _, _ = _layout(n)
-    word = buf = _as_bytes(y)
+    _, block, zeros, ones, source, code = _layout(n)
+    word = buf = _as_bytes(y, code)
+    if word[-1] == 0:
+        if word.find(zeros) < 0 and word.find(ones) < 0:
+            return source.unpack(word)
+        raise DecodeFailure("word is not an encoder output")
     while buf[-1] == 1:
         if len(buf) < block + 1:
             raise DecodeFailure("trailing marker block truncated")
@@ -152,10 +176,10 @@ def rll_decode(y: Word) -> Word:
         buf = buf[: pos - 1] + buf[pos - 1 : pos] * block + buf[pos - 1 :]
     if len(buf) != n + 1:
         raise DecodeFailure("marker blocks inconsistent with declared length")
-    x = buf[:n]
-    if _encode(x) != word:
+    # buf is x + (0,): the loop stopped on a final 0
+    if _encode(buf) != word:
         raise DecodeFailure("word is not an encoder output")
-    return tuple(x)
+    return source.unpack(buf)
 
 
 # ---------------------------------------------------------------------------

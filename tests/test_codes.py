@@ -799,6 +799,25 @@ def test_empty_codebook(n):
     assert back == cb and back.rows.shape == (0, (n + 7) // 8)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 24])
+def test_words_unpack_like_tolist(n):
+    # words unpacks rows through struct; the tolist form is its oracle
+    rng = random.Random(n)
+    for k in (0, 1, 300):
+        cb = codebook_from_words([tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(k)], n)
+        want = tuple(map(tuple, np.unpackbits(cb.rows, axis=1, count=n).tolist()))
+        assert cb.words == want
+        assert all(type(bit) is int for w in cb.words for bit in w)
+
+
+@pytest.mark.parametrize("words", [[], [()], [(), ()]])
+def test_codebook_of_length_zero_is_refused(words):
+    # as read_codebook does; two empty words would otherwise reach lexsort
+    # and end in a TypeError
+    with pytest.raises(DomainError, match="n=0"):
+        codebook_from_words(words, 0)
+
+
 def test_codebook_from_words_rejects_malformed_words():
     with pytest.raises(DomainError, match="share one length"):
         codebook_from_words([(0, 1, 1), (0, 1)], 3)

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from burstcodes.bitseq import enumerate_words, format_word, parse_word
@@ -104,12 +106,67 @@ def test_decode_matches_reference_exhaustively():
             assert _outcome(rll_decode, y) == _outcome(_reference_rll_decode, y), y
 
 
+def _planted_words(n, rng):
+    """Seeded length-n words, with a run of exactly block or block + 1 equal
+    bits planted at the start, in the middle and at the end, and two words
+    with no run planted."""
+    block = ceil_log2(n) + 3
+    words = [tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(2)]
+    for run in (block, block + 1):
+        for bit in (0, 1):
+            for start in (0, (n - run) // 2, n - run):
+                x = [rng.getrandbits(1) for _ in range(n)]
+                x[start : start + run] = [bit] * run
+                for edge in (start - 1, start + run):
+                    if 0 <= edge < n:
+                        x[edge] = 1 - bit
+                words.append(tuple(x))
+    return words
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 64, 65, 100, 257, 1000])
+def test_codec_matches_reference_past_the_exhaustive_range(n):
+    # lengths where ceil_log2 steps, and so the block and marker widths
+    rng = random.Random(n)
+    for x in _planted_words(n, rng):
+        y, steps = rll_encode(x, trace=True)
+        assert (y, steps) == _reference_rll_encode(x, trace=True), x
+        # marker-free words (a run of x may fire), and one-bit flips of y at
+        # its ends, inside its last block and at seeded positions
+        received = [y, x + (0,), x + (1,)]
+        for i in {0, n // 2, n - 1, n, n - ceil_log2(n) - 1, *rng.sample(range(n + 1), 3)}:
+            received.append(y[:i] + (1 - y[i],) + y[i + 1 :])
+        for z in received:
+            assert _outcome(rll_decode, z) == _outcome(_reference_rll_decode, z), z
+
+
+@pytest.mark.parametrize("cast", [bool, np.uint8])
+def test_codec_returns_python_ints(cast):
+    # one word takes the marker-free fast paths, the other the marker paths
+    for x in (parse_word("0101101001"), parse_word("0111111111111111")):
+        y, steps = rll_encode(tuple(map(cast, x)), trace=True)
+        assert (y, steps) == rll_encode(x, trace=True)
+        back = rll_decode(tuple(map(cast, y)))
+        assert back == x
+        for word in (y, back, *steps):
+            assert type(word) is tuple and all(type(bit) is int for bit in word)
+        # arrays of any integer width read as their entries, not their buffer
+        for dtype in (np.uint8, np.int64):
+            assert rll_encode(np.array(x, dtype=dtype)) == y
+            assert rll_decode(np.array(y, dtype=dtype)) == x
+
+
 def test_codec_rejects_non_binary_entries():
     for bad in ((0, 1, 2), (0, -1, 1), (1, 256, 0), (0, 1, 255), (0, 1, "1"), (0, 0.0, 1)):
         with pytest.raises(DomainError):
             rll_encode(bad)
         with pytest.raises(DomainError):
             rll_decode(bad + (1,))
+        with pytest.raises(DomainError):
+            rll_decode(bad + (0,))
+    for dtype in (np.int64, np.float64):
+        with pytest.raises(DomainError):
+            rll_encode(np.array((0, 1, 2), dtype=dtype))
     with pytest.raises(DomainError):
         rll_decode((0, 0, 0, 0, 0, 2, 0, 1))
 
