@@ -41,7 +41,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .bitseq import Word, from_int, run_count, to_int
+from .bitseq import Word, array_view, from_int, run_count, to_int
 from .errors import DomainError
 
 
@@ -302,12 +302,7 @@ def ball_size_formula(x: Word, b: int) -> int:
         raise DomainError(f"burst size {b} does not divide word length {n}")
     if n <= b:
         raise DomainError(f"word length {n} too short for a {b}-burst deletion")
-    m = n // b
-    total = 1
-    for r in range(b):
-        row = tuple(x[r + k * b] for k in range(m))
-        total += run_count(row) - 1
-    return total
+    return 1 + sum(run_count(row) - 1 for row in array_view(x, b))
 
 
 def words_with_runs(n: int, r: int) -> int:
@@ -317,26 +312,14 @@ def words_with_runs(n: int, r: int) -> int:
     return 2 * math.comb(n - 1, r - 1)
 
 
-@dataclass(frozen=True)
-class BallSizeDistribution:
-    """Counts of words by exact-burst ball size: counts[i] = #{x : |D_b(x)| = i}."""
-
-    n: int
-    b: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def ball_size_distribution(n: int, b: int) -> BallSizeDistribution:
-    """Closed form N(n, b, i) = 2^b * C(n-b, i-1) for 1 <= i <= n-b+1."""
+def ball_size_distribution(n: int, b: int) -> dict[int, int]:
+    """Counts of words by exact-burst ball size, {i: #{x : |D_b(x)| = i}}, by
+    the closed form N(n, b, i) = 2^b * C(n-b, i-1) for 1 <= i <= n-b+1."""
     if n % b != 0:
         raise DomainError(f"burst size {b} does not divide word length {n}")
     if n <= b:
         raise DomainError("need n > b")
-    counts = {i: (1 << b) * math.comb(n - b, i - 1) for i in range(1, n - b + 2)}
-    return BallSizeDistribution(n=n, b=b, counts=counts)
+    return {i: (1 << b) * math.comb(n - b, i - 1) for i in range(1, n - b + 2)}
 
 
 def ball_size_tally(n: int, b: int) -> dict[int, int]:
@@ -361,7 +344,7 @@ def distribution_report(n: int, b: int) -> dict:
     dist = ball_size_distribution(n, b)
     tally = ball_size_tally(n, b)
     rows = [
-        {"i": i, "formula": dist.counts[i], "enumerated": tally.get(i, 0)}
-        for i in sorted(dist.counts)
+        {"i": i, "formula": dist[i], "enumerated": tally.get(i, 0)}
+        for i in sorted(dist)
     ]
     return {"n": n, "b": b, "counts": rows}

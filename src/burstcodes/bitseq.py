@@ -10,6 +10,7 @@ character at position 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -69,24 +70,15 @@ class Run:
     length: int
 
 
-@dataclass(frozen=True)
-class RunProfile:
-    runs: tuple[Run, ...]
-
-    @property
-    def total_runs(self) -> int:
-        return len(self.runs)
-
-
-def runs(x: Word) -> RunProfile:
-    """Maximal-run decomposition of x; ``total_runs`` is the run count r(x)."""
+def runs(x: Word) -> tuple[Run, ...]:
+    """Maximal-run decomposition of x; its length is the run count r(x)."""
     out: list[Run] = []
     start = 1
     for i in range(1, len(x) + 1):
         if i == len(x) or x[i] != x[i - 1]:
             out.append(Run(value=x[start - 1], start=start, length=i - start + 1))
             start = i + 1
-    return RunProfile(runs=tuple(out))
+    return tuple(out)
 
 
 def run_count(x: Word) -> int:
@@ -94,36 +86,17 @@ def run_count(x: Word) -> int:
     return 1 + sum(1 for i in range(len(x) - 1) if x[i] != x[i + 1])
 
 
-@dataclass(frozen=True)
-class ArrayRep:
-    """Column-major b x (n/b) array: entry (r, j) = x_{(j-1)b + r}."""
-
-    rows: tuple[Word, ...]
-
-    @property
-    def b(self) -> int:
-        return len(self.rows)
-
-    @property
-    def cols(self) -> int:
-        return len(self.rows[0])
-
-    def entry(self, r: int, j: int) -> int:
-        return self.rows[r - 1][j - 1]
-
-
-def array_view(x: Word, b: int) -> ArrayRep:
-    """Arrange x column by column into b rows of length n/b (requires b | n)."""
+def array_view(x: Word, b: int) -> tuple[Word, ...]:
+    """The column-major b x (n/b) array of x as its rows, requiring b | n:
+    entry (r, j) = x_{(j-1)b + r} is rows[r-1][j-1]."""
     n = len(x)
     if b < 1 or n % b != 0:
         raise DomainError(f"row count {b} does not divide word length {n}")
-    cols = n // b
-    rows = tuple(tuple(x[(j * b) + r] for j in range(cols)) for r in range(b))
-    return ArrayRep(rows=rows)
+    return tuple(x[r::b] for r in range(b))
 
 
-def flatten(a: ArrayRep) -> Word:
-    """Inverse of array_view: read the array column by column."""
-    if len({len(r) for r in a.rows}) != 1:
+def flatten(rows: tuple[Word, ...]) -> Word:
+    """Inverse of array_view: read the rows column by column."""
+    if len({len(r) for r in rows}) != 1:
         raise DomainError("ragged array")
-    return tuple(a.rows[r][j] for j in range(a.cols) for r in range(a.b))
+    return tuple(chain.from_iterable(zip(*rows)))

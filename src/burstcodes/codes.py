@@ -15,11 +15,12 @@ parts are tabulated once (2^L and 2^(n-L) entries, drawn from
 ``_enum.iter_chunks``) and joined. ``build`` looks up, for each hi, the one
 low residue vector that completes it to the parameters; ``best_params`` bins
 each part by residues and boundary runs and adds products of bin counts into
-classes, which counts every class exactly (``_classes``); vt, svt and rll
-count their classes with it too. L balances the parts tabulated against the
-pairs joined: ``build`` looks up one bucket per high part, whatever L, and
-``_classes`` estimates the bins of each part from the table's structure,
-scaled by the bins of the low half (``_pairs``).
+classes, which counts every class exactly (``_classes``); vt and rll count
+their classes with it too, through one adapter (``_class_sizes``). L
+balances the parts tabulated against the pairs joined: ``build`` looks up
+one bucket per high part, whatever L, and ``_classes`` estimates the bins of
+each part from the table's structure, scaled by the bins of the low half
+(``_pairs``).
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ import numpy as np
 
 from . import _enum, balls
 from .balls import ErrorKind
-from .bitseq import ArrayRep, Word, array_view, flatten, from_int, to_int
+from .bitseq import Word, array_view, flatten, from_int, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
-from .svt import SvtParams, svt_decode
-from .vt import DecodeResult, VtParams, vt_decode
+from .vt import DecodeResult, SvtParams, VtParams, svt_decode, vt_decode
 
 
 class Family(Enum):
@@ -411,14 +411,10 @@ def _pairs(table: _Table, n: int) -> tuple[float, ...]:
     here once per table and length, and at most one bin per value; the bins
     spread evenly over the tie classes."""
 
-    def row(f: _Form) -> int:  # the positions of a form, as a bit mask
-        return sum(1 << (f.row - 1 + k * f.lev) for k in range(n // f.lev))
-
-    keys = dict(table.keys)
-    forms = [(row(f) | (row(keys[key]) if key else 0), f.mod(n)) for f, key in table.ties]
-    forms += [(row(f), f.mod(n)) for f in keys.values()]
-    forms += [(sum(1 << p for p in range(0, n, lev)), 2 * cap(n) + 2)
-              for lev, cap in table.caps if cap(n) < n // lev]  # as _compiled keeps them
+    zeros, caps, keys = _compiled(table, n)
+    bits = lambda f: sum(1 << p for p, w in enumerate(f.weights) if w)  # a form's positions
+    forms = [(bits(f), f.mod) for f in zeros + keys]
+    forms += [(bits(f), 2 * cap + 2) for f, _, cap in caps]
 
     def ceiling(part: int) -> int:
         groups = []
@@ -433,7 +429,7 @@ def _pairs(table: _Table, n: int) -> tuple[float, ...]:
     whole = (1 << n) - 1
     ceilings = [(ceiling(whole >> (n - L)), ceiling(whole >> L << L)) for L in range(n + 1)]
     (bins, _), _ = _bins(table, n, 0, n // 2)
-    fill, ties = len(bins) / ceilings[n // 2][0], math.prod(f.mod for f in _compiled(table, n)[0])
+    fill, ties = len(bins) / ceilings[n // 2][0], math.prod(f.mod for f in zeros)
     return tuple(
         min(2.0**L, fill * lo) * min(2.0 ** (n - L), fill * hi) / ties
         for L, (lo, hi) in enumerate(ceilings)
@@ -660,6 +656,18 @@ def _classes(table: _Table, n: int):
     return _tally(map(block, [0, *cuts], [*cuts, len(want)]), size, total), mods
 
 
+def _class_sizes(table: _Table, n: int) -> dict[tuple[int, ...], int]:
+    """Every non-empty class of the table at 1 <= n <= 30 as {key residues:
+    size}, in Python ints; a table of no key forms has the one class ()."""
+    if not 1 <= n <= 30:
+        raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
+    (classes, sizes), mods = _classes(table, n)
+    residues = (
+        zip(*(d.tolist() for d in np.unravel_index(classes, mods))) if mods else [()] * len(classes)
+    )
+    return dict(zip(residues, sizes.tolist()))
+
+
 def best_params(family: Family, n: int, b: int) -> CodeSpec:
     """The parameter tuple with the largest class, ties broken by the
     lexicographically smallest tuple."""
@@ -736,20 +744,15 @@ def _decode_array_burst(spec: CodeSpec, b: int, tag: str, y: Word) -> DecodeResu
     n, p = spec.n, spec.params_by_name()
     span = dict(_family_table(spec.family, spec.b).keys)[f"c{tag}"].mod(n)
     m = n // b
-    arr = array_view(y, b)
-    first = vt_decode(arr.rows[0], VtParams(m, p[f"a{tag}"]))
+    rows = array_view(y, b)
+    first = vt_decode(rows[0], VtParams(m, p[f"a{tag}"]))
     j1, j2 = first.window
     u = max(1, j1 - 1)
-    rows = [first.word]
     svt_params = SvtParams(m, span, p[f"c{tag}"], p[f"d{tag}"])
-    for r in range(2, b + 1):
-        rows.append(svt_decode(arr.rows[r - 1], svt_params, u).word)
-    x = flatten(ArrayRep(rows=tuple(rows)))
-    lo = (max(1, j1 - 1) - 1) * b + 1
-    hi = min(j2 * b, n)
+    x = flatten((first.word, *(svt_decode(row, svt_params, u).word for row in rows[1:])))
     return DecodeResult(
         word=x,
-        window=(lo, hi),
+        window=((u - 1) * b + 1, min(j2 * b, n)),
         detail={"kind": "burst-deletion", "size": b, "columns": (j1, j2)},
     )
 
@@ -826,9 +829,8 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
 
 def _decode_cheng1(spec: CodeSpec, y: Word) -> DecodeResult:
     m = spec.n // spec.b
-    arr = array_view(y, spec.b)
-    rows = [vt_decode(row, VtParams(m, 0)) for row in arr.rows]
-    x = flatten(ArrayRep(rows=tuple(r.word for r in rows)))
+    rows = [vt_decode(row, VtParams(m, 0)) for row in array_view(y, spec.b)]
+    x = flatten(tuple(r.word for r in rows))
     lo = min(r.window[0] for r in rows)
     hi = max(r.window[1] for r in rows)
     return DecodeResult(

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from . import _enum
-from .bitseq import Word
+from .bitseq import Word, array_view
 from .errors import DecodeFailure, DomainError
 
 
@@ -215,21 +215,11 @@ class UrllSpec:
         if self.f is None:
             object.__setattr__(self, "f", urll_cap(self.n, self.b))
 
-    @property
-    def cap(self) -> int:
-        assert self.f is not None
-        return self.f
-
 
 def urll_member(x: Word, spec: UrllSpec) -> bool:
     if len(x) != spec.n:
         raise DomainError(f"expected length {spec.n}, got {len(x)}")
-    for i in range(3, spec.b + 1):
-        m = spec.n // i
-        row = tuple(x[(j * i)] for j in range(m))
-        if max_run(row) > spec.cap:
-            return False
-    return True
+    return all(max_run(array_view(x, i)[0]) <= spec.f for i in range(3, spec.b + 1))
 
 
 @lru_cache(maxsize=64)
@@ -241,10 +231,7 @@ def _urll_table(b: int, f: int):
 
 
 def urll_count(spec: UrllSpec) -> int:
-    """|U_{n,b}(f)|, counted by the split join (codes._classes)."""
-    from .codes import _classes
+    """|U_{n,b}(f)|, counted by the split join (codes._class_sizes)."""
+    from .codes import _class_sizes
 
-    if not 1 <= spec.n <= 30:
-        raise DomainError(f"count needs 1 <= n <= 30, got n={spec.n}")
-    (_, sizes), _ = _classes(_urll_table(spec.b, spec.cap), spec.n)
-    return int(sizes.sum())
+    return sum(_class_sizes(_urll_table(spec.b, spec.f), spec.n).values())

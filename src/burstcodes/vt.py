@@ -1,14 +1,24 @@
-"""Varshamov-Tenengolts codes: membership, single-deletion decoding with run
-localization, and the run-length-limited intersection used by the array
-constructions.
+"""Varshamov-Tenengolts codes and their shifted variant: membership,
+single-deletion decoding, class counts, and the run-length-limited
+intersection used by the array constructions.
 
 ``VT_a(n)`` is the set of length-n words with sum(i * x_i) = a mod (n+1). The
 decoder recovers the unique codeword a single deletion came from and reports
 the full run of the restored word in which the deletion occurred; the deletion
 position is ambiguous exactly within that run, and downstream array decoders
-consume the interval rather than a single position. ``vt_class_sizes`` counts
-the classes with the split join of codes.py: the checksum is its one key form,
-and a run cap is a capped row on the word itself.
+consume the interval rather than a single position.
+
+``SVT_{c,d}(n, P)`` keeps words with sum(i * x_i) = c mod P and parity
+sum(x_i) = d mod 2; it corrects a deletion known to lie within P consecutive
+positions. The parity pins down the deleted bit's value; the mod-P checksum
+then locates it inside the window slice (y_u, ..., y_{u+P-2}), clamped at the
+word end. So SVT decoding is VT decoding confined to a window: both decoders
+take one checksum and reinsert at the leftmost slot with a given number of
+ones after it (a deleted 0) or zeros before it (a deleted 1).
+
+``vt_class_sizes`` and ``svt_class_sizes`` count the classes with the split
+join of codes.py: the VT checksum is one key form, and a run cap is a capped
+row on the word itself; the SVT checksum and weight are two key forms.
 """
 
 from __future__ import annotations
@@ -35,6 +45,24 @@ class VtParams:
 
 
 @dataclass(frozen=True)
+class SvtParams:
+    n: int
+    P: int
+    c: int
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise DomainError("code length must be >= 2")
+        if self.P < 2:
+            raise DomainError("position span P must be >= 2")
+        if not 0 <= self.c < self.P:
+            raise DomainError(f"residue c must satisfy 0 <= c < P, got {self.c}")
+        if self.d not in (0, 1):
+            raise DomainError("parity d must be 0 or 1")
+
+
+@dataclass(frozen=True)
 class DecodeResult:
     """A corrected word plus where and what the decoder inferred.
 
@@ -58,14 +86,38 @@ def vt_member(x: Word, p: VtParams) -> bool:
     return checksum(x, p.n + 1) == p.a
 
 
+def svt_member(x: Word, p: SvtParams) -> bool:
+    if len(x) != p.n:
+        raise DomainError(f"expected length {p.n}, got {len(x)}")
+    return checksum(x, p.P) == p.c and sum(x) % 2 == p.d
+
+
+def _slot(y: Word, value: int, count: int) -> int:
+    """The leftmost slot t (0..len(y)) of y with `count` ones after it, for
+    a deleted 0, or `count` zeros before it, for a deleted 1; y must hold
+    that many. Slots inside one run give the same word, so the leftmost
+    stands for all of them."""
+    t = 0
+    if value == 0:
+        suffix = sum(y)
+        while suffix > count:
+            suffix -= y[t]
+            t += 1
+    else:
+        zeros = 0
+        while zeros < count:
+            zeros += 1 - y[t]
+            t += 1
+    return t
+
+
 def vt_decode(y: Word, p: VtParams) -> DecodeResult:
     """Restore the unique VT_a(n) codeword that y resulted from by one deletion.
 
     Syndrome rule: with s = (a - sum(i*y_i)) mod (n+1) and w = wt(y), a deleted
     0 satisfies s <= w and is reinserted with exactly s ones to its right; a
     deleted 1 satisfies s > w and is reinserted with s - w - 1 zeros to its
-    left. Insertion slots inside one run give the same word; the leftmost is
-    used.
+    left.
     """
     n = p.n
     if n < 2:
@@ -74,21 +126,8 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
         raise DomainError(f"expected received length {n - 1}, got {len(y)}")
     w = sum(y)
     s = (p.a - checksum(y, n + 1)) % (n + 1)
-    if s <= w:
-        value = 0
-        t = 0
-        suffix = w
-        while suffix > s:
-            suffix -= y[t]
-            t += 1
-    else:
-        value = 1
-        t = 0
-        zeros = 0
-        target = s - w - 1
-        while zeros < target:
-            zeros += 1 - y[t]
-            t += 1
+    value = int(s > w)
+    t = _slot(y, value, s - w - 1 if value else s)
     x = y[:t] + (value,) + y[t:]
     if not vt_member(x, p):
         raise DecodeFailure(f"no VT_{p.a}({n}) preimage for the received word")
@@ -104,13 +143,61 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
     )
 
 
+def svt_decode(y: Word, p: SvtParams, u: int) -> DecodeResult:
+    """Restore the codeword y came from by one deletion at a position in
+    [u, u+P-1].
+
+    The deleted value is the parity defect (d - wt(y)) mod 2. The augmented
+    checksum a' weights positions beyond the window as if already shifted
+    right; the defect delta = (c - a') mod P then equals, for a deleted 0, the
+    number of ones to the right of the reinsertion point inside the window
+    slice, and for a deleted 1 shifts by u + wt(slice) to count zeros on the
+    left instead.
+    """
+    n, P = p.n, p.P
+    if len(y) != n - 1:
+        raise DomainError(f"expected received length {n - 1}, got {len(y)}")
+    if not 1 <= u <= n - 1:
+        raise DomainError(f"window start u must lie in [1, {n - 1}], got {u}")
+    value = (p.d - sum(y)) % 2
+    hi = min(u + P - 2, n - 1)
+    window = y[u - 1 : hi]
+    a_prime = (checksum(y, P) + sum(y[hi:])) % P
+    delta = (p.c - a_prime) % P
+    ones = sum(window)
+    if value == 0:
+        count = delta
+        if count > ones:
+            raise DecodeFailure("checksum defect incompatible with a deleted 0")
+    else:
+        count = (delta - u - ones) % P
+        if count > len(window) - ones:
+            raise DecodeFailure("checksum defect incompatible with a deleted 1")
+    t = u - 1 + _slot(window, value, count)
+    x = y[:t] + (value,) + y[t:]
+    if not svt_member(x, p):
+        raise DecodeFailure("restored word violates the code constraints")
+    return DecodeResult(
+        word=x,
+        window=(u, min(u + P - 1, n)),
+        detail={
+            "kind": "deletion",
+            "value": value,
+            "position": t + 1,
+            "del_val": value,
+            "a_prime": a_prime,
+            "delta": delta,
+        },
+    )
+
+
 def vt_rll_member(x: Word, p: VtParams, f: int) -> bool:
     """Membership in the intersection of VT_a(n) with the max-run-f constraint."""
     return vt_member(x, p) and max_run(x) <= f
 
 
 @functools.lru_cache(maxsize=64)
-def _table(run_cap: int | None):
+def _vt_table(run_cap: int | None):
     """The VT checksum as the one key form, under a run cap on the word."""
     from .codes import _Form, _Table
 
@@ -118,19 +205,21 @@ def _table(run_cap: int | None):
     return _Table((("a", _Form(1, 1, True, lambda n: n + 1)),), caps=caps)
 
 
+@functools.lru_cache(maxsize=64)
+def _svt_table(P: int):
+    """The checksum mod P and the weight mod 2 as the key forms c and d."""
+    from .codes import _Form, _Table
+
+    return _Table((("c", _Form(1, 1, True, lambda n: P)), ("d", _Form(1, 1, False, lambda n: 2))))
+
+
 def vt_class_sizes(n: int, run_cap: int | None = None) -> list[int]:
     """Cardinality of each residue class a = 0..n, optionally restricted to
-    words whose longest run is at most run_cap; counted by the split join
-    (codes._classes)."""
-    from .codes import _classes
+    words whose longest run is at most run_cap."""
+    from .codes import _class_sizes
 
-    if not 1 <= n <= 30:
-        raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
-    (classes, sizes), _ = _classes(_table(run_cap), n)
-    counts = [0] * (n + 1)
-    for a, size in zip(classes.tolist(), sizes.tolist()):
-        counts[a] = size
-    return counts
+    sizes = _class_sizes(_vt_table(run_cap), n)
+    return [sizes.get((a,), 0) for a in range(n + 1)]
 
 
 def vt_best_rll_param(n: int, f: int) -> tuple[int, int]:
@@ -139,3 +228,20 @@ def vt_best_rll_param(n: int, f: int) -> tuple[int, int]:
     sizes = vt_class_sizes(n, run_cap=f)
     best = max(sizes)
     return sizes.index(best), best
+
+
+def svt_class_sizes(n: int, P: int) -> dict[tuple[int, int], int]:
+    """Cardinality of every non-empty (c, d) class; the 2P classes partition
+    {0,1}^n."""
+    from .codes import _class_sizes
+
+    if P < 2:
+        raise DomainError("position span P must be >= 2")
+    return _class_sizes(_svt_table(P), n)
+
+
+def svt_best_params(n: int, P: int) -> tuple[int, int, int]:
+    """(c, d, cardinality) of the largest class; ties by smallest (c, d)."""
+    sizes = svt_class_sizes(n, P)
+    (c, d), best = min(sizes.items(), key=lambda kv: (-kv[1], kv[0]))
+    return c, d, best

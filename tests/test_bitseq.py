@@ -35,24 +35,24 @@ def test_int_round_trip():
 
 def test_runs_basics():
     p = runs(parse_word("0000"))
-    assert p.total_runs == 1
-    assert p.runs[0].start == 1 and p.runs[0].length == 4 and p.runs[0].value == 0
+    assert len(p) == 1
+    assert p[0].start == 1 and p[0].length == 4 and p[0].value == 0
 
     p = runs(parse_word("0101"))
-    assert p.total_runs == 4
-    assert all(r.length == 1 for r in p.runs)
+    assert len(p) == 4
+    assert all(r.length == 1 for r in p)
 
     # a single 0 followed by a one-run of length 15
     p = runs(parse_word("0111111111111111"))
-    assert p.total_runs == 2
-    assert p.runs[0] == runs(parse_word("0")).runs[0]
-    assert p.runs[1].start == 2 and p.runs[1].length == 15 and p.runs[1].value == 1
+    assert len(p) == 2
+    assert p[0] == runs(parse_word("0"))[0]
+    assert p[1].start == 2 and p[1].length == 15 and p[1].value == 1
 
 
 def test_run_count_matches_adjacent_differences():
     for x in enumerate_words(9):
-        assert run_count(x) == runs(x).total_runs
-        assert sum(r.length for r in runs(x).runs) == 9
+        assert run_count(x) == len(runs(x))
+        assert sum(r.length for r in runs(x)) == 9
         assert 1 <= run_count(x) <= 9
 
 
@@ -60,15 +60,15 @@ def test_array_view_positions():
     # row r of the 2-row view collects positions r, r+2, r+4
     x = parse_word("010010")
     a = array_view(x, 2)
-    assert a.rows[0] == (x[0], x[2], x[4])
-    assert a.rows[1] == (x[1], x[3], x[5])
-    assert a.entry(2, 3) == x[5]
+    assert a[0] == (x[0], x[2], x[4])
+    assert a[1] == (x[1], x[3], x[5])
+    assert a[1][2] == x[5]
 
     # b = 3: row r = (x_r, x_{r+3})
     a = array_view(x, 3)
-    assert a.rows == ((0, 0), (1, 1), (0, 0))
+    assert a == ((0, 0), (1, 1), (0, 0))
 
-    assert array_view(x, 1).rows == (x,)
+    assert array_view(x, 1) == (x,)
     with pytest.raises(DomainError):
         array_view(x, 4)
 
@@ -82,11 +82,9 @@ def test_flatten_inverts_array_view_exhaustively():
 
 
 def test_flatten_column_major():
-    from burstcodes.bitseq import ArrayRep
-
     # 2x2 array with rows (a, c), (b, d) flattens to (a, b, c, d)
-    assert flatten(ArrayRep(rows=((1, 0), (0, 1)))) == (1, 0, 0, 1)
-    assert flatten(ArrayRep(rows=((1, 0, 0),))) == (1, 0, 0)
+    assert flatten(((1, 0), (0, 1))) == (1, 0, 0, 1)
+    assert flatten(((1, 0, 0),)) == (1, 0, 0)
 
 
 def test_enumeration_cap():

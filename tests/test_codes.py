@@ -32,6 +32,7 @@ from burstcodes.errors import DecodeFailure, DomainError
 from burstcodes.rll import (
     RllSpec,
     UrllSpec,
+    _urll_table,
     ceil_log2,
     max_run,
     rll_count,
@@ -39,8 +40,14 @@ from burstcodes.rll import (
     urll_count,
     urll_member,
 )
-from burstcodes.svt import svt_class_sizes
-from burstcodes.vt import DecodeResult, checksum, vt_class_sizes
+from burstcodes.vt import (
+    DecodeResult,
+    _svt_table,
+    _vt_table,
+    checksum,
+    svt_class_sizes,
+    vt_class_sizes,
+)
 
 
 def _delete(x, positions):
@@ -205,7 +212,7 @@ def _reference_key(family, n, b, w):
         return sum(i * x for i, x in enumerate(row, start=1)) % mod
 
     def burst(lev, cap, span):
-        rows = array_view(w, lev).rows
+        rows = array_view(w, lev)
         c, d = vt(rows[1], span), sum(rows[1]) % 2
         if max_run(rows[0]) > cap or any((vt(r, span), sum(r) % 2) != (c, d) for r in rows[2:]):
             return None
@@ -216,10 +223,10 @@ def _reference_key(family, n, b, w):
         return burst(lev, ceil_log2(2 * m), ceil_log2(m) + 2)
 
     def row_21(lev):
-        return [k for r in array_view(w, lev).rows for k in (vt(r, 2 * (n // lev) - 1), sum(r) % 4)]
+        return [k for r in array_view(w, lev) for k in (vt(r, 2 * (n // lev) - 1), sum(r) % 4)]
 
     if family is Family.CHENG1:
-        return [] if all(vt(r, n // b + 1) == 0 for r in array_view(w, b).rows) else None
+        return [] if all(vt(r, n // b + 1) == 0 for r in array_view(w, b)) else None
     if family is Family.C21:
         return row_21(1)
     if family is Family.BURST_EXACT:
@@ -373,6 +380,21 @@ def test_vt_svt_urll_counts_match_per_word_brute_force():
         with pytest.raises(DomainError):
             urll_count(UrllSpec(n, 3, 2))
 
+
+
+def test_class_count_adapter_returns_python_ints():
+    # VT with and without a run cap, SVT, and URLL, whose table has no key
+    # forms and so the one class ()
+    tables = [_vt_table(None), _vt_table(3), _svt_table(5), _urll_table(3, 3)]
+    widths = [1, 1, 2, 0]
+    for table, width in zip(tables, widths):
+        sizes = codes._class_sizes(table, 12)
+        assert sizes and sum(sizes.values()) <= 1 << 12
+        for key, size in sizes.items():
+            assert type(key) is tuple and len(key) == width
+            assert all(type(r) is int for r in key) and type(size) is int
+    with pytest.raises(DomainError, match="1 <= n <= 30"):
+        codes._class_sizes(tables[0], 31)
 
 def test_capped_counts_at_every_split(monkeypatch):
     # A run cap on the whole word meets the split at every position; the
@@ -701,7 +723,7 @@ def test_burst_exact_pigeonhole_bound():
     from burstcodes.rll import ceil_log2, max_run
 
     for w in enumerate_words(n):
-        if max_run(array_view(w, b).rows[0]) <= ceil_log2(2 * m):
+        if max_run(array_view(w, b)[0]) <= ceil_log2(2 * m):
             qualified += 1
     classes = (m + 1) * (ceil_log2(m) + 2) * 2
     assert build(spec).cardinality >= qualified / classes

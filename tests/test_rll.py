@@ -271,7 +271,7 @@ def test_urll_membership():
 def test_urll_default_cap():
     assert urll_cap(12, 3) == 6
     assert urll_cap(24, 4) == 7
-    assert UrllSpec(12, 3).cap == 6
+    assert UrllSpec(12, 3).f == 6
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import pytest
 
 from burstcodes.bitseq import enumerate_words, format_word, parse_word, runs
 from burstcodes.errors import DomainError
-from burstcodes.svt import (
+from burstcodes.vt import (
     SvtParams,
     svt_best_params,
     svt_class_sizes,
@@ -85,7 +85,7 @@ def _p_bounded_violations(n, P):
     by_result = {}
     for x in enumerate_words(n):
         cls = (sum(i * b for i, b in enumerate(x, start=1)) % P, sum(x) % 2)
-        for run in runs(x).runs:
+        for run in runs(x):
             y = x[: run.start - 1] + x[run.start :]
             interval = (run.start, run.start + run.length - 1)
             by_result.setdefault(y, []).append((x, cls, interval))
@@ -106,7 +106,7 @@ def test_p_bounded_disjointness_small():
     by_result = {}
     for x in enumerate_words(6):
         cls = sum(i * b for i, b in enumerate(x, start=1)) % 3
-        for run in runs(x).runs:
+        for run in runs(x):
             y = x[: run.start - 1] + x[run.start :]
             by_result.setdefault((y, cls), []).append((x, run))
     for entries in by_result.values():
@@ -123,7 +123,7 @@ def test_decoder_agrees_with_preimage_oracle():
         p = SvtParams(
             n, P, sum(i * b for i, b in enumerate(x, start=1)) % P, sum(x) % 2
         )
-        for run in runs(x).runs:
+        for run in runs(x):
             k = run.start
             y = x[: k - 1] + x[k:]
             for u in range(max(1, k - P + 1), min(k, n - 1) + 1):
