@@ -240,12 +240,19 @@ def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
     y, part = np.empty_like(vs), np.empty_like(vs)
     column = 0
     for segs, group in groupby(events, key=attrgetter("segs")):
-        y.fill(0)
-        for src, mask, dst in segs:
-            np.right_shift(vs, src, out=part)
-            part &= mask
-            part <<= dst
-            y |= part
+        if not segs:
+            y.fill(0)
+        for k, (src, mask, dst) in enumerate(segs):
+            to = part if k else y  # the first segment goes straight into y
+            if src:
+                np.right_shift(vs, src, out=to)
+                to &= mask
+            else:
+                np.bitwise_and(vs, mask, out=to)
+            if dst:
+                to <<= dst
+            if k:
+                y |= part
         for ev in group:
             np.bitwise_or(y, (1 << ev.length) | ev.bits, out=out[:, column])
             column += 1

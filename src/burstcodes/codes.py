@@ -16,11 +16,14 @@ parts are tabulated once (2^L and 2^(n-L) entries, drawn from
 low residue vector that completes it to the parameters; ``best_params`` bins
 each part by residues and boundary runs and adds products of bin counts into
 classes, which counts every class exactly (``_classes``); vt and rll count
-their classes with it too, through one adapter (``_class_sizes``). L
-balances the parts tabulated against the pairs joined: ``build`` looks up
-one bucket per high part, whatever L, and ``_classes`` estimates the bins of
-each part from the table's structure, scaled by the bins of the low half
-(``_pairs``).
+their classes with it too, through one adapter (``_class_sizes``). Where
+the space of bins is small (``_by_grid``), the two parts are dense grids of
+bin counts, contracted with one matrix product (``_contract``); else the
+pairs of bins are joined. L balances the parts tabulated against the pairs
+joined: ``build`` looks up one bucket per high part, and the contraction
+does the same work, whatever L, so both split at n // 2; the pair join
+estimates the bins of each part from the table's structure, scaled by the
+bins of the low half (``_pairs``).
 """
 
 from __future__ import annotations
@@ -326,19 +329,22 @@ def member(spec: CodeSpec, x: Word) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)  # 2^cols bytes each, no more than the part tabulated
 def _edges(cols: int, cap: int, low: bool) -> np.ndarray:
     """The boundary state of one part of a capped row at every value of its
-    `cols` columns, packed from bit 0: -1 where the part has a run longer
-    than cap, else 2 * length + bit of its run at the split. The split meets
-    the low part at its top column and the high part at its bottom one; the
-    low part holds column 1 of every row, and a high part of no columns has
-    state 0."""
+    `cols` columns, packed from bit 0, read-only: -1 where the part has a
+    run longer than cap, else 2 * length + bit of its run at the split. The
+    split meets the low part at its top column and the high part at its
+    bottom one; the low part holds column 1 of every row, and a high part of
+    no columns has state 0."""
     v = np.arange(1 << cols)
     edge, run, same = v >> (cols - 1 if low else 0) & 1, 0, True
     for k in range(cols - 1, -1, -1) if low else range(cols):
         same &= (v >> k & 1) == edge
         run += same
-    return np.where(_enum.max_run_le(v, cols, cap), 2 * run + edge, -1).astype(np.int8)
+    states = np.where(_enum.max_run_le(v, cols, cap), 2 * run + edge, -1).astype(np.int8)
+    states.flags.writeable = False
+    return states
 
 
 def _fit(caps, lo_states, hi_states, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -387,14 +393,14 @@ def _split(n: int, forms: int, pairs: Callable[[int], float]) -> int:
 
 
 def _bins(table: _Table, n: int, lo: int, hi: int):
-    """The parts on positions lo+1..hi binned by their tie residues, boundary
-    states and key residues, packed in that order: the distinct bins,
-    ascending, with the parts in each, and the radices they are packed in."""
+    """The bin of every part on positions lo+1..hi, its tie residues,
+    boundary states and key residues packed in that order, and the radices
+    they are packed in."""
     zeros, caps, keys = _compiled(table, n)
     radices = [f.mod for f in zeros] + [2 * cap + 2 for _, _, cap in caps] + [f.mod for f in keys]
     words, residues, states = _tabulate(table, n, lo, hi)
-    packed = _pack(residues[: len(zeros)] + states + residues[len(zeros) :], radices, len(words))
-    return _tally([(packed, None)], math.prod(radices), len(words)), radices
+    digits = residues[: len(zeros)] + states + residues[len(zeros) :]
+    return _pack(digits, radices, len(words)), radices
 
 
 @functools.lru_cache(maxsize=128)
@@ -428,8 +434,9 @@ def _pairs(table: _Table, n: int) -> tuple[float, ...]:
 
     whole = (1 << n) - 1
     ceilings = [(ceiling(whole >> (n - L)), ceiling(whole >> L << L)) for L in range(n + 1)]
-    (bins, _), _ = _bins(table, n, 0, n // 2)
-    fill, ties = len(bins) / ceilings[n // 2][0], math.prod(f.mod for f in zeros)
+    bins, radices = _bins(table, n, 0, n // 2)
+    filled, _ = _tally([(bins, None)], math.prod(radices), len(bins))
+    fill, ties = len(filled) / ceilings[n // 2][0], math.prod(f.mod for f in zeros)
     return tuple(
         min(2.0**L, fill * lo) * min(2.0 ** (n - L), fill * hi) / ties
         for L, (lo, hi) in enumerate(ceilings)
@@ -442,6 +449,11 @@ def _pack(digits, radices, count: int) -> np.ndarray:
     if math.prod(radices) > np.iinfo(np.intp).max:
         raise DomainError("parameter space too wide to pack")
     return np.ravel_multi_index(digits, radices) if digits else np.zeros(count, dtype=np.intp)
+
+
+def _unpack(values: np.ndarray, radices) -> tuple:
+    """The digits of packed values, inverse to _pack; no radices, no digits."""
+    return np.unravel_index(values, radices) if radices else ()
 
 
 def _tally(blocks, size: int, total: int):
@@ -562,8 +574,20 @@ class Codebook:
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in the lexicographic order of their bytes, which is
-    the lexicographic order of the words they pack."""
-    if len(rows) > 1:
+    the lexicographic order of the words they pack. Rows of at most 8 bytes
+    sort as one big-endian uint64 each."""
+    count, width = rows.shape
+    if count > 1 and width <= 8:
+        values = np.zeros(count, dtype=np.uint64)
+        for column in rows.T:
+            values <<= 8
+            values |= column
+        values.sort()
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        rows = np.empty((len(values), width), dtype=np.uint8)
+        for i in range(width):
+            rows[:, i] = values >> 8 * (width - 1 - i)  # uint8 keeps the low byte
+    elif count > 1:
         rows = rows[np.lexsort(rows.T[::-1])]
         rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
     return rows
@@ -608,6 +632,47 @@ def build(spec: CodeSpec) -> Codebook:
     return codebook_from_ints(w_hi[j[fit]] << L | w_lo[i[fit]], n, spec)
 
 
+GRID_TERMS = 1 << 22  # multiply-adds of the largest contraction _classes prefers to a join
+GRID_MAX_N = 52  # float64 holds every integer to 2^53, so counts that total 2^n add exactly
+
+
+def _by_grid(n: int, ties, caps, mods) -> bool:
+    """Whether _classes contracts dense grids (_contract) rather than joining
+    bin pairs, decided from the radices alone: when the grid of T tie
+    classes, S boundary states and K key classes takes at most GRID_TERMS
+    multiply-adds, T S K (S + K); when its K^2 key sums are no more than the
+    2^n pairs of parts that bound the pairs of bins joined; and when its
+    float64 counts are exact."""
+    T, S, K = math.prod(ties), math.prod(2 * cap + 2 for _, _, cap in caps), math.prod(mods)
+    return n <= GRID_MAX_N and T * S * K * (S + K) <= GRID_TERMS and K * K <= 1 << n
+
+
+def _contract(table: _Table, n: int, ties, caps, mods):
+    """_classes by contraction. Each part's bins become one dense (T, S, K)
+    grid of counts. The high grid's tie class t moves to -t, so that equal
+    tie classes cancel, and a fit matrix F over the boundary states sums its
+    states into each low state they fit, F @ B. Contracting the two grids
+    over ties and states gives, for every pair of low and high key classes,
+    the words they make, which add into the class of the summed keys. The
+    work does not depend on L, so the parts balance at n // 2."""
+    states = [2 * cap + 2 for _, _, cap in caps]
+    T, S, K = math.prod(ties), math.prod(states), math.prod(mods)
+    L = _split(n, 1, lambda L: 0)
+    low, high = (
+        np.bincount(bins, minlength=T * S * K).reshape(T, S, K).astype(np.float64)
+        for bins, _ in (_bins(table, n, lo, hi) for lo, hi in ((0, L), (L, n)))
+    )
+    negated = _pack([(m - d) % m for d, m in zip(_unpack(np.arange(T), ties), ties)], ties, T)
+    digits, (i, j) = _unpack(np.arange(S), states), np.divmod(np.arange(S * S), S)
+    fit = _fit(caps, digits, digits, i, j).reshape(S, S).astype(np.float64)
+    pairs = low.reshape(T * S, K).T @ (fit @ high[negated]).reshape(T * S, K)
+    classes, keys = np.zeros((K, K), dtype=np.intp), _unpack(np.arange(K), mods)
+    for run, wide, sums in _key_groups(tuple(mods)):
+        k = np.ravel_multi_index(keys[run], wide)
+        classes += sums[k[:, None] + k]
+    return _tally([(classes.ravel(), pairs.ravel())], K, K)
+
+
 def _classes(table: _Table, n: int):
     """Every non-empty parameter class as its packed key residues (ascending,
     the first key most significant) and its size, and the key moduli.
@@ -615,18 +680,24 @@ def _classes(table: _Table, n: int):
     Each part of the words is binned by its tie residues, boundary states
     and key residues. A low and a high bin join when their ties cancel and
     their boundary runs keep every cap; the pair adds the product of their
-    counts to the class of their summed key residues.
+    counts to the class of their summed key residues. Where the space of
+    bins is small (_by_grid) the parts are contracted as dense grids
+    (_contract); else the pairs of bins are joined.
 
-    L comes from the estimate of the pairs joined at each split (_pairs)."""
+    The join's L comes from the estimate of the pairs joined at each split
+    (_pairs)."""
     zeros, caps, keys = _compiled(table, n)
     ties, mods = [f.mod for f in zeros], [f.mod for f in keys]
+    if _by_grid(n, ties, caps, mods):
+        return _contract(table, n, ties, caps, mods), mods
     t, c = len(ties), len(caps)
     L = _split(n, t + c + len(mods), _pairs(table, n).__getitem__)
     groups = _key_groups(tuple(mods))
     parts = []
     for lo, hi in ((0, L), (L, n)):
-        (bins, counts), radices = _bins(table, n, lo, hi)
-        digits = np.unravel_index(bins, radices) if radices else ()
+        bins, radices = _bins(table, n, lo, hi)
+        bins, counts = _tally([(bins, None)], math.prod(radices), len(bins))
+        digits = _unpack(bins, radices)
         states = [d.astype(np.uint8) for d in digits[t : t + c]]  # cheap gathers in _fit
         keys = [np.ravel_multi_index(digits[t + c :][run], wide) for run, wide, _ in groups]
         parts.append((digits[:t], states, keys, counts))
@@ -662,9 +733,7 @@ def _class_sizes(table: _Table, n: int) -> dict[tuple[int, ...], int]:
     if not 1 <= n <= 30:
         raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
     (classes, sizes), mods = _classes(table, n)
-    residues = (
-        zip(*(d.tolist() for d in np.unravel_index(classes, mods))) if mods else [()] * len(classes)
-    )
+    residues = zip(*(d.tolist() for d in _unpack(classes, mods))) if mods else [()] * len(classes)
     return dict(zip(residues, sizes.tolist()))
 
 

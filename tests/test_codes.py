@@ -275,6 +275,22 @@ def _class_sizes(family, n, b):
     return {tuple(map(int, p)): int(s) for p, s in zip(params, sizes)}
 
 
+def _grid_terms(table, n):
+    """T S K (S + K): the multiply-adds of _classes' contraction of the
+    table's (tie class, boundary state, key class) grids."""
+    zeros, caps, keys = codes._compiled(table, n)
+    T, K = math.prod(f.mod for f in zeros), math.prod(f.mod for f in keys)
+    S = math.prod(2 * cap + 2 for _, _, cap in caps)
+    return T * S * K * (S + K)
+
+
+def _paths(table, n):
+    """The ways _classes can count the table at n: by the pair join, and by
+    the grid where its K x K key grid stays small (at-most-consecutive and
+    noncons3 have 10^8 terms and more at every length and never take it)."""
+    return (False, True) if _grid_terms(table, n) <= 1 << 26 else (False,)
+
+
 def _part_forms(family, n, b, lo, hi):
     zeros, caps, keys = codes._compiled(codes._family_table(family, b), n, lo, hi)
     return zeros + keys, [row for row, _, _ in caps]
@@ -319,12 +335,13 @@ def test_class_sizes_match_reference_at_every_kind_of_split(monkeypatch, family,
         splits.append(n - 1)
     monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
     monkeypatch.setattr(codes, "JOIN_PAIRS", 1)  # and blocks of as many pairs as classes
-    for split in splits:
+    for split, grid in itertools.product(splits, _paths(codes._family_table(family, b), n)):
         monkeypatch.setattr(codes, "_split", lambda *args: split)
+        monkeypatch.setattr(codes, "_by_grid", lambda *args: grid)
         got = _class_sizes(family, n, b)
         # Equal dicts without zero entries: every empty class is absent from both.
         assert 0 not in got.values()
-        assert got == sizes, split
+        assert got == sizes, (split, grid)
     ranges = param_ranges(family, n, b)
     empty = next(
         (p for p in itertools.product(*(range(top + 1) for top in ranges)) if p not in sizes), None
@@ -405,13 +422,14 @@ def test_capped_counts_at_every_split(monkeypatch):
     vt_sizes = {cap: _vt_brute(words, cap) for cap in range(1, n)}
     urll_specs = [UrllSpec(12, 3, f) for f in (1, 2, 3)] + [UrllSpec(12, 4, 2)]
     urll_sizes = {spec: _urll_brute(spec) for spec in urll_specs}
-    for split in range(1, 12):
+    for split, grid in itertools.product(range(1, 12), (False, True)):
         monkeypatch.setattr(codes, "_split", lambda *args: split)
+        monkeypatch.setattr(codes, "_by_grid", lambda *args: grid)
         if split < n:
             for cap, sizes in vt_sizes.items():
-                assert vt_class_sizes(n, cap) == sizes, (split, cap)
+                assert vt_class_sizes(n, cap) == sizes, (split, grid, cap)
         for spec, size in urll_sizes.items():
-            assert urll_count(spec) == size, (split, spec)
+            assert urll_count(spec) == size, (split, grid, spec)
 
 
 def test_counts_at_24_tabulate_only_parts(monkeypatch):
@@ -479,6 +497,103 @@ def test_codebooks_at_24_are_byte_identical(family, b):
     buf = io.StringIO()
     write_codebook(build(best_params(family, 24, b)), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED_24[(family, b)]
+
+
+def _supported(n_max, b_max):
+    for family, b, n in itertools.product(Family, range(1, b_max + 1), range(1, n_max + 1)):
+        if _rejection(codes._validate_structure, family, n, b) is None:
+            yield family, n, b
+
+
+def test_grid_and_pair_join_count_the_same_classes(monkeypatch):
+    tables = [(codes._family_table(f, b), n, (f, b)) for f, n, b in _supported(14, 4)]
+    caps = [(n, cap) for n in range(1, 13) for cap in (None, *range(n + 2))]
+    tables += [(_vt_table(cap), n, ("vt", cap)) for n, cap in caps]
+    tables += [(_svt_table(P), n, ("svt", P)) for n in range(1, 13) for P in range(2, n + 3)]
+    urll = (UrllSpec(12, 3, 1), UrllSpec(12, 3, 2), UrllSpec(12, 4, 2), UrllSpec(18, 3))
+    tables += [(_urll_table(spec.b, spec.f), spec.n, spec) for spec in urll]
+    at_24 = ((Family.BURST_EXACT, 2), (Family.BURST_EXACT, 3), (Family.C21, 2), (Family.CHENG1, 3))
+    tables += [(codes._family_table(f, b), 24, (f, b)) for f, b in at_24]
+    compared = 0
+    for table, n, label in tables:
+        counts = []
+        for grid in _paths(table, n):
+            monkeypatch.setattr(codes, "_by_grid", lambda *args: grid)
+            counts.append(codes._classes(table, n))
+        for (classes, sizes), mods in counts[1:]:
+            (want_classes, want_sizes), want_mods = counts[0]
+            assert mods == want_mods and sizes.dtype == want_sizes.dtype == np.int64, (n, label)
+            assert classes.dtype == want_classes.dtype, (n, label)
+            assert np.array_equal(classes, want_classes), (n, label)
+            assert np.array_equal(sizes, want_sizes), (n, label)
+            compared += 1
+    # every table but at-most-consecutive at n = 6, 12 and noncons3 at n = 12
+    assert compared == len(tables) - 3 == 264
+
+
+def _picks_grid(monkeypatch, table, n):
+    """Whether _classes counts the table at n by the grid, as its selection
+    decides before any part is tabulated."""
+
+    class Picked(Exception):
+        pass
+
+    def picked(*args):
+        raise Picked(by_grid(*args))
+
+    def tabulated(*args):
+        raise AssertionError("a part was tabulated before the path was chosen")
+
+    by_grid = codes._by_grid
+    with monkeypatch.context() as m:
+        m.setattr(codes, "_by_grid", picked)
+        m.setattr(codes, "_tabulate", tabulated)
+        with pytest.raises(Picked) as choice:
+            codes._classes(table, n)
+    return choice.value.args[0]
+
+
+def test_classes_take_the_grid_for_small_class_spaces_only(monkeypatch):
+    grid = {(Family.CHENG1, 3), (Family.BURST_EXACT, 2), (Family.BURST_EXACT, 3), (Family.C21, 2)}
+    tables = sorted({*PINNED_24, (Family.BURST_EXACT, 2), (Family.BURST_EXACT, 4)}, key=str)
+    for family, b in tables:
+        table = codes._family_table(family, b)
+        assert _picks_grid(monkeypatch, table, 24) == ((family, b) in grid), (family, b)
+    # cl2 at n = 8: 1.06M terms, under GRID_TERMS, but 360^2 key sums
+    # against at most 2^8 pairs of parts joined
+    cl2 = codes._family_table(Family.CL2, 2)
+    assert _grid_terms(cl2, 8) <= codes.GRID_TERMS and not _picks_grid(monkeypatch, cl2, 8)
+    # Past GRID_MAX_N = 52 the counts could pass 2^53, where float64 stops
+    # adding integers exactly, however small the grid.
+    assert codes.GRID_MAX_N == 52
+    small = [_vt_table(None), _vt_table(5), _svt_table(7), codes._family_table(Family.C21, 2)]
+    small += [codes._family_table(Family.BURST_EXACT, 2), codes._family_table(Family.CHENG1, 1)]
+    for table in small:
+        assert _picks_grid(monkeypatch, table, 52)
+        for n in (53, 54, 60, 64):
+            assert not _picks_grid(monkeypatch, table, n), n
+
+
+def test_grid_tabulates_the_two_halves(monkeypatch):
+    # the contraction's work is the same at every split, so the parts balance
+    spans, tabulate = [], codes._tabulate
+
+    def parts(table, n, lo, hi):
+        spans.append((lo, hi))
+        return tabulate(table, n, lo, hi)
+
+    monkeypatch.setattr(codes, "_tabulate", parts)
+    monkeypatch.setattr(codes, "_by_grid", lambda *args: True)
+    for family, n, b in ((Family.BURST_EXACT, 24, 3), (Family.C21, 13, 2), (Family.CHENG1, 9, 3)):
+        spans.clear()
+        _class_sizes(family, n, b)
+        assert spans == [(0, n // 2), (n // 2, n)], (family, n)
+
+
+def test_boundary_tables_are_cached_read_only():
+    states = codes._edges(6, 2, True)
+    assert codes._edges(6, 2, True) is states and not states.flags.writeable
+    assert codes._edges.cache_info().maxsize is not None
 
 
 def test_best_params_c21_pigeonhole():

@@ -9,10 +9,13 @@ in one process:
   codes.best_params, codes.build, codes.write_codebook to memory and
   verify.verify_code under del-exact(3), as medians over RUNS runs, after
   one warm-up run whose outputs are checked against pinned values;
-- codes._classes at every split width L in 1..n-1 for burst-exact b = 3 and
-  cl2 b = 2 at n = 24, L forced by replacing codes._split as the tests do,
-  and with the L that codes._split chooses (timed right after that L
-  forced), as medians over ROUNDS rounds that each visit every L once.
+- codes._classes for burst-exact b = 3 and cl2 b = 2 at n = 24: the path
+  it takes (the grid contraction or the pair join, as codes._by_grid
+  decides), the pair join at every split width L in 1..n-1 and at the L
+  that codes._split chooses (timed right after that L forced), and the grid,
+  each path and L forced by replacing codes._by_grid and codes._split as
+  the tests do, as medians over ROUNDS rounds that each visit every one of
+  them once.
 
 The figures are stored under the label in BENCH_certify.json at the
 repository root, beside those of other labels, with the host they were
@@ -91,30 +94,43 @@ def _sweep(family: str, b: int) -> dict:
     from burstcodes import codes
 
     table = codes._family_table(codes.Family(family), b)
-    split, chosen = codes._split, []
+    split, by_grid, chosen, paths = codes._split, codes._by_grid, [], []
 
     def spy(*args):
         chosen.append(split(*args))
         return chosen[-1]
 
+    def path(*args):
+        paths.append("grid" if by_grid(*args) else "pair join")
+        return paths[-1] == "grid"
+
     try:
-        codes._split = spy
+        codes._by_grid = path
         want, _ = codes._classes(table, N)  # also fills the caches of the table
+        codes._by_grid, codes._split = (lambda *args: False), spy
+        codes._classes(table, N)  # the L the pair join chooses
         # the chosen split runs right after the same L forced, so that both
         # follow a run of about their own size
-        ms = {L: [] for L in (*range(1, chosen[0] + 1), "chosen", *range(chosen[0] + 1, N))}
+        ms = {L: [] for L in (*range(1, chosen[0] + 1), "chosen", *range(chosen[0] + 1, N), "grid")}
         for _ in range(ROUNDS):
             for L in ms:
-                codes._split = spy if L == "chosen" else lambda *args: L
+                codes._by_grid = lambda *args: L == "grid"
+                codes._split = {"chosen": spy, "grid": split}.get(L, lambda *args: L)
                 start = time.perf_counter()
                 got, _ = codes._classes(table, N)
                 ms[L].append((time.perf_counter() - start) * 1e3)
                 if not all(map(np.array_equal, got, want)):
                     raise SystemExit(f"{family} b={b} at L={L} counts other classes")
     finally:
-        codes._split = split
+        codes._by_grid, codes._split = by_grid, split
     medians = {str(L): round(statistics.median(v), 3) for L, v in ms.items()}
-    return {"chosen_L": chosen[0], "chosen_ms": medians.pop("chosen"), "ms": medians}
+    return {
+        "path": paths[0],
+        "grid_ms": medians.pop("grid"),
+        "chosen_L": chosen[0],
+        "chosen_ms": medians.pop("chosen"),
+        "ms": medians,
+    }
 
 
 def main(argv=None) -> int:
