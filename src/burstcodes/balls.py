@@ -21,7 +21,8 @@ inserted roles swapped). ball_ints applies the table to one int, giving
 (length, value) pairs; ball_keys applies it to an array of words, giving
 keys (1 << length) | value, which sort like those pairs, and sorted_ball_keys
 sorts each word's keys and masks its repeats, the one dedupe of verify_code,
-greedy codes, the equivalence sweep and the ball-size tally. Keys are uint32
+the equivalence sweep and the ball-size tally (greedy codes mark unsorted
+keys in a bitmap). Keys are uint32
 where the words and every key fit in 32 bits (elements of at most 31 bits),
 else uint64; they hold elements of at most KEY_MAX_BITS = 63 bits, and longer
 ones raise DomainError, never wrap.
@@ -232,13 +233,16 @@ def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
 
     Event-major: the events of one placement share a segment tuple, so the
     segments are applied once per placement to the whole word array, with
-    scalar shift counts, and each event, one choice of inserted bits, is one
-    OR of that result into its column."""
+    scalar shift counts, and one OR of that result with the placement's
+    (1 << length) | bits tags writes its events, one choice of inserted bits
+    each, into contiguous rows of an (E, len(vs)) buffer, which is returned
+    as one C-contiguous transposed copy."""
     events = _events(n, model)
     vs = np.asarray(vs, dtype=key_dtype(n, model)).reshape(-1)
-    out = np.empty((len(vs), len(events)), dtype=vs.dtype)
+    out = np.empty((len(events), len(vs)), dtype=vs.dtype)
     y, part = np.empty_like(vs), np.empty_like(vs)
-    column = 0
+    tags = np.array([(1 << ev.length) | ev.bits for ev in events], dtype=vs.dtype)[:, None]
+    row = 0
     for segs, group in groupby(events, key=attrgetter("segs")):
         if not segs:
             y.fill(0)
@@ -253,10 +257,10 @@ def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
                 to <<= dst
             if k:
                 y |= part
-        for ev in group:
-            np.bitwise_or(y, (1 << ev.length) | ev.bits, out=out[:, column])
-            column += 1
-    return out
+        end = row + len(list(group))
+        np.bitwise_or(y, tags[row:end], out=out[row:end])
+        row = end
+    return np.ascontiguousarray(out.T)
 
 
 def sorted_ball_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndarray]:

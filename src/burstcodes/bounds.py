@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _enum, balls
+from . import _enum
 from .errors import DomainError
 
 
@@ -44,34 +44,26 @@ TRANSVERSAL_MAX_BITS = 22
 def transversal_weight(n: int, b: int) -> Fraction:
     """Sum of 1/|D_b(x)| over all x of length n-b, as an exact rational.
 
-    Ball sizes come from the run-count formula, as a popcount on packed words,
-    when b divides n-b, otherwise from counting the distinct elements of every
-    ball (balls.ball_size_tally). Equals upper_bound(n, b) exactly.
+    Ball sizes are one popcount per packed word (_run_formula_sizes), whether
+    or not b divides n-b. Equals upper_bound(n, b) exactly.
     """
     if b < 1 or n <= 2 * b - 1:
         raise DomainError(f"transversal needs n > 2b - 1, got n={n}, b={b}")
     m = n - b
     if m > TRANSVERSAL_MAX_BITS:
         raise DomainError(f"transversal enumeration capped at n - b <= {TRANSVERSAL_MAX_BITS}")
-    if m == b:
-        # Deleting b consecutive bits from a length-b word leaves the empty
-        # word; every ball is the singleton containing it.
-        return Fraction(1 << m)
-    if m % b == 0:
-        counts = sum(
-            np.bincount(_run_formula_sizes(chunk, m, b), minlength=m - b + 2)
-            for chunk in _enum.iter_chunks(m)
-        )
-        tally = {size: int(count) for size, count in enumerate(counts) if count}
-    else:
-        tally = balls.ball_size_tally(m, b)
-    return sum((Fraction(count, size) for size, count in sorted(tally.items())), Fraction(0))
+    counts = sum(
+        np.bincount(_run_formula_sizes(chunk, m, b), minlength=m - b + 2)
+        for chunk in _enum.iter_chunks(m)
+    )
+    return sum((Fraction(int(count), size) for size, count in enumerate(counts) if count), Fraction(0))
 
 
 def _run_formula_sizes(vs: np.ndarray, m: int, b: int) -> np.ndarray:
-    """|D_b(x)| of packed length-m words (b | m) by the run-count formula: the
-    runs of the rows, less one each, are the positions p <= m - b with
-    x_p != x_{p+b}."""
+    """|D_b(x)| of packed length-m words (m >= b): 1 + the number of positions
+    p <= m - b with x_p != x_{p+b}, since deleting bits p..p+b-1 and p+1..p+b
+    gives the same word exactly when x_p = x_{p+b}. When b | m these count the
+    runs of the rows of the b-row array, less one each."""
     return 1 + np.bitwise_count((vs ^ (vs >> b)) & np.uint64((1 << (m - b)) - 1))
 
 
@@ -157,8 +149,8 @@ class BoundReport:
 
 
 def bound_report(n: int, b: int) -> BoundReport:
-    """Assemble the full bound report; the transversal sum is included whenever
-    the enumeration is desk-scale (n - b <= 18)."""
+    """Assemble the full bound report; the transversal sum, a popcount over all
+    2^(n-b) packed words, is included whenever n - b <= 18."""
     return BoundReport(
         n=n,
         b=b,

@@ -49,12 +49,13 @@ class VerifyReport:
 BLOCK_KEYS = 1 << 18  # ball keys per block of words: 1 MB per uint32 temporary, 2 MB per uint64
 
 
-def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel):
-    """(index of the first word, sorted_ball_keys) per block of packed words;
-    at least one block, so that an empty array still checks n and model."""
+def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel, keys=balls.sorted_ball_keys):
+    """(index of the first word, keys of the block) per block of packed words,
+    sorted_ball_keys unless keys names another kernel; at least one block, so
+    that an empty array still checks n and model."""
     rows = max(1, BLOCK_KEYS // len(balls._events(n, model)))
     for start in range(0, max(len(packed), 1), rows):
-        yield start, balls.sorted_ball_keys(packed[start : start + rows], n, model)
+        yield start, keys(packed[start : start + rows], n, model)
 
 
 def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
@@ -138,8 +139,8 @@ def equivalence_check(n: int, b: int, flavor: str) -> bool:
     counterexample would need a violating pair."""
     if flavor not in _FLAVORS:
         raise DomainError(f"flavor must be one of {sorted(_FLAVORS)}, got {flavor!r}")
-    if n > EQUIV_MAX_BITS:
-        raise DomainError(f"pairwise sweep capped at n <= {EQUIV_MAX_BITS}")
+    if not 1 <= n <= EQUIV_MAX_BITS:
+        raise DomainError(f"pairwise sweep needs 1 <= n <= {EQUIV_MAX_BITS}, got n={n}")
     del_model, ins_model = (mk(b) for mk in _FLAVORS[flavor])
     return np.array_equal(_conflicts(n, del_model), _conflicts(n, ins_model))
 
@@ -163,25 +164,36 @@ def oracle_decode(cb: Codebook, y: Word, model: balls.ErrorModel) -> DecodeResul
 
 
 GREEDY_MAX_BITS = 16
+GREEDY_MAP_BYTES = 1 << 26  # the taken-key bitmap: one byte per key below 2^(longest element + 1)
+GREEDY_ROWS = 128  # words per gather against the bitmap
 
 
 def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     """Lexicographic greedy maximal code for the model: accept each word whose
-    ball avoids every previously accepted ball."""
+    ball avoids every previously accepted ball.
+
+    Accepted balls are marked in a bool bitmap over the key space. The balls
+    of each block of words are made at once; in sub-blocks of GREEDY_ROWS
+    words, one gather drops the words whose ball meets the bitmap, and only
+    the rest are tried, in lexicographic order."""
     if not 1 <= n <= GREEDY_MAX_BITS:
         raise DomainError(f"greedy construction needs 1 <= n <= {GREEDY_MAX_BITS}")
+    longest = max(n - len(deleted) + len(inserted) for deleted, inserted in balls._placements(n, model))
+    if 2 << longest > GREEDY_MAP_BYTES:
+        raise DomainError(f"{model} at length {n} gives {longest}-bit elements; "
+                          f"the greedy bitmap stops at {GREEDY_MAP_BYTES} keys")
     # Every word in lexicographic order: its index, position 1 most significant.
     index = np.arange(1 << n, dtype=np.uint64) << np.uint64(64 - n)
     words = _enum.pack(index.astype(">u8").view(np.uint8).reshape(-1, 8), n)
-    used: set[int] = set()
+    taken = np.zeros(2 << longest, dtype=bool)
     chosen: list[int] = []
-    for start, (keys, fresh) in _blocks(words, n, model):
-        ends = np.cumsum(np.count_nonzero(fresh, axis=1)).tolist()
-        flat = np.compress(fresh.ravel(), keys.ravel()).tolist()
-        for v, lo, hi in zip(words[start : start + len(keys)].tolist(), [0, *ends], ends):
-            if used.isdisjoint(ball := flat[lo:hi]):
-                used.update(ball)
-                chosen.append(v)
+    for start, keys in _blocks(words, n, model, balls.ball_keys):
+        for sub in range(0, len(keys), GREEDY_ROWS):
+            part = keys[sub : sub + GREEDY_ROWS]
+            for i in np.flatnonzero(~taken[part].any(axis=1)).tolist():
+                if not taken[part[i]].any():
+                    taken[part[i]] = True
+                    chosen.append(int(words[start + sub + i]))
     return codebook_from_ints(chosen, n)
 
 

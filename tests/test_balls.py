@@ -187,6 +187,24 @@ def test_ball_keys_equal_ball_ints_exhaustively():
     assert checked == 218  # 250 (model, n) pairs less 32 with n too short
 
 
+def test_ball_keys_columns_follow_the_event_table():
+    # column j of every row is event j of balls._events applied to the word,
+    # in one C-contiguous (words, events) array of key_dtype
+    rng = random.Random(9)
+    for b in (1, 2, 3):
+        for model in _models(b):
+            for n in (b + 3, 9):
+                events = balls._events(n, model)
+                words = [rng.getrandbits(n) for _ in range(5)]
+                keys = ball_keys(words, n, model)
+                assert keys.flags.c_contiguous and keys.shape == (len(words), len(events))
+                assert keys.dtype == balls.key_dtype(n, model)
+                want = [[(1 << ev.length) | ev.bits | sum(((v >> src) & mask) << dst
+                                                          for src, mask, dst in ev.segs)
+                         for ev in events] for v in words]
+                assert keys.tolist() == want, (model, n)
+
+
 def test_ball_keys_at_the_key_limit():
     # deletion words fill a uint64; insertion balls reach KEY_MAX_BITS = 63
     # bits; one more input bit raises DomainError instead of wrapping

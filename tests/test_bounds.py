@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from burstcodes.balls import ball_size_formula
+from burstcodes.balls import ball_size_formula, ball_size_tally
 from burstcodes.bitseq import from_int
 from burstcodes.bounds import (
     _run_formula_sizes,
@@ -38,7 +38,7 @@ def test_lower_bound_forms_agree():
 
 
 def test_transversal_identity_exact():
-    # every (n, b) with b <= 4 and n - b <= 18, on both ball-size paths
+    # every (n, b) with b <= 4 and n - b <= 18, whether or not b divides n - b
     cases = [(n, b) for b in (1, 2, 3, 4) for n in range(2 * b, b + 19)]
     assert len(cases) == 18 + 17 + 16 + 15
     for n, b in cases:
@@ -52,6 +52,15 @@ def test_popcount_ball_sizes_equal_the_formula():
             if n % b == 0:
                 want = [ball_size_formula(from_int(v, n), b) for v in range(1 << n)]
                 assert _run_formula_sizes(vs, n, b).tolist() == want, (n, b)
+
+
+def test_popcount_ball_sizes_equal_the_tally():
+    # the counting of distinct ball elements, at every length m, b | m or not
+    for b in (1, 2, 3, 4):
+        for m in range(b + 1, 17):
+            sizes = _run_formula_sizes(np.arange(1 << m, dtype=np.uint64), m, b)
+            counts = np.bincount(sizes)
+            assert {i: int(c) for i, c in enumerate(counts) if c} == ball_size_tally(m, b), (m, b)
 
 
 def test_transversal_caps():

@@ -106,6 +106,14 @@ def test_equiv_verb(capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "11"])
+def test_equiv_out_of_range_n_exits_2(capsys, n):
+    assert main(["equiv", "--n", n, "--b", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: pairwise sweep needs 1 <= n <= 10, got n={n}\n"
+
+
 def test_equiv_unknown_model_names_the_flag(capsys):
     assert main(["equiv", "--n", "6", "--b", "2", "--model", "bogus"]) == 2
     captured = capsys.readouterr()
@@ -241,6 +249,11 @@ _PINNED = [
      "e27c3d5e9a609e64e85dd95f600bd1ae81b20a387bd32a2540bbc59ce4a56e25"),
     (["simulate", "--model", "del-exact", "--b", "2"], "", 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # b does not divide n - b: the transversal sums of odd lengths
+    (["bound", "--n", "9", "--b", "2", "--format", "json"], None, 0,
+     "c0b290945459a5cb47ddd6348ffe34be58b1549eafb4b8bb9eb64842e248ccb0"),
+    (["bound", "--n", "19", "--b", "2", "--format", "json"], None, 0,
+     "9b1b64b256d300372a26dc089cdcc42544d7f2f114b868b3276a78472e6bc61c"),
 ]
 
 

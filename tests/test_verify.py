@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -351,6 +352,33 @@ def test_verify_code_rejects_words_past_the_key_limit():
     # deletion balls of 65-bit words would fit, but the words do not
     with pytest.raises(DomainError):
         verify_code(codebook_from_words([(0,) * 65], 65), balls.del_exact(2))
+
+
+@pytest.mark.parametrize("model", [balls.ins_at_most_noncons(3), balls.del_exact(2)], ids=str)
+@pytest.mark.parametrize("rows, sub", [(None, None), (3, 128), (10, 3)])
+def test_greedy_code_at_n12_matches_reference(monkeypatch, model, rows, sub):
+    # blocks and sub-blocks of a few words, so that a ball taken in one block
+    # or sub-block turns words of later ones away
+    if rows:
+        monkeypatch.setattr(verify, "BLOCK_KEYS", rows * len(balls._events(12, model)))
+        monkeypatch.setattr(verify, "GREEDY_ROWS", sub)
+    want = _reference_greedy_code(12, model)
+    assert want.cardinality == (61 if model.kind is balls.ErrorKind.INS_AT_MOST_NONCONSECUTIVE else 143)
+    assert greedy_code(12, model) == want
+
+
+def test_greedy_bitmap_cap(monkeypatch):
+    # 26-bit elements need a 128 MB bitmap: refused before any ball is made
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="greedy bitmap stops at 67108864 keys"):
+        greedy_code(16, balls.ins_exact(10))
+    assert time.perf_counter() - start < 1.0
+    # the cap holds keys below 2^(longest + 1); ins-exact(2) at n = 10 gives 12 bits
+    monkeypatch.setattr(verify, "GREEDY_MAP_BYTES", 1 << 13)
+    assert greedy_code(10, balls.ins_exact(2)) == _reference_greedy_code(10, balls.ins_exact(2))
+    with pytest.raises(DomainError):
+        greedy_code(10, balls.ins_exact(3))
+    assert greedy_code(12, balls.del_exact(1)).cardinality > 1  # 11-bit elements
 
 
 def test_greedy_code_matches_reference():
