@@ -2,13 +2,15 @@
 
 Every function here treats a word as an integer with position 1 at the least
 significant bit, and is polymorphic over a plain Python int and a numpy array
-of packed words. ``iter_chunks`` draws the parts of a split word for the join
-in codes.py, which builds codebooks, searches parameters and counts the VT,
-SVT and URLL classes. ``max_run_le`` serves codes.member, the join and
-``count_max_run_le``, the full sweep kept as the oracle for rll.rll_count; the
-row kernels serve only perfbench's kernel timing. ``pack`` turns codebook rows
-(``np.packbits`` of each word, position 1 at the most significant bit of byte
-0) into such an array, and ``unpack`` turns packed words back into rows.
+of packed words. ``iter_chunks`` draws the parts of a split word for
+codes.py: both halves for a codebook build and for the pair join, the low
+half that starts the transfer over positions; between them they search
+parameters and count the VT, SVT and URLL classes. ``max_run_le`` serves
+codes.member, the boundary tables of the parts and ``count_max_run_le``, the
+full sweep kept as the oracle for rll.rll_count; the row kernels serve only
+perfbench's kernel timing. ``pack`` turns codebook rows (``np.packbits`` of
+each word, position 1 at the most significant bit of byte 0) into such an
+array, and ``unpack`` turns packed words back into rows.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import numpy as np
 from .errors import DomainError
 
 # log2 of the words per chunk in full-space sweeps and in the parts of a split
-# word. At n = 24, a codebook build plus parameter search tabulates parts of at
-# most 2^20 values and peaks at 33-114 MB RSS, the interpreter included (33 MB
-# for burst-exact at b = 3; 114 MB for noncons3, whose join sorts about 1.66M
-# pairs of part bins at once).
+# word. At n = 24, a codebook build plus parameter search tabulates parts of
+# 2^12 values and peaks at 29-114 MB RSS, the interpreter included (29 MB for
+# burst-exact at b = 3, whose classes take the transfer; 114 MB for noncons3,
+# whose pair join sorts about 1.66M pairs of part bins at once).
 CHUNK_BITS = 20
 
 

@@ -42,7 +42,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .bitseq import Word, array_view, from_int, run_count, to_int
+from .bitseq import Word, from_int, to_int
 from .errors import DomainError
 
 
@@ -307,13 +307,14 @@ def restricted_burst21_ball(x: Word, deleted_pair: tuple[int, int], inserted: in
 
 
 def ball_size_formula(x: Word, b: int) -> int:
-    """|D_b(x)| = 1 + sum over rows of (runs(row) - 1); requires b | n, n > b."""
+    """|D_b(x)| = 1 + #{p <= n - b : x_p != x_{p+b}}, for n > b: deleting
+    bits p..p+b-1 and p+1..p+b gives the same word exactly when x_p =
+    x_{p+b}. When b | n this is 1 + the runs of each row of the b-row array,
+    less one each."""
     n = len(x)
-    if n % b != 0:
-        raise DomainError(f"burst size {b} does not divide word length {n}")
     if n <= b:
         raise DomainError(f"word length {n} too short for a {b}-burst deletion")
-    return 1 + sum(run_count(row) - 1 for row in array_view(x, b))
+    return 1 + sum(x[p] != x[p + b] for p in range(n - b))
 
 
 def words_with_runs(n: int, r: int) -> int:
@@ -325,9 +326,9 @@ def words_with_runs(n: int, r: int) -> int:
 
 def ball_size_distribution(n: int, b: int) -> dict[int, int]:
     """Counts of words by exact-burst ball size, {i: #{x : |D_b(x)| = i}}, by
-    the closed form N(n, b, i) = 2^b * C(n-b, i-1) for 1 <= i <= n-b+1."""
-    if n % b != 0:
-        raise DomainError(f"burst size {b} does not divide word length {n}")
+    the closed form N(n, b, i) = 2^b * C(n-b, i-1) for 1 <= i <= n-b+1: the
+    first b bits are free, and so is each of the n - b differences x_p !=
+    x_{p+b} that ball_size_formula counts."""
     if n <= b:
         raise DomainError("need n > b")
     return {i: (1 << b) * math.comb(n - b, i - 1) for i in range(1, n - b + 2)}

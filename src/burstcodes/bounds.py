@@ -60,10 +60,8 @@ def transversal_weight(n: int, b: int) -> Fraction:
 
 
 def _run_formula_sizes(vs: np.ndarray, m: int, b: int) -> np.ndarray:
-    """|D_b(x)| of packed length-m words (m >= b): 1 + the number of positions
-    p <= m - b with x_p != x_{p+b}, since deleting bits p..p+b-1 and p+1..p+b
-    gives the same word exactly when x_p = x_{p+b}. When b | m these count the
-    runs of the rows of the b-row array, less one each."""
+    """balls.ball_size_formula of packed length-m words (m >= b), one popcount
+    each: 1 + the number of positions p <= m - b with x_p != x_{p+b}."""
     return 1 + np.bitwise_count((vs ^ (vs >> b)) & np.uint64((1 << (m - b)) - 1))
 
 

@@ -9,21 +9,17 @@ parameters are the residues of the key forms, in the order ``param_fields``
 lists, and a word qualifies when its tie forms equal their key forms (or 0)
 and row 1 of an array view keeps its run cap. Membership evaluates the table
 on one word. Builds and best-parameter searches never visit the 2^n words
-one by one: every form adds across a split of the word into hi * 2^L + lo,
-and a capped row only needs the two runs that meet at the split, so both
-parts are tabulated once (2^L and 2^(n-L) entries, drawn from
-``_enum.iter_chunks``) and joined. ``build`` looks up, for each hi, the one
-low residue vector that completes it to the parameters; ``best_params`` bins
-each part by residues and boundary runs and adds products of bin counts into
-classes, which counts every class exactly (``_classes``); vt and rll count
-their classes with it too, through one adapter (``_class_sizes``). Where
-the space of bins is small (``_by_grid``), the two parts are dense grids of
-bin counts, contracted with one matrix product (``_contract``); else the
-pairs of bins are joined. L balances the parts tabulated against the pairs
-joined: ``build`` looks up one bucket per high part, and the contraction
-does the same work, whatever L, so both split at n // 2; the pair join
-estimates the bins of each part from the table's structure, scaled by the
-bins of the low half (``_pairs``).
+one by one. Every form adds across a split of the word into hi * 2^L + lo,
+and a capped row only needs the two runs that meet at the split, so
+``build`` tabulates both parts once (2^L and 2^(n-L) entries, drawn from
+``_enum.iter_chunks``, at L = n // 2) and looks up, for each hi, the one low
+residue vector that completes it to the parameters. ``best_params`` counts
+every class exactly (``_classes``), and vt and rll count their classes with
+it too, through one adapter (``_class_sizes``). Where the grids are small,
+each group of forms that share positions keeps a grid of counts that starts
+from the tabulated low part and takes the later positions one bit at a time
+(``_transfer``); else the bins of the two parts of the split word are
+joined (``_join``), at L = n // 2.
 """
 
 from __future__ import annotations
@@ -335,10 +331,10 @@ def _edges(cols: int, cap: int, low: bool) -> np.ndarray:
     `cols` columns, packed from bit 0, read-only: -1 where the part has a
     run longer than cap, else 2 * length + bit of its run at the split. The
     split meets the low part at its top column and the high part at its
-    bottom one; the low part holds column 1 of every row, and a high part of
-    no columns has state 0."""
+    bottom one; the low part holds column 1 of every row, and a part of no
+    columns has state 0."""
     v = np.arange(1 << cols)
-    edge, run, same = v >> (cols - 1 if low else 0) & 1, 0, True
+    edge, run, same = v >> (max(cols, 1) - 1 if low else 0) & 1, 0, True
     for k in range(cols - 1, -1, -1) if low else range(cols):
         same &= (v >> k & 1) == edge
         run += same
@@ -357,90 +353,29 @@ def _fit(caps, lo_states, hi_states, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return ok
 
 
-def _tabulate(table: _Table, n: int, lo: int, hi: int):
-    """The parts on positions lo+1..hi of all words, drawn from
-    _enum.iter_chunks, that keep the cap on their own part of every capped
-    row: the parts, the residues of the tie and then the key forms at each,
-    and the boundary state of every capped row at each."""
+def _parts(table: _Table, n: int, lo: int, hi: int):
+    """The parts on positions lo+1..hi of all words, one chunk of
+    _enum.iter_chunks at a time: the parts, the residues of the tie and then
+    the key forms at each, and the boundary state of every capped row."""
     zeros, caps, keys = _compiled(table, n, lo, hi)
     edges = [(row, _edges(cols, cap, lo == 0)) for row, cols, cap in caps]
-    parts = []
     for chunk in _enum.iter_chunks(hi - lo):
         words = chunk.astype(np.intp)
         octets = [words >> i & 0xFF for i in range(0, max(hi - lo, 1), 8)]
-        states = [np.take(table, row.at(octets)) for row, table in edges]
+        yield words, [f.at(octets) for f in zeros + keys], [np.take(t, row.at(octets)) for row, t in edges]
+
+
+def _tabulate(table: _Table, n: int, lo: int, hi: int):
+    """The parts of _parts that keep the cap on their own part of every
+    capped row, with their residues and boundary states."""
+    parts = []
+    for words, residues, states in _parts(table, n, lo, hi):
         keep = np.ones(len(words), dtype=bool)
         for s in states:
             keep &= s >= 0
-        octets = [o[keep] for o in octets]
-        residues = [f.at(octets) for f in zeros + keys]
-        parts.append([words[keep], *residues, *(s[keep] for s in states)])
+        parts.append([words[keep], *(d[keep] for d in residues + states)])
     words, *columns = map(np.concatenate, zip(*parts))
-    return words, columns[: len(zeros) + len(keys)], columns[len(zeros) + len(keys) :]
-
-
-def _split(n: int, forms: int, pairs: Callable[[int], float]) -> int:
-    """The width L of the low part. It minimizes the work of the join: one
-    lookup pass per form, and at least one, over each part tabulated, 2^L and
-    2^(n-L) values, plus one pass over the pairs of bins the join visits,
-    pairs(L) of them."""
-    forms = max(forms, 1)  # a table of no forms would otherwise put L at 1
-
-    def cost(L: int) -> float:
-        return forms * (2.0**L + 2.0 ** (n - L)) + pairs(L)
-
-    return min(range(1, n), key=cost, default=n)  # at n = 1 the high part is empty
-
-
-def _bins(table: _Table, n: int, lo: int, hi: int):
-    """The bin of every part on positions lo+1..hi, its tie residues,
-    boundary states and key residues packed in that order, and the radices
-    they are packed in."""
-    zeros, caps, keys = _compiled(table, n)
-    radices = [f.mod for f in zeros] + [2 * cap + 2 for _, _, cap in caps] + [f.mod for f in keys]
-    words, residues, states = _tabulate(table, n, lo, hi)
-    digits = residues[: len(zeros)] + states + residues[len(zeros) :]
-    return _pack(digits, radices, len(words)), radices
-
-
-@functools.lru_cache(maxsize=128)
-def _pairs(table: _Table, n: int) -> tuple[float, ...]:
-    """For each L in 0..n, about how many pairs of bins _classes joins when
-    its low part holds positions 1..L.
-
-    A part fills at most its ceiling: forms that share a position fall in
-    one group, a group takes at most min(2^positions, product of its
-    radices) values, and the groups of a part vary independently (so
-    burst-exact's rows 1 and 2..b make two groups, and a form on the whole
-    word one). Residues are correlated, so each part is taken to fill the
-    share of its ceiling that the low half of the words fills, tabulated
-    here once per table and length, and at most one bin per value; the bins
-    spread evenly over the tie classes."""
-
-    zeros, caps, keys = _compiled(table, n)
-    bits = lambda f: sum(1 << p for p, w in enumerate(f.weights) if w)  # a form's positions
-    forms = [(bits(f), f.mod) for f in zeros + keys]
-    forms += [(bits(f), 2 * cap + 2) for f, _, cap in caps]
-
-    def ceiling(part: int) -> int:
-        groups = []
-        for mask, radix in forms:
-            if mask := mask & part:
-                for g in [g for g in groups if g[0] & mask]:
-                    groups.remove(g)
-                    mask, radix = mask | g[0], radix * g[1]
-                groups.append((mask, radix))
-        return math.prod(min(1 << mask.bit_count(), radix) for mask, radix in groups)
-
-    whole = (1 << n) - 1
-    ceilings = [(ceiling(whole >> (n - L)), ceiling(whole >> L << L)) for L in range(n + 1)]
-    bins, radices = _bins(table, n, 0, n // 2)
-    filled, _ = _tally([(bins, None)], math.prod(radices), len(bins))
-    fill, ties = len(filled) / ceilings[n // 2][0], math.prod(f.mod for f in zeros)
-    return tuple(
-        min(2.0**L, fill * lo) * min(2.0 ** (n - L), fill * hi) / ties
-        for L, (lo, hi) in enumerate(ceilings)
-    )
+    return words, columns[: len(residues)], columns[len(residues) :]
 
 
 def _pack(digits, radices, count: int) -> np.ndarray:
@@ -621,8 +556,8 @@ def build(spec: CodeSpec) -> Codebook:
     zeros, caps, keys = _compiled(table, n)
     mods = [f.mod for f in zeros + keys]
     targets = [0] * len(zeros) + list(spec.params)
-    # One bucket per high part at any L, so the split is at n // 2.
-    L = _split(n, 1, lambda L: 0)
+    # One bucket per high part at any L, so the parts balance at n // 2.
+    L = n // 2
     (w_lo, r_lo, s_lo), (w_hi, r_hi, s_hi) = (
         _tabulate(table, n, lo, hi) for lo, hi in ((0, L), (L, n))
     )
@@ -632,70 +567,113 @@ def build(spec: CodeSpec) -> Codebook:
     return codebook_from_ints(w_hi[j[fit]] << L | w_lo[i[fit]], n, spec)
 
 
-GRID_TERMS = 1 << 22  # multiply-adds of the largest contraction _classes prefers to a join
-GRID_MAX_N = 52  # float64 holds every integer to 2^53, so counts that total 2^n add exactly
+# ---------------------------------------------------------------------------
+# Class counts: a transfer over the positions where its grids are small, else
+# the pair join of the two parts of a split word.
+# ---------------------------------------------------------------------------
 
 
-def _by_grid(n: int, ties, caps, mods) -> bool:
-    """Whether _classes contracts dense grids (_contract) rather than joining
-    bin pairs, decided from the radices alone: when the grid of T tie
-    classes, S boundary states and K key classes takes at most GRID_TERMS
-    multiply-adds, T S K (S + K); when its K^2 key sums are no more than the
-    2^n pairs of parts that bound the pairs of bins joined; and when its
-    float64 counts are exact."""
-    T, S, K = math.prod(ties), math.prod(2 * cap + 2 for _, _, cap in caps), math.prod(mods)
-    return n <= GRID_MAX_N and T * S * K * (S + K) <= GRID_TERMS and K * K <= 1 << n
-
-
-def _contract(table: _Table, n: int, ties, caps, mods):
-    """_classes by contraction. Each part's bins become one dense (T, S, K)
-    grid of counts. The high grid's tie class t moves to -t, so that equal
-    tie classes cancel, and a fit matrix F over the boundary states sums its
-    states into each low state they fit, F @ B. Contracting the two grids
-    over ties and states gives, for every pair of low and high key classes,
-    the words they make, which add into the class of the summed keys. The
-    work does not depend on L, so the parts balance at n // 2."""
-    states = [2 * cap + 2 for _, _, cap in caps]
-    T, S, K = math.prod(ties), math.prod(states), math.prod(mods)
-    L = _split(n, 1, lambda L: 0)
-    low, high = (
-        np.bincount(bins, minlength=T * S * K).reshape(T, S, K).astype(np.float64)
-        for bins, _ in (_bins(table, n, lo, hi) for lo, hi in ((0, L), (L, n)))
+@functools.lru_cache(maxsize=128)
+def _groups(table: _Table, n: int) -> tuple:
+    """The table at length n as axes, its tie forms, key forms and capped
+    rows numbered in that order, in groups that share no position: each
+    group as (its axes, ascending, their radices, its positions,
+    ascending). A form's radix is its modulus, a capped row's the 2 cap + 2
+    boundary states of _edges, and a form on no position is a group of its
+    own."""
+    zeros, caps, keys = _compiled(table, n)
+    forms = zeros + keys + [row for row, _, _ in caps]
+    radices = [f.mod for f in zeros + keys] + [2 * cap + 2 for _, _, cap in caps]
+    groups = []
+    for axis, f in enumerate(forms):
+        axes, mask = [axis], sum(1 << p for p, w in enumerate(f.weights) if w % f.mod)
+        for g in [g for g in groups if g[1] & mask]:
+            groups.remove(g)
+            axes, mask = g[0] + axes, g[1] | mask
+        groups.append((sorted(axes), mask))
+    return tuple(
+        (tuple(axes), tuple(radices[a] for a in axes), tuple(p for p in range(n) if mask >> p & 1))
+        for axes, mask in groups
     )
-    negated = _pack([(m - d) % m for d, m in zip(_unpack(np.arange(T), ties), ties)], ties, T)
-    digits, (i, j) = _unpack(np.arange(S), states), np.divmod(np.arange(S * S), S)
-    fit = _fit(caps, digits, digits, i, j).reshape(S, S).astype(np.float64)
-    pairs = low.reshape(T * S, K).T @ (fit @ high[negated]).reshape(T * S, K)
-    classes, keys = np.zeros((K, K), dtype=np.intp), _unpack(np.arange(K), mods)
-    for run, wide, sums in _key_groups(tuple(mods)):
-        k = np.ravel_multi_index(keys[run], wide)
-        classes += sums[k[:, None] + k]
-    return _tally([(classes.ravel(), pairs.ravel())], K, K)
 
 
-def _classes(table: _Table, n: int):
-    """Every non-empty parameter class as its packed key residues (ascending,
-    the first key most significant) and its size, and the key moduli.
+def _step(grid: np.ndarray, axis: int, cap: int, bit: int) -> np.ndarray:
+    """The counts after one more column of a capped row, of the given bit,
+    its boundary state on `axis` as _edges has it, 2 * run + bit of the
+    last run: the low part that starts the grid holds the row's column 1. A
+    run of cap + 1 bits leaves the grid, and at cap 0 so does every word."""
+    at = lambda states: (slice(None),) * axis + (states,)
+    new = np.zeros_like(grid)
+    if cap:
+        new[at(2 + bit)] = grid[at(slice(3 - bit, None, 2))].sum(axis=axis)
+        new[at(slice(4 + bit, None, 2))] = grid[at(slice(2 + bit, 2 * cap + bit, 2))]
+    return new
 
-    Each part of the words is binned by its tie residues, boundary states
-    and key residues. A low and a high bin join when their ties cancel and
-    their boundary runs keep every cap; the pair adds the product of their
-    counts to the class of their summed key residues. Where the space of
-    bins is small (_by_grid) the parts are contracted as dense grids
-    (_contract); else the pairs of bins are joined.
 
-    The join's L comes from the estimate of the pairs joined at each split
-    (_pairs)."""
+def _transfer(table: _Table, n: int):
+    """_classes by a pass over the positions of each group (_groups), with
+    a dense int64 grid of counts over the group's axes. The grid starts from
+    the parts on positions 1..L, L = n // 2, tabulated as build tabulates
+    them: each part that keeps the group's caps adds to the cell of its
+    group's residues and states, once for every value of the other low
+    positions. Then the grid takes the bits of the group's later positions
+    in order: a 1 bit rolls the residues by the forms' weights there, and at
+    a column of a capped row each bit steps its state (_step). Each group
+    keeps tie residue 0 and sums out its states. The groups vary
+    independently, so the classes are the outer product of their key grids,
+    in parameter order, times 2 for each position that no form covers."""
+    zeros, caps, keys = _compiled(table, n)
+    t, residues, L = len(zeros), len(zeros) + len(keys), n // 2
+    forms, groups = zeros + keys + [row for row, _, _ in caps], _groups(table, n)
+    grids = [np.zeros(math.prod(radices), dtype=np.int64) for _, radices, _ in groups]
+    for _, low, states in _parts(table, n, 0, L):
+        digits = low + states
+        for grid, (axes, radices, _) in zip(grids, groups):
+            alive = np.all([digits[a] >= 0 for a in axes], axis=0)
+            cells = np.ravel_multi_index([digits[a][alive] for a in axes], radices)
+            grid += np.bincount(cells, minlength=len(grid))
+    total, free = np.ones((1,) * len(keys), dtype=np.int64), n
+    for grid, (axes, radices, positions) in zip(grids, groups):
+        seen = sum(p < L for p in positions)
+        grid = (grid >> (L - seen)).reshape(radices)
+        for p in positions[seen:]:
+            one, steps = grid, []
+            for j, a in enumerate(axes):
+                w = forms[a].weights[p] % forms[a].mod
+                if w and a < residues:
+                    one = np.take(one, np.arange(-w, radices[j] - w), axis=j, mode="wrap")
+                elif w:
+                    steps.append((j, caps[a - residues][2]))
+            zero = grid
+            for j, cap in steps:
+                zero, one = _step(zero, j, cap, 0), _step(one, j, cap, 1)
+            grid = zero + one
+        ties = sum(a < t for a in axes)
+        at = [a - t for a in axes[ties:] if a < residues]  # the group's keys
+        kept = grid[(0,) * ties].sum(axis=tuple(range(len(at), len(axes) - ties)))
+        radix = dict(zip(at, kept.shape))
+        total = total * kept.reshape([radix.get(i, 1) for i in range(len(keys))])
+        free -= len(positions)
+    sizes = total.ravel() << free
+    classes = np.flatnonzero(sizes)
+    return classes, sizes[classes]
+
+
+def _join(table: _Table, n: int, L: int):
+    """_classes by the pair join of the parts on positions 1..L and L+1..n.
+    Each part is binned by its tie residues, boundary states and key
+    residues. A low and a high bin join when their ties cancel and their
+    boundary runs keep every cap; the pair adds the product of their counts
+    to the class of their summed key residues."""
     zeros, caps, keys = _compiled(table, n)
     ties, mods = [f.mod for f in zeros], [f.mod for f in keys]
-    if _by_grid(n, ties, caps, mods):
-        return _contract(table, n, ties, caps, mods), mods
     t, c = len(ties), len(caps)
-    L = _split(n, t + c + len(mods), _pairs(table, n).__getitem__)
     groups = _key_groups(tuple(mods))
+    radices = ties + [2 * cap + 2 for _, _, cap in caps] + mods  # ties, states, keys
     parts = []
     for lo, hi in ((0, L), (L, n)):
-        bins, radices = _bins(table, n, lo, hi)
+        words, residues, runs = _tabulate(table, n, lo, hi)
+        bins = _pack(residues[:t] + runs + residues[t:], radices, len(words))
         bins, counts = _tally([(bins, None)], math.prod(radices), len(bins))
         digits = _unpack(bins, radices)
         states = [d.astype(np.uint8) for d in digits[t : t + c]]  # cheap gathers in _fit
@@ -724,12 +702,26 @@ def _classes(table: _Table, n: int):
             classes += table[x[i] + y[j]]
         return classes, sizes
 
-    return _tally(map(block, [0, *cuts], [*cuts, len(want)]), size, total), mods
+    return _tally(map(block, [0, *cuts], [*cuts, len(want)]), size, total)
+
+
+def _classes(table: _Table, n: int):
+    """Every non-empty parameter class as its packed key residues (ascending,
+    the first key most significant) and its size, and the key moduli.
+
+    The transfer counts them where its work, each group's positions times
+    the cells of its grid, is at most 2^n, the pairs of part values that
+    bound the pairs of bins any split joins; else the pair join, at n // 2.
+    The rule reads the radices only, before any part is tabulated."""
+    work = sum(len(positions) * math.prod(radices) for _, radices, positions in _groups(table, n))
+    count = _transfer(table, n) if work <= 1 << n else _join(table, n, n // 2)
+    return count, [f.mod for f in _compiled(table, n)[2]]
 
 
 def _class_sizes(table: _Table, n: int) -> dict[tuple[int, ...], int]:
     """Every non-empty class of the table at 1 <= n <= 30 as {key residues:
-    size}, in Python ints; a table of no key forms has the one class ()."""
+    size}, in Python ints, counted by _classes (the transfer or the pair
+    join); a table of no key forms has the one class ()."""
     if not 1 <= n <= 30:
         raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
     (classes, sizes), mods = _classes(table, n)

@@ -3,8 +3,8 @@
 Three pieces live here: counting of the set S_n(f) of words whose longest run
 is at most f (a recurrence, with a full sweep kept as its oracle), the
 universal constraint that applies a shared run cap to the first row of every
-array view A_i(x) for 3 <= i <= b (counted by the split join of codes.py, one
-capped row per level), and a systematic single-redundancy-bit encoder that
+array view A_i(x) for 3 <= i <= b (counted by the class counter of codes.py,
+one capped row per level), and a systematic single-redundancy-bit encoder that
 maps any length-n word to a length-(n+1) word with maximum run
 ceil(log2 n) + 3.
 
@@ -231,7 +231,8 @@ def _urll_table(b: int, f: int):
 
 
 def urll_count(spec: UrllSpec) -> int:
-    """|U_{n,b}(f)|, counted by the split join (codes._class_sizes)."""
+    """|U_{n,b}(f)|, counted by codes._class_sizes: the one class of a table
+    of capped rows and no key form."""
     from .codes import _class_sizes
 
     return sum(_class_sizes(_urll_table(spec.b, spec.f), spec.n).values())

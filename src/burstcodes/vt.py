@@ -16,9 +16,10 @@ word end. So SVT decoding is VT decoding confined to a window: both decoders
 take one checksum and reinsert at the leftmost slot with a given number of
 ones after it (a deleted 0) or zeros before it (a deleted 1).
 
-``vt_class_sizes`` and ``svt_class_sizes`` count the classes with the split
-join of codes.py: the VT checksum is one key form, and a run cap is a capped
-row on the word itself; the SVT checksum and weight are two key forms.
+``vt_class_sizes`` and ``svt_class_sizes`` count the classes with the class
+counter of codes.py (a transfer over positions, or a pair join): the VT
+checksum is one key form, and a run cap is a capped row on the word itself;
+the SVT checksum and weight are two key forms.
 """
 
 from __future__ import annotations

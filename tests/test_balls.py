@@ -47,7 +47,8 @@ def test_constant_word_balls():
 
 
 def test_del_exact_matches_formula_small():
-    for n, b in ((6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (12, 3)):
+    # b | n or not
+    for n, b in ((6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (12, 3), (7, 2), (8, 3), (10, 4), (11, 3)):
         for x in enumerate_words(n):
             assert len(ball(x, del_exact(b))) == ball_size_formula(x, b)
 
@@ -57,8 +58,11 @@ def test_ball_size_formula_bounds_and_edges():
         assert 1 <= ball_size_formula(x, 2) <= 7  # n - b + 1
     assert ball_size_formula(parse_word("00000000"), 2) == 1
     assert ball_size_formula(parse_word("0101"), 1) == 4  # alternating, b=1: r(x) = n
-    with pytest.raises(DomainError):
-        ball_size_formula(parse_word("010"), 2)
+    # b need not divide n: both 2-bursts of 010 leave 0
+    assert ball_size_formula(parse_word("010"), 2) == 1 == len(ball(parse_word("010"), del_exact(2)))
+    for word, b in (("01", 2), ("0", 1), ("011", 4)):
+        with pytest.raises(DomainError):
+            ball_size_formula(parse_word(word), b)
 
 
 def test_length_preconditions():
@@ -150,10 +154,14 @@ def test_distribution_formula_matches_tally():
     dist = ball_size_distribution(8, 2)
     assert dist[1] == 4  # both rows constant: 2 x 2 choices
     assert sum(dist.values()) == 256
-    for n, b in ((8, 2), (12, 3)):
-        dist = ball_size_distribution(n, b)
-        assert dist == ball_size_tally(n, b)
-        assert sum(dist.values()) == 1 << n
+    # every length n <= 14 past b, whether or not b divides n
+    for b in (1, 2, 3, 4):
+        for n in range(b + 1, 15):
+            dist = ball_size_distribution(n, b)
+            assert dist == ball_size_tally(n, b), (n, b)
+            assert sum(dist.values()) == 1 << n
+    with pytest.raises(DomainError):
+        ball_size_distribution(3, 3)
 
 
 def test_distribution_report_shape():

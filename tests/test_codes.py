@@ -268,27 +268,27 @@ def test_sweep_joins_chunks(monkeypatch, family, n, b):
     assert list(cb.words) == sorted(w for w in enumerate_words(n) if member(spec, w))
 
 
-def _class_sizes(family, n, b):
-    """Every non-empty parameter class of the split join, by parameter tuple."""
-    (classes, sizes), mods = codes._classes(codes._family_table(family, b), n)
+def _by_params(table, n, counted):
+    """A count's non-empty classes, (packed classes, sizes), by parameter tuple."""
+    mods = [f.mod for f in codes._compiled(table, n)[2]]
+    classes, sizes = counted
     params = zip(*np.unravel_index(classes, mods)) if mods else [()] * len(classes)
     return {tuple(map(int, p)): int(s) for p, s in zip(params, sizes)}
 
 
-def _grid_terms(table, n):
-    """T S K (S + K): the multiply-adds of _classes' contraction of the
-    table's (tie class, boundary state, key class) grids."""
-    zeros, caps, keys = codes._compiled(table, n)
-    T, K = math.prod(f.mod for f in zeros), math.prod(f.mod for f in keys)
-    S = math.prod(2 * cap + 2 for _, _, cap in caps)
-    return T * S * K * (S + K)
+def _transferred(table, n):
+    """The classes by parameter tuple as the transfer counts them, called directly."""
+    return _by_params(table, n, codes._transfer(table, n))
 
 
-def _paths(table, n):
-    """The ways _classes can count the table at n: by the pair join, and by
-    the grid where its K x K key grid stays small (at-most-consecutive and
-    noncons3 have 10^8 terms and more at every length and never take it)."""
-    return (False, True) if _grid_terms(table, n) <= 1 << 26 else (False,)
+def _joined(table, n, L):
+    """The classes by parameter tuple as the pair join at L counts them."""
+    return _by_params(table, n, codes._join(table, n, L))
+
+
+def _transfer_work(table, n):
+    """The transfer's work at n: each group's positions times its cells."""
+    return sum(len(positions) * math.prod(radices) for _, radices, positions in codes._groups(table, n))
 
 
 def _part_forms(family, n, b, lo, hi):
@@ -335,13 +335,16 @@ def test_class_sizes_match_reference_at_every_kind_of_split(monkeypatch, family,
         splits.append(n - 1)
     monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
     monkeypatch.setattr(codes, "JOIN_PAIRS", 1)  # and blocks of as many pairs as classes
-    for split, grid in itertools.product(splits, _paths(codes._family_table(family, b), n)):
-        monkeypatch.setattr(codes, "_split", lambda *args: split)
-        monkeypatch.setattr(codes, "_by_grid", lambda *args: grid)
-        got = _class_sizes(family, n, b)
+    table = codes._family_table(family, b)
+    got = {L: _joined(table, n, L) for L in splits}
+    # at-most-consecutive and noncons3 have transfer grids of 10^8 cells and
+    # more at n = 12, so only their join is counted
+    if _transfer_work(table, n) <= 1 << 26:
+        got["transfer"] = _transferred(table, n)
+    for how, counted in got.items():
         # Equal dicts without zero entries: every empty class is absent from both.
-        assert 0 not in got.values()
-        assert got == sizes, (split, grid)
+        assert 0 not in counted.values()
+        assert counted == sizes, how
     ranges = param_ranges(family, n, b)
     empty = next(
         (p for p in itertools.product(*(range(top + 1) for top in ranges)) if p not in sizes), None
@@ -350,14 +353,11 @@ def test_class_sizes_match_reference_at_every_kind_of_split(monkeypatch, family,
         assert build(CodeSpec(family, n, b, empty)).cardinality == 0
 
 
-def test_noncons4_class_sizes_agree_across_splits(monkeypatch):
+def test_noncons4_class_sizes_agree_across_splits():
     # No reference sweep at n = 24; the join must give one histogram however
     # the word is cut, and its largest class is the pinned parameter tuple.
-    n, b = 24, 4
-    seen = []
-    for split in (10, 14):
-        monkeypatch.setattr(codes, "_split", lambda *args: split)
-        seen.append(_class_sizes(Family.NONCONS4, n, b))
+    table = codes._family_table(Family.NONCONS4, 4)
+    seen = [_joined(table, 24, L) for L in (10, 14)]
     assert seen[0] == seen[1]
     size, params = min((-size, p) for p, size in seen[0].items())
     assert params == (1, 2, 4, 1, 10, 2, 10, 2, 3, 0, 14, 0, 14, 0) and -size == 12
@@ -376,17 +376,27 @@ def _urll_brute(spec):
 
 
 def test_vt_svt_urll_counts_match_per_word_brute_force():
+    # The public counts, and the transfer and the join each called directly.
+    # Run caps of -1 and 0 admit no word, URLL leaves positions that no form
+    # covers, and at b = 4 its two capped rows share positions.
     for n in range(1, 13):
         words = list(enumerate_words(n))
         for cap in [None, *range(-1, n + 2)]:
-            assert vt_class_sizes(n, cap) == _vt_brute(words, cap), (n, cap)
+            want = _vt_brute(words, cap)
+            assert vt_class_sizes(n, cap) == want, (n, cap)
+            want, table = {(a,): size for a, size in enumerate(want) if size}, _vt_table(cap)
+            assert _transferred(table, n) == _joined(table, n, n // 2) == want, (n, cap)
         for P in range(2, n + 3):
-            sizes = Counter((checksum(x, P), sum(x) % 2) for x in words)
-            assert svt_class_sizes(n, P) == sizes, (n, P)
+            want, table = Counter((checksum(x, P), sum(x) % 2) for x in words), _svt_table(P)
+            assert svt_class_sizes(n, P) == want, (n, P)
+            assert _transferred(table, n) == _joined(table, n, n // 2) == want, (n, P)
     for b in (3, 4):
-        for f in range(1, 5):
-            spec = UrllSpec(12, b, f)
-            assert urll_count(spec) == _urll_brute(spec), spec
+        for f in range(5):
+            spec, table = UrllSpec(12, b, f), _urll_table(b, f)
+            want = _urll_brute(spec)
+            assert urll_count(spec) == want, spec
+            for counted in (_transferred(table, 12), _joined(table, 12, 6)):
+                assert sum(counted.values()) == want, spec
     for n in (-1, 0, 31):
         for count in (vt_class_sizes, lambda n: vt_class_sizes(n, 3)):
             with pytest.raises(DomainError):
@@ -415,28 +425,30 @@ def test_class_count_adapter_returns_python_ints():
 
 def test_capped_counts_at_every_split(monkeypatch):
     # A run cap on the whole word meets the split at every position; the
-    # URLL rows meet it only where one of their columns sits.
+    # URLL rows meet it only where one of their columns sits. Either part
+    # may be empty. The transfer, which splits nothing, gives the same counts.
     monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
     n = 10
     words = list(enumerate_words(n))
-    vt_sizes = {cap: _vt_brute(words, cap) for cap in range(1, n)}
-    urll_specs = [UrllSpec(12, 3, f) for f in (1, 2, 3)] + [UrllSpec(12, 4, 2)]
-    urll_sizes = {spec: _urll_brute(spec) for spec in urll_specs}
-    for split, grid in itertools.product(range(1, 12), (False, True)):
-        monkeypatch.setattr(codes, "_split", lambda *args: split)
-        monkeypatch.setattr(codes, "_by_grid", lambda *args: grid)
-        if split < n:
-            for cap, sizes in vt_sizes.items():
-                assert vt_class_sizes(n, cap) == sizes, (split, grid, cap)
-        for spec, size in urll_sizes.items():
-            assert urll_count(spec) == size, (split, grid, spec)
+    for cap in range(n):
+        sizes, table = {(a,): s for a, s in enumerate(_vt_brute(words, cap)) if s}, _vt_table(cap)
+        assert _transferred(table, n) == sizes, cap
+        for split in range(n + 1):
+            assert _joined(table, n, split) == sizes, (split, cap)
+    for spec in [UrllSpec(12, 3, f) for f in (1, 2, 3)] + [UrllSpec(12, 4, 2)]:
+        size, table = _urll_brute(spec), _urll_table(spec.b, spec.f)
+        assert sum(_transferred(table, spec.n).values()) == size, spec
+        for split in range(spec.n + 1):
+            assert sum(_joined(table, spec.n, split).values()) == size, (split, spec)
 
 
 def test_counts_at_24_tabulate_only_parts(monkeypatch):
-    # Each count tabulates the two parts of a split word, never all 2^24
-    # words, and a capped row's boundary table covers only its part.
+    # Each count tabulates parts of a split word, never all 2^24 words: the
+    # transfer, which the counts at 24 take, its low half, and the join,
+    # called on the same tables, both halves. A capped row's boundary table
+    # covers only its part.
     widths, edges = [], []
-    iter_chunks, tabulate, make_edges = _enum.iter_chunks, codes._tabulate, codes._edges
+    iter_chunks, make_parts, make_edges = _enum.iter_chunks, codes._parts, codes._edges
 
     def chunks(width):
         widths.append(width)
@@ -444,7 +456,7 @@ def test_counts_at_24_tabulate_only_parts(monkeypatch):
 
     def parts(table, n, lo, hi):
         edges.append((hi - lo, []))
-        return tabulate(table, n, lo, hi)
+        return make_parts(table, n, lo, hi)
 
     def boundary(*args):
         states = make_edges(*args)
@@ -452,16 +464,20 @@ def test_counts_at_24_tabulate_only_parts(monkeypatch):
         return states
 
     monkeypatch.setattr(_enum, "iter_chunks", chunks)
-    monkeypatch.setattr(codes, "_tabulate", parts)
+    monkeypatch.setattr(codes, "_parts", parts)
     monkeypatch.setattr(codes, "_edges", boundary)
     assert sum(vt_class_sizes(24)) == 1 << 24
     assert sum(vt_class_sizes(24, 5)) == rll_count(RllSpec(24, 5))
     assert sum(svt_class_sizes(24, 7).values()) == 1 << 24
     assert urll_count(UrllSpec(24, 4)) == 16646144
     assert urll_count(UrllSpec(24, 3, 8)) == 1 << 24  # no row can break the cap
-    # Together the counts tabulate under 2^20 part values, a sixteenth of
-    # one sweep, however the split balances the parts.
-    assert widths and max(widths) <= 23 and sum(1 << w for w in widths) < 1 << 20
+    assert widths == [12] * 5
+    tables = [_vt_table(None), _vt_table(5), _svt_table(7), _urll_table(4, urll_cap(24, 4))]
+    for table in tables:
+        assert _joined(table, 24, 12) == _transferred(table, 24)
+    # Together the counts tabulate 17 parts of 2^12 values, under a 200th
+    # of one sweep.
+    assert set(widths) == {12} and len(widths) == 5 + 4 * 3
     assert any(sizes for _, sizes in edges)
     for width, sizes in edges:
         assert all(size <= 1 << width for size in sizes), (width, sizes)
@@ -505,77 +521,74 @@ def _supported(n_max, b_max):
             yield family, n, b
 
 
-def test_grid_and_pair_join_count_the_same_classes(monkeypatch):
+def test_transfer_and_pair_join_count_the_same_classes():
     tables = [(codes._family_table(f, b), n, (f, b)) for f, n, b in _supported(14, 4)]
     caps = [(n, cap) for n in range(1, 13) for cap in (None, *range(n + 2))]
     tables += [(_vt_table(cap), n, ("vt", cap)) for n, cap in caps]
     tables += [(_svt_table(P), n, ("svt", P)) for n in range(1, 13) for P in range(2, n + 3)]
     urll = (UrllSpec(12, 3, 1), UrllSpec(12, 3, 2), UrllSpec(12, 4, 2), UrllSpec(18, 3))
     tables += [(_urll_table(spec.b, spec.f), spec.n, spec) for spec in urll]
-    at_24 = ((Family.BURST_EXACT, 2), (Family.BURST_EXACT, 3), (Family.C21, 2), (Family.CHENG1, 3))
+    at_24 = [(Family.BURST_EXACT, b) for b in (2, 3, 4)] + [(Family.CL2, 2), (Family.C21, 2), (Family.CHENG1, 3)]
     tables += [(codes._family_table(f, b), 24, (f, b)) for f, b in at_24]
     compared = 0
     for table, n, label in tables:
-        counts = []
-        for grid in _paths(table, n):
-            monkeypatch.setattr(codes, "_by_grid", lambda *args: grid)
-            counts.append(codes._classes(table, n))
-        for (classes, sizes), mods in counts[1:]:
-            (want_classes, want_sizes), want_mods = counts[0]
-            assert mods == want_mods and sizes.dtype == want_sizes.dtype == np.int64, (n, label)
-            assert classes.dtype == want_classes.dtype, (n, label)
-            assert np.array_equal(classes, want_classes), (n, label)
-            assert np.array_equal(sizes, want_sizes), (n, label)
-            compared += 1
-    # every table but at-most-consecutive at n = 6, 12 and noncons3 at n = 12
-    assert compared == len(tables) - 3 == 264
+        if _transfer_work(table, n) > 1 << 26:
+            continue
+        (classes, sizes), (want_classes, want_sizes) = codes._transfer(table, n), codes._join(table, n, n // 2)
+        assert sizes.dtype == want_sizes.dtype == np.int64, (n, label)
+        assert classes.dtype == want_classes.dtype, (n, label)
+        assert np.array_equal(classes, want_classes), (n, label)
+        assert np.array_equal(sizes, want_sizes), (n, label)
+        compared += 1
+    # every table but at-most-consecutive and noncons3 at n = 12, whose
+    # transfer grids have 10^8 cells and more
+    assert compared == len(tables) - 2 == 267
 
 
-def _picks_grid(monkeypatch, table, n):
-    """Whether _classes counts the table at n by the grid, as its selection
-    decides before any part is tabulated."""
+def _route(monkeypatch, table, n):
+    """The counter _classes takes for the table at n, as its rule decides
+    before any part is tabulated."""
 
     class Picked(Exception):
         pass
 
-    def picked(*args):
-        raise Picked(by_grid(*args))
+    def picked(name):
+        def counter(*args):
+            raise Picked(name)
+
+        return counter
 
     def tabulated(*args):
-        raise AssertionError("a part was tabulated before the path was chosen")
+        raise AssertionError("a part was tabulated before the counter was chosen")
 
-    by_grid = codes._by_grid
     with monkeypatch.context() as m:
-        m.setattr(codes, "_by_grid", picked)
+        m.setattr(codes, "_transfer", picked("transfer"))
+        m.setattr(codes, "_join", picked("join"))
         m.setattr(codes, "_tabulate", tabulated)
         with pytest.raises(Picked) as choice:
             codes._classes(table, n)
     return choice.value.args[0]
 
 
-def test_classes_take_the_grid_for_small_class_spaces_only(monkeypatch):
-    grid = {(Family.CHENG1, 3), (Family.BURST_EXACT, 2), (Family.BURST_EXACT, 3), (Family.C21, 2)}
-    tables = sorted({*PINNED_24, (Family.BURST_EXACT, 2), (Family.BURST_EXACT, 4)}, key=str)
+def test_classes_route_by_the_work_of_the_transfer(monkeypatch):
+    transfer = {(Family.CHENG1, 3), (Family.CL2, 2), (Family.C21, 2)}
+    transfer |= {(Family.BURST_EXACT, b) for b in (2, 3, 4)}
+    tables = sorted({*PINNED_24, *transfer}, key=str)
     for family, b in tables:
         table = codes._family_table(family, b)
-        assert _picks_grid(monkeypatch, table, 24) == ((family, b) in grid), (family, b)
-    # cl2 at n = 8: 1.06M terms, under GRID_TERMS, but 360^2 key sums
-    # against at most 2^8 pairs of parts joined
+        want = "transfer" if (family, b) in transfer else "join"
+        assert _route(monkeypatch, table, 24) == want, (family, b)
+    # cl2 at n = 8: 8 positions of 2,880 cells against 2^8 pairs of parts
     cl2 = codes._family_table(Family.CL2, 2)
-    assert _grid_terms(cl2, 8) <= codes.GRID_TERMS and not _picks_grid(monkeypatch, cl2, 8)
-    # Past GRID_MAX_N = 52 the counts could pass 2^53, where float64 stops
-    # adding integers exactly, however small the grid.
-    assert codes.GRID_MAX_N == 52
-    small = [_vt_table(None), _vt_table(5), _svt_table(7), codes._family_table(Family.C21, 2)]
-    small += [codes._family_table(Family.BURST_EXACT, 2), codes._family_table(Family.CHENG1, 1)]
-    for table in small:
-        assert _picks_grid(monkeypatch, table, 52)
-        for n in (53, 54, 60, 64):
-            assert not _picks_grid(monkeypatch, table, n), n
+    assert _transfer_work(cl2, 8) == 8 * 2880 and _route(monkeypatch, cl2, 8) == "join"
+    # every VT, SVT and URLL count at n = 24..30 takes the transfer
+    for table in (_vt_table(None), _vt_table(5), _svt_table(7), _urll_table(4, 7)):
+        for n in (24, 30):
+            assert _route(monkeypatch, table, n) == "transfer", n
 
 
-def test_grid_tabulates_the_two_halves(monkeypatch):
-    # the contraction's work is the same at every split, so the parts balance
+def test_join_and_build_tabulate_the_two_halves(monkeypatch):
+    # the join splits at n // 2 when _classes takes it, and build always does
     spans, tabulate = [], codes._tabulate
 
     def parts(table, n, lo, hi):
@@ -583,10 +596,13 @@ def test_grid_tabulates_the_two_halves(monkeypatch):
         return tabulate(table, n, lo, hi)
 
     monkeypatch.setattr(codes, "_tabulate", parts)
-    monkeypatch.setattr(codes, "_by_grid", lambda *args: True)
+    for family, n, b in ((Family.AT_MOST_CONSECUTIVE, 12, 3), (Family.CL2, 10, 2), (Family.C21, 9, 2)):
+        spans.clear()
+        codes._classes(codes._family_table(family, b), n)
+        assert spans == [(0, n // 2), (n // 2, n)], (family, n)
     for family, n, b in ((Family.BURST_EXACT, 24, 3), (Family.C21, 13, 2), (Family.CHENG1, 9, 3)):
         spans.clear()
-        _class_sizes(family, n, b)
+        build(best_params(family, n, b))
         assert spans == [(0, n // 2), (n // 2, n)], (family, n)
 
 

@@ -9,13 +9,11 @@ in one process:
   codes.best_params, codes.build, codes.write_codebook to memory and
   verify.verify_code under del-exact(3), as medians over RUNS runs, after
   one warm-up run whose outputs are checked against pinned values;
-- codes._classes for burst-exact b = 3 and cl2 b = 2 at n = 24: the path
-  it takes (the grid contraction or the pair join, as codes._by_grid
-  decides), the pair join at every split width L in 1..n-1 and at the L
-  that codes._split chooses (timed right after that L forced), and the grid,
-  each path and L forced by replacing codes._by_grid and codes._split as
-  the tests do, as medians over ROUNDS rounds that each visit every one of
-  them once.
+- codes._classes for burst-exact b = 3, burst-exact b = 4 and cl2 b = 2
+  at n = 24: the counter it takes (the transfer or the pair join), and
+  _classes, the transfer and the pair join at every split width L in
+  1..n-1, each called directly, as medians over ROUNDS rounds that each
+  visit every one of them once.
 
 The figures are stored under the label in BENCH_certify.json at the
 repository root, beside those of other labels, with the host they were
@@ -43,10 +41,10 @@ OUT = ROOT / "BENCH_certify.json"
 # (params, cardinality, sha256 of the written codebook) of burst-exact n=24
 # b=3, as pinned by tests/test_codes.py and perfbench.
 EXPECT = ((0, 0, 0), 17576, "b061452a3ba9e3efc176f789e0aa25491837493c939176159a58b289f9e76429")
-SWEEPS = (("burst-exact", 3), ("cl2", 2))
+SWEEPS = (("burst-exact", 3), ("burst-exact", 4), ("cl2", 2))
 N = 24
 RUNS = 31  # pipeline runs per stage median
-ROUNDS = 5  # visits of every L per _classes median
+ROUNDS = 5  # visits of every counter and L per _classes median
 
 
 def _host() -> dict:
@@ -94,42 +92,33 @@ def _sweep(family: str, b: int) -> dict:
     from burstcodes import codes
 
     table = codes._family_table(codes.Family(family), b)
-    split, by_grid, chosen, paths = codes._split, codes._by_grid, [], []
+    taken, transfer = [], codes._transfer
 
     def spy(*args):
-        chosen.append(split(*args))
-        return chosen[-1]
+        taken.append("transfer")
+        return transfer(*args)
 
-    def path(*args):
-        paths.append("grid" if by_grid(*args) else "pair join")
-        return paths[-1] == "grid"
-
+    codes._transfer = spy
     try:
-        codes._by_grid = path
         want, _ = codes._classes(table, N)  # also fills the caches of the table
-        codes._by_grid, codes._split = (lambda *args: False), spy
-        codes._classes(table, N)  # the L the pair join chooses
-        # the chosen split runs right after the same L forced, so that both
-        # follow a run of about their own size
-        ms = {L: [] for L in (*range(1, chosen[0] + 1), "chosen", *range(chosen[0] + 1, N), "grid")}
-        for _ in range(ROUNDS):
-            for L in ms:
-                codes._by_grid = lambda *args: L == "grid"
-                codes._split = {"chosen": spy, "grid": split}.get(L, lambda *args: L)
-                start = time.perf_counter()
-                got, _ = codes._classes(table, N)
-                ms[L].append((time.perf_counter() - start) * 1e3)
-                if not all(map(np.array_equal, got, want)):
-                    raise SystemExit(f"{family} b={b} at L={L} counts other classes")
     finally:
-        codes._by_grid, codes._split = by_grid, split
-    medians = {str(L): round(statistics.median(v), 3) for L, v in ms.items()}
+        codes._transfer = transfer
+    counters = {"classes": lambda: codes._classes(table, N)[0], "transfer": lambda: transfer(table, N)}
+    counters.update({L: (lambda L=L: codes._join(table, N, L)) for L in range(1, N)})
+    ms = {name: [] for name in counters}
+    for _ in range(ROUNDS):
+        for name, count in counters.items():
+            start = time.perf_counter()
+            got = count()
+            ms[name].append((time.perf_counter() - start) * 1e3)
+            if not all(map(np.array_equal, got, want)):
+                raise SystemExit(f"{family} b={b} by {name} counts other classes")
+    medians = {str(name): round(statistics.median(v), 3) for name, v in ms.items()}
     return {
-        "path": paths[0],
-        "grid_ms": medians.pop("grid"),
-        "chosen_L": chosen[0],
-        "chosen_ms": medians.pop("chosen"),
-        "ms": medians,
+        "path": taken[0] if taken else "pair join",
+        "classes_ms": medians.pop("classes"),
+        "transfer_ms": medians.pop("transfer"),
+        "ms": medians,  # the pair join at each L
     }
 
 
