@@ -18,7 +18,8 @@ length, its inserted bits, at most b+1 copy segments of the packed input
 output positions). The channel sampler draws from it, and the search
 decoders read its inverse (_inverse: the placements with the deleted and
 inserted roles swapped). ball_ints applies the table to one int, giving
-(length, value) pairs; ball_keys applies it to an array of words, giving
+(length, value) pairs, and in_ball stops at the first event that gives a
+given pair; ball_keys applies it to an array of words, giving
 keys (1 << length) | value, which sort like those pairs, and sorted_ball_keys
 sorts each word's keys and masks its repeats, the one dedupe of verify_code,
 the equivalence sweep and the ball-size tally (greedy codes mark unsorted
@@ -213,6 +214,24 @@ def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
                 y |= ((v >> src) & mask) << dst
         out.add((length, y | bits))
     return out
+
+
+def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool:
+    """Whether element, a (length, value) pair, lies in ball_ints(v, n, model):
+    the events are applied in turn until one gives it, without building the
+    ball."""
+    m, u = element
+    last = None
+    for length, bits, segs, _, _ in _events(n, model):
+        if length != m:
+            continue
+        if segs is not last:
+            last, y = segs, 0
+            for src, mask, dst in segs:
+                y |= ((v >> src) & mask) << dst
+        if y | bits == u:
+            return True
+    return False
 
 
 def key_dtype(n: int, model: ErrorModel) -> np.dtype:

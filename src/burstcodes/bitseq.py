@@ -21,25 +21,49 @@ Word = tuple[int, ...]
 MAX_ENUM_BITS = 30
 
 
+# One byte per bit, and back to the '0'/'1' text form.
+BITS = bytes.maketrans(b"01", b"\0\1")
+DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _octets(x: Iterable[int]) -> bytes:
+    """x with one byte per entry; DomainError unless every entry is 0 or 1.
+    Bools and integers of any type pass, strings and floats do not. The
+    entries are read one by one, so a numpy array gives its values, not the
+    bytes of its buffer."""
+    try:
+        y = bytes(iter(x))
+        if not y.lstrip(b"\0\1"):  # empty exactly when every byte is 0 or 1
+            return y
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"word bits must be 0 or 1, got {x!r}")
+
+
+def as_word(x: Iterable[int]) -> Word:
+    """x as a tuple of Python ints 0 and 1, of any length; DomainError for
+    any other entry."""
+    return tuple(_octets(x))
+
+
 def word(bits: Iterable[int]) -> Word:
     """Validate and freeze a bit sequence into a Word."""
-    w = tuple(bits)
+    w = as_word(bits)
     if len(w) < 1:
         raise DomainError("a word must have length >= 1")
-    if any(b not in (0, 1) for b in w):
-        raise DomainError(f"word bits must be 0 or 1, got {w!r}")
     return w
 
 
 def parse_word(text: str) -> Word:
     """Parse the ASCII '0'/'1' text form (leftmost character = position 1)."""
-    if not text or any(ch not in "01" for ch in text):
+    if not text or text.strip("01"):
         raise DomainError(f"not a binary word: {text!r}")
-    return tuple(1 if ch == "1" else 0 for ch in text)
+    return tuple(text.encode().translate(BITS))
 
 
 def format_word(x: Word) -> str:
-    return "".join("1" if b else "0" for b in x)
+    """The text form of x; DomainError for an entry other than 0 or 1."""
+    return _octets(x).translate(DIGITS).decode()
 
 
 def to_int(x: Word) -> int:

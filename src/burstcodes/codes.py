@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _enum, balls
 from .balls import ErrorKind
-from .bitseq import Word, array_view, flatten, from_int, to_int
+from .bitseq import Word, array_view, as_word, flatten, from_int, to_int
 from .errors import DecodeFailure, DomainError
 from .rll import ceil_log2, urll_cap
 from .vt import DecodeResult, SvtParams, VtParams, svt_decode, vt_decode
@@ -232,6 +232,7 @@ def _validate_structure(family: Family, n: int, b: int) -> None:
         raise DomainError(f"{name} needs n >= {rec.least_n(b)} at b={b}, got n={n}")
 
 
+@functools.lru_cache(maxsize=64)
 def param_fields(family: Family, b: int) -> tuple[str, ...]:
     return tuple(name for name, _ in _family_table(family, b).keys)
 
@@ -798,23 +799,39 @@ def read_codebook(lines: Iterable[str]) -> Codebook:
 # ---------------------------------------------------------------------------
 
 
-def _decode_array_burst(spec: CodeSpec, b: int, tag: str, y: Word) -> DecodeResult:
-    """Construction core on A_b with the fields a{tag}, c{tag}, d{tag}: VT-decode
-    row 1 to localize the lost column, then shifted-VT-decode the other rows
-    inside the localized window, modulo the span of the c{tag} form."""
+@functools.lru_cache(maxsize=256)
+def _decoder_params(spec: CodeSpec, a: int) -> tuple[VtParams, SvtParams | None]:
+    """The constants of the algebraic decoders for a deletions, built once
+    per (spec, a): the VT code of every row of A_b for cheng1, else the VT
+    code of the whole word (a = 1, the field a_vt or a1), else the VT code
+    of row 1 of A_a and the shifted-VT code of its other rows, from the
+    fields a{tag}, c{tag}, d{tag} and the span of the c{tag} form (no tag
+    for burst-exact, tag a for the others)."""
     n, p = spec.n, spec.params_by_name()
+    if not spec.params:
+        return VtParams(n // spec.b, 0), None
+    if a == 1:
+        return VtParams(n, p.get("a_vt", p.get("a1"))), None
+    tag = "" if _FAMILIES[spec.family].model is ErrorKind.DEL_EXACT else str(a)
     span = dict(_family_table(spec.family, spec.b).keys)[f"c{tag}"].mod(n)
-    m = n // b
-    rows = array_view(y, b)
-    first = vt_decode(rows[0], VtParams(m, p[f"a{tag}"]))
+    m = n // a
+    return VtParams(m, p[f"a{tag}"]), SvtParams(m, span, p[f"c{tag}"], p[f"d{tag}"])
+
+
+def _decode_array_burst(spec: CodeSpec, a: int, y: Word) -> DecodeResult:
+    """Construction core on A_a: VT-decode row 1 to localize the lost column,
+    then shifted-VT-decode the other rows inside the localized window."""
+    vt_params, svt_params = _decoder_params(spec, a)
+    n = spec.n
+    rows = array_view(y, a)
+    first = vt_decode(rows[0], vt_params)
     j1, j2 = first.window
     u = max(1, j1 - 1)
-    svt_params = SvtParams(m, span, p[f"c{tag}"], p[f"d{tag}"])
     x = flatten((first.word, *(svt_decode(row, svt_params, u).word for row in rows[1:])))
     return DecodeResult(
         word=x,
-        window=((u - 1) * b + 1, min(j2 * b, n)),
-        detail={"kind": "burst-deletion", "size": b, "columns": (j1, j2)},
+        window=((u - 1) * a + 1, min(j2 * a, n)),
+        detail={"kind": "burst-deletion", "size": a, "columns": (j1, j2)},
     )
 
 
@@ -842,13 +859,18 @@ def _search(spec: CodeSpec, y: Word, models: tuple) -> tuple[Word, int, tuple[in
 def decode(spec: CodeSpec, y: Word) -> DecodeResult:
     """Recover the unique codeword whose target-model ball contains y.
 
-    The number of deletions a = n - |y| follows from the received length;
-    a = 0 is a pass-through for codewords. VT and array-view decoders
-    rebuild the word; c21 and the windowed patterns of noncons3/noncons4
-    search y's inverse ball. Every path ends in one check: the word is a
-    member whose ball under the path's model (a burst of a deletions, the
-    (2,1)-burst, or the windowed deletions) holds y.
+    y may be any sequence of 0/1 entries (bools and numpy ints included); it
+    is checked once, on entry, and any other entry raises DomainError. The
+    number of deletions a = n - |y| follows from the received length; a = 0
+    is a pass-through for codewords. VT and array-view decoders rebuild the
+    word, with constants built once per (spec, a); c21 and the windowed
+    patterns of noncons3/noncons4 search y's inverse ball. Every path ends in
+    one check: the word is a member and y lies in its ball under the path's
+    model (a burst of a deletions, the (2,1)-burst, or the windowed
+    deletions), tested by balls.in_ball, which stops at the first event that
+    gives y.
     """
+    y = as_word(y)
     n = spec.n
     a = n - len(y)
     if a == 0:
@@ -872,25 +894,24 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
     elif not spec.params:  # a table of no key forms: every row of A_b is a VT_0 code
         result = _decode_cheng1(spec, y)
     elif a == 1:  # the whole-word VT component, a_vt or a1
-        p = spec.params_by_name()
-        result = vt_decode(y, VtParams(n, p.get("a_vt", p.get("a1"))))
+        result = vt_decode(y, _decoder_params(spec, a)[0])
     elif kind is ErrorKind.DEL_AT_MOST_NONCONSECUTIVE and a < spec.b:
         model = balls.del_at_most_noncons(spec.b)
         x, _, refilled = _search(spec, y, (model,))
         detail = {"kind": "windowed-deletion", "positions": refilled}
         result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
-    else:  # an exact-burst code has the fields a, c, d, the others a{a}, c{a}, d{a}
-        result = _decode_array_burst(spec, a, "" if kind is ErrorKind.DEL_EXACT else str(a), y)
-    if not member(spec, result.word) or (
-        (len(y), to_int(y)) not in balls.ball_ints(to_int(result.word), n, model)
+    else:
+        result = _decode_array_burst(spec, a, y)
+    if not member(spec, result.word) or not balls.in_ball(
+        (len(y), to_int(y)), to_int(result.word), n, model
     ):
         raise DecodeFailure("decoded word does not explain the received word")
     return result
 
 
 def _decode_cheng1(spec: CodeSpec, y: Word) -> DecodeResult:
-    m = spec.n // spec.b
-    rows = [vt_decode(row, VtParams(m, 0)) for row in array_view(y, spec.b)]
+    row_params = _decoder_params(spec, spec.b)[0]
+    rows = [vt_decode(row, row_params) for row in array_view(y, spec.b)]
     x = flatten(tuple(r.word for r in rows))
     lo = min(r.window[0] for r in rows)
     hi = max(r.window[1] for r in rows)

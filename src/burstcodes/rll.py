@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from . import _enum
-from .bitseq import Word, array_view
+from .bitseq import BITS, DIGITS, Word, array_view
 from .errors import DecodeFailure, DomainError
 
 
@@ -79,10 +79,6 @@ def rll_count_enumerated(spec: RllSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 def _as_bytes(x: Word, layout: struct.Struct) -> bytes:
     """x packed by layout, one byte per entry; DomainError unless every entry
     is 0 or 1."""
@@ -123,7 +119,7 @@ def _encode(y: bytes, steps: list[Word] | None = None) -> bytes:
         if hit0 == hit1:  # both -1
             return y
         p = min(h for h in (hit0, hit1) if h >= 0)
-        marker = b"\1" + format(p + 1, f"0{width}b").encode().translate(_BITS) + b"\0\1"
+        marker = b"\1" + format(p + 1, f"0{width}b").encode().translate(BITS) + b"\0\1"
         y = y[:p] + y[p + block :] + marker
         i_end -= block
         if steps is not None:
@@ -169,7 +165,7 @@ def rll_decode(y: Word) -> Word:
     while buf[-1] == 1:
         if len(buf) < block + 1:
             raise DecodeFailure("trailing marker block truncated")
-        pos = int(buf[1 - block : -2].translate(_DIGITS), 2)
+        pos = int(buf[1 - block : -2].translate(DIGITS), 2)
         buf = buf[:-block]
         if not 1 <= pos <= len(buf):
             raise DecodeFailure(f"marker names position {pos} outside the word")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Mapping
 
 from .bitseq import Word
@@ -78,7 +79,7 @@ class DecodeResult:
 
 
 def checksum(x: Word, mod: int) -> int:
-    return sum(i * b for i, b in enumerate(x, start=1)) % mod
+    return sum(map(mul, x, range(1, len(x) + 1))) % mod
 
 
 def vt_member(x: Word, p: VtParams) -> bool:

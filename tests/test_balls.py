@@ -19,6 +19,7 @@ from burstcodes.balls import (
     del_at_most,
     del_at_most_noncons,
     del_exact,
+    in_ball,
     ins_at_most,
     ins_at_most_noncons,
     ins_exact,
@@ -193,6 +194,28 @@ def test_ball_keys_equal_ball_ints_exhaustively():
                     assert set(row) == want, (model, n, v)
                 checked += 1
     assert checked == 218  # 250 (model, n) pairs less 32 with n too short
+
+
+def test_in_ball_agrees_with_ball_ints():
+    # the predicate against the set it stands for, every model at b <= 3, on
+    # every word at n <= 6 and 8 seeded words at n = 12, against the words of
+    # each length m the ball reaches: all of them where n + m <= 13 (2^13
+    # pairs of words), else the ball's own words and 32 seeded others
+    rng = random.Random(12)
+    for b in (1, 2, 3):
+        for model in _models(b):
+            for n in (*range(1, 7), 12):
+                try:
+                    lengths = {ev.length for ev in balls._events(n, model)}
+                except DomainError:
+                    continue
+                for v in range(1 << n) if n <= 6 else rng.sample(range(1 << n), 8):
+                    ball = ball_ints(v, n, model)
+                    for m in sorted(lengths):
+                        want = {u for k, u in ball if k == m}
+                        us = range(1 << m) if n + m <= 13 else {*want, *rng.sample(range(1 << m), 32)}
+                        assert {u for u in us if in_ball((m, u), v, n, model)} == want, (model, v, m)
+                    assert not in_ball((max(lengths) + 1, 0), v, n, model)
 
 
 def test_ball_keys_columns_follow_the_event_table():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from burstcodes.bitseq import (
@@ -25,6 +26,25 @@ def test_word_validation():
         parse_word("01x")
     assert parse_word("0110") == (0, 1, 1, 0)
     assert format_word((1, 0, 1)) == "101"
+
+
+def test_malformed_entries_raise_domain_error():
+    # entries other than 0 and 1 are refused, never printed as 1s or kept
+    for bad in (tuple("0" * 18), (2,) * 18, (0.0, 1.0), (1, -1), (None,), (0, 256)):
+        with pytest.raises(DomainError):
+            format_word(bad)
+        with pytest.raises(DomainError):
+            word(bad)
+    for text in ("", "01 ", "0\n1", "012", "\uff10\uff11"):
+        with pytest.raises(DomainError):
+            parse_word(text)
+    # bools and numpy ints pass, as Python ints
+    mixed = (True, False, np.int64(1), np.uint8(0))
+    assert format_word(mixed) == "1010"
+    assert word(mixed) == (1, 0, 1, 0) and all(type(b) is int for b in word(mixed))
+    assert word(np.array([0, 1, 1])) == (0, 1, 1)
+    for x in enumerate_words(8):
+        assert parse_word(format_word(x)) == x
 
 
 def test_int_round_trip():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from burstcodes import _enum, balls, codes, verify
-from burstcodes.bitseq import array_view, enumerate_words, format_word, parse_word, to_int
+from burstcodes.bitseq import array_view, enumerate_words, format_word, from_int, parse_word, to_int
 from burstcodes.codes import (
     BUILD_MAX_N,
     CodeSpec,
@@ -648,6 +648,21 @@ def test_decode_identity_and_length_errors():
         decode(spec, w[:5])  # wrong deletion count
 
 
+def test_decode_checks_its_input_once_on_entry():
+    # any sequence of 0/1 entries decodes as the tuple of its ints; any other
+    # entry raises DomainError, not a TypeError from inside a decoder
+    spec = best_params(Family.BURST_EXACT, 12, 3)
+    x = build(spec).words[0]
+    for y in (x[:4] + x[7:], x):
+        want = decode(spec, y)
+        for same in (list(y), [bool(b) for b in y], [np.int64(b) for b in y], np.array(y)):
+            got = decode(spec, same)
+            assert got == want and all(type(b) is int for b in got.word)
+        for bad in (list(map(str, y)), [float(b) for b in y], y[:-1] + (2,), "".join(map(str, y))):
+            with pytest.raises(DomainError):
+                decode(spec, bad)
+
+
 def test_decode_agrees_with_oracle_all_families_small():
     cases = (
         (Family.CHENG1, 8, 2),
@@ -795,6 +810,35 @@ def test_decode_past_64_bits(family, n, b):
         res = decode(spec, y)
         assert res.word == x, (seed, event)
         kinds.add(res.detail["kind"])
+    assert kinds == want
+
+
+# The deletion counts that take the algebraic paths (VT, array-burst,
+# cheng1), and the decode kinds they reach, per case of _PAST_64_BITS.
+_ALGEBRAIC_PAST_64_BITS = {
+    (Family.NONCONS3, 96, 3): ((1, 3), {"deletion", "burst-deletion"}),
+    (Family.NONCONS4, 96, 4): ((1, 4), {"deletion", "burst-deletion"}),
+    (Family.BURST_EXACT, 72, 3): ((3,), {"burst-deletion"}),
+    (Family.BURST_EXACT, 96, 4): ((4,), {"burst-deletion"}),
+    (Family.CL2, 96, 2): ((1, 2), {"deletion", "burst-deletion"}),
+    (Family.AT_MOST_CONSECUTIVE, 72, 3): ((1, 2, 3), {"deletion", "burst-deletion"}),
+    (Family.CHENG1, 72, 3): ((3,), {"burst-deletion"}),
+}
+
+
+@pytest.mark.parametrize("family,n,b", list(_ALGEBRAIC_PAST_64_BITS))
+def test_algebraic_decoders_past_64_bits_undo_every_event(family, n, b):
+    # the output of every burst of a deletions, an event of every target
+    # model, for each a that takes an algebraic path, on the codeword that
+    # test_decode_past_64_bits draws
+    counts, want = _ALGEBRAIC_PAST_64_BITS[family, n, b]
+    spec, x = _member_past_64_bits(family, n, b, random.Random(n * 10 + b))
+    kinds = set()
+    for a in counts:
+        for m, u in balls.ball_ints(to_int(x), n, balls.del_exact(a)):
+            res = decode(spec, from_int(u, m))
+            assert res.word == x, (a, u)
+            kinds.add(res.detail["kind"])
     assert kinds == want
 
 

@@ -28,3 +28,17 @@ def test_certify_layer_sweep_runs_at_a_small_length(monkeypatch, tmp_path):
         paths.append(record["path"])
     assert set(paths) <= {"transfer", "pair join"}
     assert not any(tmp_path.iterdir())
+
+
+def test_decode_layer_tool_alternates_two_codes_at_a_small_size(monkeypatch, tmp_path):
+    tool = _tool("bench_decode_layers")
+    monkeypatch.setattr(tool, "BLOCKS", 1)
+    monkeypatch.setattr(tool, "ROUNDS", 2)
+    monkeypatch.setattr(tool, "OUT", tmp_path / "BENCH_decode.json")
+    src = str(_TOOLS.parent / "src")
+    packages = {label: tool._load(f"burstcodes_decode_{label}", src) for label in ("one", "two")}
+    figures = tool._measure(packages, 501)  # checks every output of both codes
+    paths = {path for _, _, path in tool.SLOTS}
+    for us in figures.values():
+        assert set(us) == paths | {"all"} and min(us.values()) > 0
+    assert not any(tmp_path.iterdir())
