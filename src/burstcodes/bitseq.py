@@ -24,6 +24,7 @@ MAX_ENUM_BITS = 30
 # One byte per bit, and back to the '0'/'1' text form.
 BITS = bytes.maketrans(b"01", b"\0\1")
 DIGITS = bytes.maketrans(b"\0\1", b"01")
+_PACK = b"01" + b"2" * 254  # 0 and 1 to their digits, any other byte to "2"
 
 
 def _octets(x: Iterable[int]) -> bytes:
@@ -67,11 +68,14 @@ def format_word(x: Word) -> str:
 
 
 def to_int(x: Word) -> int:
-    """Pack a word into an integer with position 1 as the least significant bit."""
-    v = 0
-    for i, b in enumerate(x):
-        v |= b << i
-    return v
+    """Pack a word into an integer with position 1 as the least significant
+    bit; DomainError for any entry other than 0 or 1. The entries are read
+    one by one, as _octets reads them, and every byte other than 0 and 1
+    becomes a digit that int() rejects in base 2."""
+    try:
+        return int(bytes(iter(x)).translate(_PACK)[::-1] or b"0", 2)
+    except (TypeError, ValueError):
+        raise DomainError(f"word bits must be 0 or 1, got {x!r}") from None
 
 
 def from_int(v: int, n: int) -> Word:

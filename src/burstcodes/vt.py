@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Mapping
 
-from .bitseq import Word
+from .bitseq import Word, as_word
 from .errors import DecodeFailure, DomainError
 from .rll import max_run
 
@@ -119,8 +119,9 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
     Syndrome rule: with s = (a - sum(i*y_i)) mod (n+1) and w = wt(y), a deleted
     0 satisfies s <= w and is reinserted with exactly s ones to its right; a
     deleted 1 satisfies s > w and is reinserted with s - w - 1 zeros to its
-    left.
+    left. DomainError for an entry of y other than 0 or 1.
     """
+    y = as_word(y)
     n = p.n
     if n < 2:
         raise DomainError("decoding needs code length >= 2")
@@ -154,8 +155,9 @@ def svt_decode(y: Word, p: SvtParams, u: int) -> DecodeResult:
     right; the defect delta = (c - a') mod P then equals, for a deleted 0, the
     number of ones to the right of the reinsertion point inside the window
     slice, and for a deleted 1 shifts by u + wt(slice) to count zeros on the
-    left instead.
+    left instead. DomainError for an entry of y other than 0 or 1.
     """
+    y = as_word(y)
     n, P = p.n, p.P
     if len(y) != n - 1:
         raise DomainError(f"expected received length {n - 1}, got {len(y)}")

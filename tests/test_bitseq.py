@@ -13,7 +13,11 @@ from burstcodes.bitseq import (
     to_int,
     word,
 )
+from burstcodes.balls import ball, del_exact
+from burstcodes.codes import CodeSpec, Family, build, member
 from burstcodes.errors import DomainError
+from burstcodes.verify import apply_error
+from burstcodes.vt import SvtParams, VtParams, svt_decode, vt_decode
 
 
 def test_word_validation():
@@ -51,6 +55,32 @@ def test_int_round_trip():
     for n in range(1, 10):
         for v in range(1 << n):
             assert to_int(from_int(v, n)) == v
+    assert to_int(()) == 0
+
+
+def test_packing_refuses_entries_other_than_0_and_1():
+    for bad in ((0, 2, 1), (1, -1), (0, 256), (0.0, 1.0), (None,), tuple("01"), (48, 49)):
+        with pytest.raises(DomainError):
+            to_int(bad)
+    # the words that pack through to_int, and the VT/SVT received words
+    spec = CodeSpec(Family.BURST_EXACT, 12, 3, (1, 0, 0))
+    with pytest.raises(DomainError):
+        member(spec, (0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0))
+    with pytest.raises(DomainError):
+        ball((0, 2, 1), del_exact(1))
+    with pytest.raises(DomainError):
+        apply_error((0, 2, 1), del_exact(1), seed=0)
+    with pytest.raises(DomainError):
+        vt_decode((0, 2, 0, 0, 1), VtParams(6, 0))
+    with pytest.raises(DomainError):
+        svt_decode((0, 2, 0, 0, 1), SvtParams(6, 3, 0, 0), 1)
+    # bools and numpy ints pass, numpy arrays by value
+    assert to_int((True, False, np.int64(1), np.uint8(1))) == 0b1101
+    assert to_int(np.array([1, 0, 1, 1], dtype=np.int64)) == 0b1101
+    assert member(spec, np.array(build(spec).words[0]))
+    assert ball((True, False), del_exact(1)) == {(0,), (1,)}
+    assert vt_decode(np.array([0, 1, 0, 0, 1]), VtParams(6, 0)).word == (0, 1, 0, 0, 1, 0)
+    assert vt_decode([False, True, False, False, True], VtParams(6, 0)).word == (0, 1, 0, 0, 1, 0)
 
 
 def test_runs_basics():

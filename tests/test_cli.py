@@ -114,6 +114,21 @@ def test_equiv_out_of_range_n_exits_2(capsys, n):
     assert captured.err == f"error: pairwise sweep needs 1 <= n <= 10, got n={n}\n"
 
 
+@pytest.mark.parametrize("n", [1036, 14290])
+def test_bound_past_the_float_range_exits_2(capsys, n):
+    # from n = 1036 at b = 2 the report's float upper bound overflows
+    assert main(["bound", "--n", str(n), "--b", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: upper bound overflows a float at n={n}, b=2\n"
+
+
+def test_bound_reports_just_below_the_float_range(capsys):
+    code, out = _capture(capsys, ["bound", "--n", "1035", "--b", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["upper_bound_float"] > 1e308
+
+
 def test_equiv_unknown_model_names_the_flag(capsys):
     assert main(["equiv", "--n", "6", "--b", "2", "--model", "bogus"]) == 2
     captured = capsys.readouterr()

@@ -1,44 +1,51 @@
-"""The layer timing tools under tools/ run against the library as it is, so
-that a change to a private hook they use fails here rather than in the next
-measurement."""
+"""tools/bench_layers.py runs every workload against the library as it is,
+at perfbench's smoke sizes, so that a change to a function or private hook
+it times fails here rather than in the next measurement."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import pytest
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC, _TESTS = str(_ROOT / "src"), str(_ROOT / "tests")
 
 
-def _tool(name):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+@functools.cache  # one import: it puts src/ and perfbench/ on sys.path
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", _ROOT / "tools" / "bench_layers.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_certify_layer_sweep_runs_at_a_small_length(monkeypatch, tmp_path):
-    tool = _tool("bench_certify_layers")
-    monkeypatch.setattr(tool, "N", 12)
-    monkeypatch.setattr(tool, "ROUNDS", 1)
-    monkeypatch.setattr(tool, "OUT", tmp_path / "BENCH_certify.json")
-    paths = []
-    for family, b in tool.SWEEPS:
-        record = tool._sweep(family, b)  # checks every counter against _classes
-        assert set(record["ms"]) == {str(L) for L in range(1, 12)}, (family, b)
-        assert record["classes_ms"] > 0 and record["transfer_ms"] > 0
-        paths.append(record["path"])
-    assert set(paths) <= {"transfer", "pair join"}
-    assert not any(tmp_path.iterdir())
+def _bench_files() -> dict:
+    return {path.name: path.read_bytes() for path in _ROOT.glob("BENCH_*.json")}
 
 
-def test_decode_layer_tool_alternates_two_codes_at_a_small_size(monkeypatch, tmp_path):
-    tool = _tool("bench_decode_layers")
-    monkeypatch.setattr(tool, "BLOCKS", 1)
+@pytest.mark.parametrize("workload", ["certify", "decode-mix", "ball-census"])
+def test_every_stage_is_timed_on_two_versions(monkeypatch, workload):
+    tool = _tool()
+    monkeypatch.setattr(tool, "SMOKE", True)
     monkeypatch.setattr(tool, "ROUNDS", 2)
-    monkeypatch.setattr(tool, "OUT", tmp_path / "BENCH_decode.json")
-    src = str(_TOOLS.parent / "src")
-    packages = {label: tool._load(f"burstcodes_decode_{label}", src) for label in ("one", "two")}
-    figures = tool._measure(packages, 501)  # checks every output of both codes
-    paths = {path for _, _, path in tool.SLOTS}
-    for us in figures.values():
-        assert set(us) == paths | {"all"} and min(us.values()) > 0
-    assert not any(tmp_path.iterdir())
+    before = _bench_files()
+    figures = tool.measure(workload, {"one": _SRC, "two": _SRC}, 501)  # checks every output
+    stages = [stage for stage, _, _ in tool.STAGES[workload](tool._load("burstcodes_check", _SRC), 501)]
+    assert set(figures) == {"one", "two"}
+    for record in figures.values():
+        assert list(record["stages"]) == list(dict.fromkeys(stages))
+        assert all(s["calls"] > 0 and s["call_us"] > 0 for s in record["stages"].values())
+        assert record["pass_ms"] > 0
+    assert _bench_files() == before
+
+
+@pytest.mark.parametrize("code, message", [
+    ([f"a={_SRC}", f"a={_SRC}"], "label 'a' given twice"),
+    ([_SRC], f"--code {_SRC!r} is not LABEL=DIR"),
+    ([f"a={_TESTS}"], f"no burstcodes/__init__.py under {_TESTS!r}"),
+], ids=["repeated-label", "no-equals", "no-package"])
+def test_bad_codes_end_in_one_line(code, message):
+    with pytest.raises(SystemExit) as stop:
+        _tool()._codes(code)
+    assert str(stop.value) == f"bench_layers: {message}"
