@@ -11,24 +11,24 @@ zero-error event, which decoders instead treat as pass-through when the
 received length equals the code length. Balls are deduplicated sets of words,
 not multisets of events.
 
-Each (n, model) has one cached event table (_events), the only enumeration
-of error events in the package: every admissible event once, as an output
-length, its inserted bits, at most b+1 copy segments of the packed input
-(position 1 at the LSB), and its placement (deleted input positions, inserted
-output positions). The channel sampler draws from it, and the search
-decoders read its inverse (_inverse: the placements with the deleted and
-inserted roles swapped). ball_ints applies the table to one int, giving
-(length, value) pairs, and in_ball stops at the first event that gives a
-given pair; ball_keys applies it to an array of words, giving
-keys (1 << length) | value, which sort like those pairs, and sorted_ball_keys
-sorts each word's keys and masks its repeats, the one dedupe of verify_code,
-the equivalence sweep and the ball-size tally (greedy codes mark unsorted
-keys in a bitmap). Keys are uint32
-where the words and every key fit in 32 bits (elements of at most 31 bits),
-else uint64; they hold elements of at most KEY_MAX_BITS = 63 bits, and longer
-ones raise DomainError, never wrap.
-A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted from
-its placements, not built, and raises DomainError.
+Each (n, model) has one cached event table (_events), the only enumeration of
+error events in the package: every admissible event once, as an output length,
+its inserted bits, at most b+1 copy segments of the packed input (position 1
+at the LSB), and its placement (deleted input positions, inserted output
+positions). The channel sampler draws from it, and the search decoders read
+its inverse (_inverse: the placements with the deleted and inserted roles
+swapped). walk, the one scalar application of segments, applies events to one
+int for ball_ints ((length, value) pairs), in_ball (up to the first event that
+gives a given pair), the search decoders and the sampler; ball_keys, the
+vector kernel whose oracle is ball_ints, applies the table to an array of
+words, giving keys (1 << length) | value, which sort like those pairs, and
+sorted_ball_keys sorts each word's keys and masks its repeats, the one dedupe
+of verify_code, the equivalence sweep and the ball-size tally (greedy codes
+mark unsorted keys in a bitmap). Keys are uint32 where the words and every key
+fit in 32 bits (elements of at most 31 bits), else uint64; they hold elements
+of at most KEY_MAX_BITS = 63 bits, and longer ones raise DomainError, never
+wrap. A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted
+from its placements, not built, and raises DomainError.
 """
 
 from __future__ import annotations
@@ -202,34 +202,36 @@ def _inverse(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
     return _table(m, _placements(n, model, m))
 
 
+def walk(v: int, events):
+    """(event, output) for each of the events, in order, on the packed word v:
+    the events of one placement share one segs tuple, applied once per
+    placement and OR-ed with each event's inserted bits."""
+    last = None
+    for ev in events:
+        if ev.segs is not last:
+            last, y = ev.segs, 0
+            for src, mask, dst in last:
+                y |= ((v >> src) & mask) << dst
+        yield ev, y | ev.bits
+
+
 def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
     """The error ball of a packed word, as a set of (length, value) pairs."""
-    out = set()
-    last = None
-    for length, bits, segs, _, _ in _events(n, model):
-        # Events that differ only in their inserted bits share one segs tuple.
-        if segs is not last:
-            last, y = segs, 0
-            for src, mask, dst in segs:
-                y |= ((v >> src) & mask) << dst
-        out.add((length, y | bits))
-    return out
+    return {(ev.length, y) for ev, y in walk(v, _events(n, model))}
+
+
+@lru_cache(maxsize=64)
+def _ending(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
+    """The events of the model's table on length-n words that end at length m."""
+    return tuple(ev for ev in _events(n, model) if ev.length == m)
 
 
 def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool:
-    """Whether element, a (length, value) pair, lies in ball_ints(v, n, model):
-    the events are applied in turn until one gives it, without building the
-    ball."""
+    """Whether element, a (length, value) pair, lies in ball_ints(v, n, model),
+    walking the events of its length until one gives it."""
     m, u = element
-    last = None
-    for length, bits, segs, _, _ in _events(n, model):
-        if length != m:
-            continue
-        if segs is not last:
-            last, y = segs, 0
-            for src, mask, dst in segs:
-                y |= ((v >> src) & mask) << dst
-        if y | bits == u:
+    for _, y in walk(v, _ending(n, model, m)):
+        if y == u:
             return True
     return False
 

@@ -148,9 +148,9 @@ class BoundReport:
 
 def bound_report(n: int, b: int) -> BoundReport:
     """Assemble the full bound report; the transversal sum, a popcount over all
-    2^(n-b) packed words, is included whenever n - b <= 18. DomainError
-    where the upper bound is beyond the float range of the report, from
-    n = 1035 at b = 1."""
+    2^(n-b) packed words, is included wherever transversal_weight takes it,
+    n - b <= TRANSVERSAL_MAX_BITS. DomainError where the upper bound is
+    beyond the float range of the report, from n = 1035 at b = 1."""
     bound = upper_bound(n, b)
     try:
         float(bound)
@@ -161,6 +161,6 @@ def bound_report(n: int, b: int) -> BoundReport:
         b=b,
         upper_bound_cardinality=bound,
         lower_bound_redundancy=lower_bound_redundancy(n, b),
-        transversal_weight_enumerated=transversal_weight(n, b) if n - b <= 18 else None,
+        transversal_weight_enumerated=transversal_weight(n, b) if n - b <= TRANSVERSAL_MAX_BITS else None,
         formulas=reference_redundancies(n, b),
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -67,6 +68,12 @@ class CodeSpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        try:  # Python ints, so that specs equal in value share cached constants
+            for name in ("n", "b"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, "params", tuple(map(operator.index, self.params)))
+        except TypeError:
+            raise DomainError(f"n, b and params must be integers, got {self}") from None
         _validate_structure(self.family, self.n, self.b)
         fields = param_fields(self.family, self.b)
         if len(self.params) != len(fields):
@@ -77,9 +84,6 @@ class CodeSpec:
         for name, value, top in zip(fields, self.params, param_ranges(self.family, self.n, self.b)):
             if not 0 <= value <= top:
                 raise DomainError(f"parameter {name}={value} outside [0, {top}]")
-
-    def params_by_name(self) -> dict[str, int]:
-        return dict(zip(param_fields(self.family, self.b), self.params))
 
 
 def _burst_consts(n: int, b: int) -> tuple[int, int, int]:
@@ -93,7 +97,7 @@ def _burst_consts(n: int, b: int) -> tuple[int, int, int]:
 # of array views: named key forms, whose residues are the parameters; tie
 # forms, each of which must equal a key form or 0; and run caps on row 1 of an
 # array view. Fields, ranges, membership, builds, searches and the decoders'
-# moduli all read it.
+# constants all read it.
 # ---------------------------------------------------------------------------
 
 # sum_k w_k * A_lev(x)[row][k] mod mod(n), where w_k is the column index k (a
@@ -530,20 +534,26 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
 
 
 def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = None) -> Codebook:
-    words = list(words)
+    """The codebook of the words, each taken through as_word."""
+    words = list(map(as_word, words))
     if n < 1:
         raise DomainError(f"codebook length must be >= 1, got n={n}")
     if any(len(w) != n for w in words):
         raise DomainError("codebook words must share one length")
-    bits = np.array(words, dtype=np.int64).reshape(len(words), n)
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise DomainError("codeword bits must be 0 or 1")
-    return Codebook(n, _distinct(np.packbits(bits.astype(np.uint8), axis=1)), spec)
+    bits = np.array(words, dtype=np.uint8).reshape(len(words), n)
+    return Codebook(n, _distinct(np.packbits(bits, axis=1)), spec)
 
 
 def codebook_from_ints(vs, n: int, spec: CodeSpec | None = None) -> Codebook:
     """The codebook of packed length-n words (n <= 64, position 1 at the
-    least significant bit)."""
+    least significant bit); DomainError for a value outside [0, 2^n)."""
+    try:  # Python ints of any size, compared exactly, unless vs is an array
+        vs = vs if isinstance(vs, np.ndarray) else np.fromiter(map(operator.index, vs), dtype=object)
+        fits = not vs.size or (vs.dtype.kind in "iuO" and vs.min() >= 0 and not int(vs.max()) >> n)
+    except TypeError:
+        fits = False
+    if not fits:
+        raise DomainError(f"packed words must be integers in [0, 2^{n})")
     return Codebook(n, _distinct(_enum.unpack(vs, n)), spec)
 
 
@@ -802,20 +812,19 @@ def read_codebook(lines: Iterable[str]) -> Codebook:
 @functools.lru_cache(maxsize=256)
 def _decoder_params(spec: CodeSpec, a: int) -> tuple[VtParams, SvtParams | None]:
     """The constants of the algebraic decoders for a deletions, built once
-    per (spec, a): the VT code of every row of A_b for cheng1, else the VT
-    code of the whole word (a = 1, the field a_vt or a1), else the VT code
-    of row 1 of A_a and the shifted-VT code of its other rows, from the
-    fields a{tag}, c{tag}, d{tag} and the span of the c{tag} form (no tag
-    for burst-exact, tag a for the others)."""
-    n, p = spec.n, spec.params_by_name()
+    per (spec, a) from the key forms on A_a by their place, not their names:
+    the VT code of row 1 (its checksum) and, for a > 1, the shifted-VT code
+    of the other rows (row 2's checksum, its modulus the span, and row 2's
+    weight). A table of no key forms makes each row of A_b a VT_0 code."""
+    n, m = spec.n, spec.n // a
     if not spec.params:
         return VtParams(n // spec.b, 0), None
+    keys = _family_table(spec.family, spec.b).keys
+    on = {(f.lev, f.row, f.weighted): (p, f.mod(n)) for (_, f), p in zip(keys, spec.params)}
     if a == 1:
-        return VtParams(n, p.get("a_vt", p.get("a1"))), None
-    tag = "" if _FAMILIES[spec.family].model is ErrorKind.DEL_EXACT else str(a)
-    span = dict(_family_table(spec.family, spec.b).keys)[f"c{tag}"].mod(n)
-    m = n // a
-    return VtParams(m, p[f"a{tag}"]), SvtParams(m, span, p[f"c{tag}"], p[f"d{tag}"])
+        return VtParams(m, on[1, 1, True][0]), None
+    (r, _), (c, span), (d, _) = on[a, 1, True], on[a, 2, True], on[a, 2, False]
+    return VtParams(m, r), SvtParams(m, span, c, d)
 
 
 def _decode_array_burst(spec: CodeSpec, a: int, y: Word) -> DecodeResult:
@@ -843,11 +852,8 @@ def _search(spec: CodeSpec, y: Word, models: tuple) -> tuple[Word, int, tuple[in
     n, v = spec.n, to_int(y)
     first: dict[int, tuple] = {}
     for step, model in enumerate(models):
-        for _, x, segs, _, refilled in balls._inverse(n, model, len(y)):
-            # x starts as the refilled bits; the segments copy the rest of y
-            for src, mask, dst in segs:
-                x |= ((v >> src) & mask) << dst
-            first.setdefault(x, (step, refilled))
+        for ev, x in balls.walk(v, balls._inverse(n, model, len(y))):
+            first.setdefault(x, (step, ev.inserted))  # the refilled positions
     survivors = [x for x in first if member(spec, from_int(x, n))]
     if not survivors:
         raise DecodeFailure("no codeword explains the received word")
@@ -861,12 +867,12 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
 
     y may be any sequence of 0/1 entries (bools and numpy ints included); it
     is checked once, on entry, and any other entry raises DomainError. The
-    number of deletions a = n - |y| follows from the received length; a = 0
-    is a pass-through for codewords. VT and array-view decoders rebuild the
-    word, with constants built once per (spec, a); c21 and the windowed
-    patterns of noncons3/noncons4 search y's inverse ball. Every path ends in
-    one check: the word is a member and y lies in its ball under the path's
-    model (a burst of a deletions, the (2,1)-burst, or the windowed
+    number of deletions a = n - |y| follows from the received length; a = 0 is
+    a pass-through for codewords. VT and array-view decoders rebuild the word,
+    with constants read from the key forms once per (spec, a); c21 and the
+    windowed patterns of noncons3/noncons4 search y's inverse ball. Every path
+    ends in one check: the word is a member and y lies in its ball under the
+    path's model (a burst of a deletions, the (2,1)-burst, or the windowed
     deletions), tested by balls.in_ball, which stops at the first event that
     gives y.
     """
@@ -893,7 +899,7 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
         raise DecodeFailure(f"at most {spec.b} deletions supported, got {a}")
     elif not spec.params:  # a table of no key forms: every row of A_b is a VT_0 code
         result = _decode_cheng1(spec, y)
-    elif a == 1:  # the whole-word VT component, a_vt or a1
+    elif a == 1:  # the whole-word VT component, on A_1
         result = vt_decode(y, _decoder_params(spec, a)[0])
     elif kind is ErrorKind.DEL_AT_MOST_NONCONSECUTIVE and a < spec.b:
         model = balls.del_at_most_noncons(spec.b)

@@ -233,16 +233,13 @@ def apply_error(x: Word, model: balls.ErrorModel, seed: int) -> tuple[Word, Chan
     uniformly over its distinct (positions, bits) patterns with a generator
     fully determined by the seed. Distinct patterns may give one output."""
     events = balls._events(len(x), model)
-    length, bits, segs, deleted, inserted = events[random.Random(seed).randrange(len(events))]
-    v, y = to_int(x), bits
-    for src, mask, dst in segs:
-        y |= ((v >> src) & mask) << dst
+    ((drawn, y),) = balls.walk(to_int(x), [events[random.Random(seed).randrange(len(events))]])
     event = ChannelEvent(
         model=model,
-        start=min(deleted + inserted),
-        deleted=deleted,
-        inserted=inserted,
-        inserted_bits=tuple(bits >> (p - 1) & 1 for p in inserted),
+        start=min(drawn.deleted + drawn.inserted),
+        deleted=drawn.deleted,
+        inserted=drawn.inserted,
+        inserted_bits=tuple(drawn.bits >> (p - 1) & 1 for p in drawn.inserted),
         seed=seed,
     )
-    return from_int(y, length), event
+    return from_int(y, drawn.length), event

@@ -14,7 +14,7 @@ from burstcodes.bitseq import (
     word,
 )
 from burstcodes.balls import ball, del_exact
-from burstcodes.codes import CodeSpec, Family, build, member
+from burstcodes.codes import CodeSpec, Family, build, codebook_from_words, member
 from burstcodes.errors import DomainError
 from burstcodes.verify import apply_error
 from burstcodes.vt import SvtParams, VtParams, svt_decode, vt_decode
@@ -81,6 +81,27 @@ def test_packing_refuses_entries_other_than_0_and_1():
     assert ball((True, False), del_exact(1)) == {(0,), (1,)}
     assert vt_decode(np.array([0, 1, 0, 0, 1]), VtParams(6, 0)).word == (0, 1, 0, 0, 1, 0)
     assert vt_decode([False, True, False, False, True], VtParams(6, 0)).word == (0, 1, 0, 0, 1, 0)
+
+
+def test_one_entry_rule_for_every_word_taker():
+    # _octets is the one check of a word's entries: to_int, member, ball and
+    # codebook_from_words all refuse '1', 1.0 and 2, and all take bools and
+    # numpy ints as the Python ints 0 and 1
+    spec = CodeSpec(Family.BURST_EXACT, 12, 3, (1, 0, 0))
+    x = build(spec).words[0]
+    takers = {
+        "to_int": to_int,
+        "member": lambda w: member(spec, w),
+        "ball": lambda w: ball(w, del_exact(3)),
+        "codebook_from_words": lambda w: codebook_from_words([w], len(w)).words,
+    }
+    for name, take in takers.items():
+        want = take(x)
+        for bad in ("1", 1.0, 2):
+            with pytest.raises(DomainError):
+                take(x[:-1] + (bad,))
+        for same in (tuple(map(bool, x)), tuple(map(np.int64, x)), tuple(map(np.uint8, x))):
+            assert take(same) == want, name
 
 
 def test_runs_basics():

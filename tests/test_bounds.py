@@ -100,5 +100,9 @@ def test_bound_report_shape():
     assert j["upper_bound_float"] == pytest.approx(24.8)
     assert j["transversal_weight"] == "124/5"
     assert "lower_bound" in j["formulas"]
-    rep = bound_report(26, 2)  # n - b > 18: not enumerated
+    # the sum is reported up to transversal_weight's own limit, n - b <= 22:
+    # at (24, 2), at ball-census's two bounds (n - b = 18 and 17), not past it
+    for n, b in ((24, 2), (20, 2), (19, 2)):
+        assert bound_report(n, b).transversal_weight_enumerated == upper_bound(n, b), (n, b)
+    rep = bound_report(26, 2)  # n - b > TRANSVERSAL_MAX_BITS: not enumerated
     assert rep.transversal_weight_enumerated is None

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -42,6 +44,8 @@ from burstcodes.rll import (
 )
 from burstcodes.vt import (
     DecodeResult,
+    SvtParams,
+    VtParams,
     _svt_table,
     _vt_table,
     checksum,
@@ -864,6 +868,119 @@ def test_decode_fails_exactly_off_the_balls_of_the_code():
                 assert got == want, (family, y)
 
 
+def _renamed(table):
+    """A copy of a constraint table with every key form renamed, its ties
+    following the new names."""
+    name = {key: f"renamed{i}" for i, (key, _) in enumerate(table.keys)}
+    return codes._Table(
+        tuple((name[key], form) for key, form in table.keys),
+        tuple((form, name.get(key)) for form, key in table.ties),
+        table.caps,
+    )
+
+
+@pytest.mark.parametrize("family,n,b", [(Family.BURST_EXACT, 12, 3), (Family.CL2, 8, 2),
+                                        (Family.NONCONS3, 12, 3)])
+def test_decoders_read_the_forms_not_the_key_names(monkeypatch, family, n, b):
+    # the decoder constants come from the table's forms, by their place in the
+    # array view: a copy of the family whose keys have other names decodes
+    # every received word of every length n - 1 .. n - b as the original does
+    spec = best_params(family, n, b)
+    received = [y for a in range(1, b + 1) for y in enumerate_words(n - a)]
+    want = [_outcome(decode, spec, y) for y in received]
+    assert len({isinstance(outcome, str) for outcome in want}) == 2  # decodes and failures
+    caches = (codes._family_table, codes.param_fields, codes._decoder_params)
+    record = codes._FAMILIES[family]
+    monkeypatch.setitem(codes._FAMILIES, family,
+                        dataclasses.replace(record, table=lambda b: _renamed(record.table(b))))
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        assert set(param_fields(family, b)).isdisjoint(dict(record.table(b).keys))
+        assert [_outcome(decode, spec, y) for y in received] == want
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def _named_decoder_params(spec, a):
+    """The decoder constants by the key names, kept as the oracle of
+    codes._decoder_params: the VT code of every row of A_b for a table of no
+    keys; at a = 1 the whole-word VT code a_vt or a1; else the VT code of row 1
+    of A_a and the shifted-VT code of its other rows from the keys a{tag},
+    c{tag} and d{tag}, with the span of the c{tag} form, the tag empty for a
+    del-exact family and a for the others."""
+    n, p = spec.n, dict(zip(param_fields(spec.family, spec.b), spec.params))
+    if not spec.params:
+        return VtParams(n // spec.b, 0), None
+    if a == 1:
+        return VtParams(n, p.get("a_vt", p.get("a1"))), None
+    tag = "" if codes._FAMILIES[spec.family].model is balls.ErrorKind.DEL_EXACT else str(a)
+    span = dict(codes._family_table(spec.family, spec.b).keys)[f"c{tag}"].mod(n)
+    m = n // a
+    return VtParams(m, p[f"a{tag}"]), SvtParams(m, span, p[f"c{tag}"], p[f"d{tag}"])
+
+
+def test_decoder_params_equal_the_named_constants(monkeypatch):
+    # every (family, b <= 4, a) whose decode reaches _decoder_params, at the
+    # least n that every b of the family divides, with seeded parameters
+    reached = set()
+    traced = codes._decoder_params
+    monkeypatch.setattr(codes, "_decoder_params",
+                        lambda spec, a: reached.add((spec.family, spec.b, a)) or traced(spec, a))
+    rng = random.Random(4)
+    specs = {}
+    for family in Family:
+        record = codes._FAMILIES[family]
+        for b in [record.b] if record.fixed else range(record.b, 5):
+            n = next(n for n in itertools.count(record.least_n(b)) if n % record.divisor(b) == 0)
+            specs[family, b] = [
+                CodeSpec(family, n, b, tuple(rng.randrange(top + 1) for top in param_ranges(family, n, b)))
+                for _ in range(3)
+            ]
+            for a in range(1, b + 1):
+                try:
+                    decode(specs[family, b][0], tuple(rng.getrandbits(1) for _ in range(n - a)))
+                except DecodeFailure:
+                    pass
+    assert reached == {
+        *((Family.CHENG1, b, b) for b in range(1, 5)),
+        *((Family.BURST_EXACT, b, b) for b in range(2, 5)),
+        (Family.CL2, 2, 1), (Family.CL2, 2, 2),
+        *((Family.AT_MOST_CONSECUTIVE, b, a) for b in (3, 4) for a in range(1, b + 1)),
+        (Family.NONCONS3, 3, 1), (Family.NONCONS3, 3, 3),
+        (Family.NONCONS4, 4, 1), (Family.NONCONS4, 4, 4),
+    }
+    for family, b, a in reached:
+        for spec in specs[family, b]:
+            assert traced(spec, a) == _named_decoder_params(spec, a), (spec, a)
+
+
+def test_specs_hold_python_ints():
+    # a spec equal to another in value is the same spec: numpy or list
+    # parameters are stored as a tuple of Python ints, so decoder constants
+    # cached for one serve the other and every decoded word holds ints
+    plain = CodeSpec(Family.BURST_EXACT, 12, 3, (1, 0, 0))
+    x = build(plain).words[0]
+    y = x[:4] + x[7:]
+    numpy = CodeSpec(Family.BURST_EXACT, 12, 3, tuple(map(np.int64, plain.params)))
+    all_numpy = CodeSpec(Family.BURST_EXACT, np.int64(12), np.int64(3), numpy.params)
+    listed = CodeSpec(Family.BURST_EXACT, 12, 3, [1, 0, 0])
+    codes._decoder_params.cache_clear()
+    for spec in (numpy, plain, listed, all_numpy):
+        assert spec == plain and hash(spec) == hash(plain)
+        assert all(type(v) is int for v in (spec.n, spec.b, *spec.params))
+        assert type(spec.params) is tuple
+        res = decode(spec, y)
+        assert res.word == x and all(type(bit) is int for bit in res.word)
+        json.dumps({"word": res.word, "window": res.window, "detail": res.detail})
+    for bad in ({"n": 12.0}, {"b": 3.0}, {"params": (1.5, 0, 0)}, {"params": ("1", 0, 0)},
+                {"params": 1}):
+        fields = {"family": Family.BURST_EXACT, "n": 12, "b": 3, "params": (1, 0, 0), **bad}
+        with pytest.raises(DomainError):
+            CodeSpec(**fields)
+
+
 def test_noncons3_gap_patterns_round_trip():
     spec = best_params(Family.NONCONS3, 12, 3)
     cb = build(spec)
@@ -1020,6 +1137,17 @@ def test_codebook_from_words_rejects_malformed_words():
         codebook_from_words([(0, 1, 1), (0, 1)], 3)
     with pytest.raises(DomainError, match="0 or 1"):
         codebook_from_words([(0, 1, 2)], 3)
+
+
+@pytest.mark.parametrize("vs", [[16], [1 << 10], [-1], [3, -1], [1 << 64], [1.0], ["1"],
+                                np.array([16]), np.array([-1]), np.array([1.0])])
+def test_codebook_from_ints_refuses_values_outside_the_length(vs):
+    # a value outside [0, 2^n) is refused, never cut to its low n bits
+    with pytest.raises(DomainError, match=r"\[0, 2\^4\)"):
+        codebook_from_ints(vs, 4)
+    assert codebook_from_ints([15, 0, np.uint8(15)], 4).words == ((0, 0, 0, 0), (1, 1, 1, 1))
+    assert codebook_from_ints(np.array([15, 0], dtype=np.uint64), 4).cardinality == 2
+    assert codebook_from_ints([(1 << 64) - 1], 64).words == ((1,) * 64,)
 
 
 def test_codebook_equality_takes_length_spec_and_words():

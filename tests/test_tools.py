@@ -49,3 +49,18 @@ def test_bad_codes_end_in_one_line(code, message):
     with pytest.raises(SystemExit) as stop:
         _tool()._codes(code)
     assert str(stop.value) == f"bench_layers: {message}"
+
+
+def test_short_stages_are_timed_over_several_calls(monkeypatch):
+    # each call of a stage is repeated until the stage fills about FILL_S
+    # seconds of a pass; calls stays the calls per pass
+    tool = _tool()
+    monkeypatch.setattr(tool, "SMOKE", True)
+    monkeypatch.setattr(tool, "ROUNDS", 1)
+    monkeypatch.setattr(tool, "FILL_S", 0.05)
+    stages = tool.measure("ball-census", {"one": _SRC, "two": _SRC}, 501)["one"]["stages"]
+    assert all(s["calls"] == 1 and s["repeats"] >= 1 for s in stages.values())
+    assert max(s["repeats"] for s in stages.values()) > 1
+    monkeypatch.setattr(tool, "FILL_S", 0.0)
+    stages = tool.measure("ball-census", {"one": _SRC}, 501)["one"]["stages"]
+    assert all(s["repeats"] == 1 for s in stages.values())

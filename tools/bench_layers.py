@@ -21,15 +21,19 @@ full sizes:
   then rll.rll_encode of every word of the RLL length and rll.rll_decode of
   every output, each of the two as one call.
 
-One warm-up pass per version checks every output. Then ROUNDS rounds each
-run one pass of every version in turn, in reverse order every other round
-and each after a full garbage collection, so that the versions alternate,
-share the host's drift and take each place in a round equally often. Every
+One warm-up pass per version checks every output and times it. Then ROUNDS
+rounds each run one pass of every version in turn, in reverse order every
+other round and each after a full garbage collection, so that the versions
+alternate, share the host's drift and take each place in a round equally
+often. Within a pass, each call of a stage is repeated as often as the
+stage's warm-up time (the slowest version's) says will fill about FILL_S
+seconds, at least once and equally often in every version, so that a stage
+of one short call is not timed from one call per round. Every
 call is timed alone in process CPU time, which a busy neighbour on the host
 inflates less than wall time. The figures of a stage are its calls per pass,
-the median over rounds of each round's median call time and the median over
-rounds of its time per pass; the pass is the median over rounds of a whole
-pass.
+how often each call is repeated, the median over rounds of each round's
+median call time and the median over rounds of its time per pass (the
+repeats' mean); the pass is the median over rounds of a whole pass.
 
 The figures are stored under each label in the workload's BENCH file at the
 repository root, beside those of other labels, with the host they were
@@ -65,6 +69,7 @@ from spans import EQUIV_FLAVORS  # noqa: E402
 OUT = {"certify": "BENCH_certify.json", "decode-mix": "BENCH_decode.json", "ball-census": "BENCH_census.json"}
 SMOKE = False  # perfbench's smoke sizes, n <= 12
 ROUNDS = 31
+FILL_S = 0.02  # CPU seconds each stage fills per pass, by repeating its calls
 
 
 def _load(name: str, src: str):
@@ -195,28 +200,31 @@ def _ball_census(bc, seed: int) -> list:
 STAGES = {"certify": _certify, "decode-mix": _decode_mix, "ball-census": _ball_census}
 
 
-def _pass(calls) -> dict[str, list[float]]:
-    """Seconds of every call, by stage."""
+def _pass(calls, repeats: dict[str, int]) -> dict[str, list[float]]:
+    """Seconds of every call, by stage, each call made repeats[stage] times."""
     took: dict[str, list[float]] = {}
     clock = time.process_time
     for stage, call, _ in calls:
-        start = clock()
-        call()
-        took.setdefault(stage, []).append(clock() - start)
+        for _ in range(repeats[stage]):
+            start = clock()
+            call()
+            took.setdefault(stage, []).append(clock() - start)
     return took
 
 
-def _figures(passes: list[dict]) -> dict:
+def _figures(passes: list[dict], repeats: dict[str, int]) -> dict:
     med = statistics.median
+    per_pass = [{stage: sum(t) / repeats[stage] for stage, t in p.items()} for p in passes]
     stages = {
         stage: {
-            "calls": len(passes[0][stage]),
+            "calls": len(passes[0][stage]) // repeats[stage],
+            "repeats": repeats[stage],
             "call_us": round(med(med(p[stage]) for p in passes) * 1e6, 3),
-            "pass_ms": round(med(sum(p[stage]) for p in passes) * 1e3, 3),
+            "pass_ms": round(med(p[stage] for p in per_pass) * 1e3, 3),
         }
         for stage in passes[0]
     }
-    return {"stages": stages, "pass_ms": round(med(sum(map(sum, p.values())) for p in passes) * 1e3, 3)}
+    return {"stages": stages, "pass_ms": round(med(sum(p.values()) for p in per_pass) * 1e3, 3)}
 
 
 def measure(workload: str, dirs: dict[str, str], seed: int) -> dict[str, dict]:
@@ -225,16 +233,24 @@ def measure(workload: str, dirs: dict[str, str], seed: int) -> dict[str, dict]:
         label: STAGES[workload](_load(f"burstcodes_{i}", src), seed)
         for i, (label, src) in enumerate(dirs.items())
     }
+    warm: dict[str, float] = {}  # the slowest version's warm-up seconds per stage
     for label, version in calls.items():
+        took: dict[str, float] = {}
         for stage, call, check in version:
-            if not check(call()):
+            start = time.process_time()
+            out = call()
+            took[stage] = took.get(stage, 0.0) + time.process_time() - start
+            if not check(out):
                 raise SystemExit(f"{label}: {stage} gave a wrong output")
+        warm = {stage: max(t, warm.get(stage, 0.0)) for stage, t in took.items()}
+    # every version repeats a stage equally often
+    repeats = {stage: max(1, round(FILL_S / max(t, 1e-6))) for stage, t in warm.items()}
     passes: dict[str, list[dict]] = {label: [] for label in calls}
     for r in range(ROUNDS):
         for label in list(calls)[:: 1 if r % 2 else -1]:
             gc.collect()
-            passes[label].append(_pass(calls[label]))
-    return {label: _figures(runs) for label, runs in passes.items()}
+            passes[label].append(_pass(calls[label], repeats))
+    return {label: _figures(runs, repeats) for label, runs in passes.items()}
 
 
 def _codes(pairs: list[str]) -> dict[str, str]:
