@@ -18,17 +18,26 @@ at the LSB), and its placement (deleted input positions, inserted output
 positions). The channel sampler draws from it, and the search decoders read
 its inverse (_inverse: the placements with the deleted and inserted roles
 swapped). walk, the one scalar application of segments, applies events to one
-int for ball_ints ((length, value) pairs), in_ball (up to the first event that
-gives a given pair), the search decoders and the sampler; ball_keys, the
-vector kernel whose oracle is ball_ints, applies the table to an array of
-words, giving keys (1 << length) | value, which sort like those pairs, and
-sorted_ball_keys sorts each word's keys and masks its repeats, the one dedupe
-of verify_code, the equivalence sweep and the ball-size tally (greedy codes
-mark unsorted keys in a bitmap). Keys are uint32 where the words and every key
-fit in 32 bits (elements of at most 31 bits), else uint64; they hold elements
-of at most KEY_MAX_BITS = 63 bits, and longer ones raise DomainError, never
-wrap. A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted
-from its placements, not built, and raises DomainError.
+int for ball_ints ((length, value) pairs), the search decoders and the
+sampler; ball_keys, the vector kernel whose oracle is ball_ints, applies the
+table to an array of words, giving keys (1 << length) | value, which sort like
+those pairs, and sorted_ball_keys sorts each word's keys and masks its
+repeats, the one dedupe of verify_code, the equivalence sweep and the
+ball-size tally (greedy codes mark unsorted keys in a bitmap). Keys are uint32
+where the words and every key fit in 32 bits (elements of at most 31 bits),
+else uint64; they hold elements of at most KEY_MAX_BITS = 63 bits, and longer
+ones raise DomainError, never wrap. A table holds at most EVENTS_MAX = 2^20
+events: a larger one is counted from its placements, not built, and raises
+DomainError.
+
+Membership (in_ball) needs no table for the models whose events replace one
+window of d consecutive bits with i free bits: the exact and at-most
+consecutive models and the (2,1)-burst. A word y of length m = n - d + i
+lies in the ball of x exactly when its common prefix and suffix with x, each
+capped at min(n, m), together cover the m - i = n - d bits that the event
+keeps; then the window can sit right after the prefix. The two windowed
+(non-consecutive) models keep the walk over their events of length m, up to
+the first that gives y; ball_ints stays the oracle of both.
 """
 
 from __future__ import annotations
@@ -37,14 +46,14 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 from operator import attrgetter
 
 import numpy as np
 
 from .bitseq import Word, from_int, to_int
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 class ErrorKind(Enum):
@@ -63,50 +72,90 @@ class ErrorModel:
     b: int = 1
 
     def __post_init__(self) -> None:
-        if self.b < 1:
+        if not isinstance(self.kind, ErrorKind):
+            raise DomainError(f"error model kind must be an ErrorKind, got {self.kind!r}")
+        b = integer(self.b, "burst size b")
+        if b < 1:
             raise DomainError("burst size b must be >= 1")
-        if self.kind is ErrorKind.BURST_2_1 and self.b != 2:
-            # The (2,1)-burst always deletes two adjacent bits.
-            object.__setattr__(self, "b", 2)
+        # The (2,1)-burst always deletes two adjacent bits.
+        object.__setattr__(self, "b", 2 if self.kind is ErrorKind.BURST_2_1 else b)
 
     def __str__(self) -> str:
         if self.kind is ErrorKind.BURST_2_1:
             return self.kind.value
         return f"{self.kind.value}(b={self.b})"
 
+    @cached_property
+    def sizes(self) -> dict[int, tuple[int, int]]:
+        """(deleted, inserted) bits of each size of event, in ascending size,
+        keyed by the bits it takes off a word's length: one window of
+        consecutive bits replaced by inserted bits, or for the windowed
+        models positions inside a window of b deleted or inserted."""
+        if self.kind is ErrorKind.BURST_2_1:
+            return {1: (2, 1)}  # two adjacent bits, one bit at the first
+        counts = (self.b,) if self.kind.value.endswith("-exact") else range(1, self.b + 1)
+        if self.kind.value.startswith("del-"):
+            return {a: (a, 0) for a in counts}
+        return {-a: (0, a) for a in counts}
+
+    @cached_property
+    def windowed(self) -> bool:
+        """Whether an event's positions may spread inside a window of b."""
+        return self.kind.value.endswith("-nonconsecutive")
+
+    @cached_property
+    def shortest(self) -> int:
+        """The shortest word the model applies to: one bit longer than an
+        event deletes, or any word when no event deletes."""
+        deleted = max(d for d, _ in self.sizes.values())
+        return deleted + 1 if deleted else 0
+
+
+@lru_cache(maxsize=64)
+def _built(kind: ErrorKind, b: int) -> ErrorModel:
+    return ErrorModel(kind, b)
+
+
+def _model(kind: ErrorKind, b: int) -> ErrorModel:
+    """The model, built once per (kind, b), so that a decoder can ask for it
+    per word; b is taken through integer first, so that 2.0 is refused
+    rather than found in the cache under 2."""
+    return _built(kind, integer(b, "burst size b"))
+
 
 def del_exact(b: int) -> ErrorModel:
-    return ErrorModel(ErrorKind.DEL_EXACT, b)
+    return _model(ErrorKind.DEL_EXACT, b)
 
 
 def del_at_most(b: int) -> ErrorModel:
-    return ErrorModel(ErrorKind.DEL_AT_MOST_CONSECUTIVE, b)
+    return _model(ErrorKind.DEL_AT_MOST_CONSECUTIVE, b)
 
 
 def del_at_most_noncons(b: int) -> ErrorModel:
-    return ErrorModel(ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, b)
+    return _model(ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, b)
 
 
 def ins_exact(b: int) -> ErrorModel:
-    return ErrorModel(ErrorKind.INS_EXACT, b)
+    return _model(ErrorKind.INS_EXACT, b)
 
 
 def ins_at_most(b: int) -> ErrorModel:
-    return ErrorModel(ErrorKind.INS_AT_MOST_CONSECUTIVE, b)
+    return _model(ErrorKind.INS_AT_MOST_CONSECUTIVE, b)
 
 
 def ins_at_most_noncons(b: int) -> ErrorModel:
-    return ErrorModel(ErrorKind.INS_AT_MOST_NONCONSECUTIVE, b)
+    return _model(ErrorKind.INS_AT_MOST_NONCONSECUTIVE, b)
 
 
 def burst21() -> ErrorModel:
-    return ErrorModel(ErrorKind.BURST_2_1, 2)
+    return _model(ErrorKind.BURST_2_1, 2)
 
 
 def parse_model(name: str, b: int) -> ErrorModel:
+    b = integer(b, "burst size b")
     for kind in ErrorKind:
         if kind.value == name:
-            return ErrorModel(kind, 2 if kind is ErrorKind.BURST_2_1 else b)
+            return _built(kind, 2 if kind is ErrorKind.BURST_2_1 else b)
     raise DomainError(f"unknown error model {name!r}")
 
 
@@ -128,19 +177,10 @@ def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[t
     at length m, with the two roles swapped: the events that take a length-m
     word back to length n. The events they give, 2^(inserted positions) per
     placement, are counted first and raise DomainError past EVENTS_MAX."""
-    kind, b = model.kind, model.b
-    deleting = kind.value.startswith("del-")
-    if kind is ErrorKind.BURST_2_1:
-        if n < 3:
-            raise DomainError(f"word length {n} too short for a (2,1)-burst")
-        sizes = [(2, 1)]  # (deleted, inserted): two adjacent bits, one bit at the first
-    else:
-        if deleting and n <= b:
-            raise DomainError(f"word length {n} too short for a deletion burst of {b}")
-        sizes = [(a, 0) if deleting else (0, a)
-                 for a in ((b,) if kind.value.endswith("-exact") else range(1, b + 1))]
-    sizes = [(d, i) for d, i in sizes if m in (None, n - d + i)]
-    window = kind.value.endswith("-nonconsecutive")
+    b, window = model.b, model.windowed
+    if n < model.shortest:
+        raise DomainError(f"word length {n} too short for {model}")
+    sizes = [(d, i) for d, i in model.sizes.values() if m in (None, n - d + i)]
 
     def sets(k: int, a: int) -> int:
         # a positions of 1..k inside a window of b, each set by its minimum p
@@ -227,13 +267,31 @@ def _ending(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
 
 
 def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool:
-    """Whether element, a (length, value) pair, lies in ball_ints(v, n, model),
-    walking the events of its length until one gives it."""
+    """Whether element, a (length, value) pair, lies in ball_ints(v, n, model);
+    DomainError for v outside [0, 2^n) or a value outside [0, 2^length).
+
+    A model of one window (all but the windowed ones) needs no events: the
+    event that takes the word to length m keeps n - d of its bits, and the
+    value lies in the ball exactly when its common prefix and suffix with v,
+    each at most min(n, m) bits, cover that many. A windowed model walks its
+    events of length m until one gives the value."""
     m, u = element
-    for _, y in walk(v, _ending(n, model, m)):
-        if y == u:
-            return True
-    return False
+    if n < model.shortest:
+        raise DomainError(f"word length {n} too short for {model}")
+    if not (0 <= v < 1 << n and 0 <= m and 0 <= u < 1 << m):
+        raise DomainError(f"({m}, {u}) and {v} are not packed words of lengths {m} and {n}")
+    if model.windowed:
+        for _, y in walk(v, _ending(n, model, m)):
+            if y == u:
+                return True
+        return False
+    size = model.sizes.get(n - m)
+    if size is None:
+        return False
+    k = min(n, m)
+    low = (u ^ v) | (1 << k)  # its lowest set bit is at the common prefix's length
+    high = (v >> (n - k)) ^ (u >> (m - k))  # the last k bits of each, compared
+    return (low & -low).bit_length() - 1 + k - high.bit_length() >= n - size[0]
 
 
 def key_dtype(n: int, model: ErrorModel) -> np.dtype:

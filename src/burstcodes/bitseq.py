@@ -73,6 +73,10 @@ def to_int(x: Word) -> int:
 
 
 def from_int(v: int, n: int) -> Word:
+    """The length-n word packed in v, inverse to to_int; DomainError unless
+    0 <= v < 2^n, so that no bit of v is dropped or made up."""
+    if not 0 <= v < 1 << n:
+        raise DomainError(f"packed word {v} outside [0, 2^{n})")
     return tuple((v >> i) & 1 for i in range(n))
 
 

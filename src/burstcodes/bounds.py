@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _enum
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 def _log2_fraction(f: Fraction) -> float:
@@ -27,6 +27,7 @@ def _log2_fraction(f: Fraction) -> float:
 def upper_bound(n: int, b: int) -> Fraction:
     """Largest possible size of a code correcting one deletion burst of
     exactly b, as an exact rational: (2^(n-b+1) - 2^b) / (n - 2b + 1)."""
+    n, b = integer(n, "n"), integer(b, "b")
     if b < 1 or n <= 2 * b - 1:
         raise DomainError(f"bound needs n > 2b - 1, got n={n}, b={b}")
     return Fraction((1 << (n - b + 1)) - (1 << b), n - 2 * b + 1)
@@ -47,6 +48,7 @@ def transversal_weight(n: int, b: int) -> Fraction:
     Ball sizes are one popcount per packed word (_run_formula_sizes), whether
     or not b divides n-b. Equals upper_bound(n, b) exactly.
     """
+    n, b = integer(n, "n"), integer(b, "b")
     if b < 1 or n <= 2 * b - 1:
         raise DomainError(f"transversal needs n > 2b - 1, got n={n}, b={b}")
     m = n - b
@@ -83,6 +85,7 @@ def reference_redundancies(n: int, b: int) -> dict[str, float | None]:
       noncons4_bound            7 log2 n + 2 log2 log2 n + 4
       lower_bound               exact-burst redundancy lower bound
     """
+    n, b = integer(n, "n"), integer(b, "b")
     out: dict[str, float | None] = {}
     ratio = n / b
     log_n = math.log2(n)
@@ -151,6 +154,7 @@ def bound_report(n: int, b: int) -> BoundReport:
     2^(n-b) packed words, is included wherever transversal_weight takes it,
     n - b <= TRANSVERSAL_MAX_BITS. DomainError where the upper bound is
     beyond the float range of the report, from n = 1035 at b = 1."""
+    n, b = integer(n, "n"), integer(b, "b")
     bound = upper_bound(n, b)
     try:
         float(bound)

@@ -68,6 +68,8 @@ class CodeSpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise DomainError(f"family must be a Family, got {self.family!r}")
         try:  # Python ints, so that specs equal in value share cached constants
             for name in ("n", "b"):
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
@@ -312,8 +314,12 @@ def member(spec: CodeSpec, x: Word) -> bool:
     """Per-word membership predicate."""
     if len(x) != spec.n:
         raise DomainError(f"expected length {spec.n}, got {len(x)}")
+    return _member(spec, to_int(x))
+
+
+def _member(spec: CodeSpec, v: int) -> bool:
+    """member of the length-n word packed in v."""
     zeros, caps, keys = _compiled(_family_table(spec.family, spec.b), spec.n)
-    v = to_int(x)
     return (
         all(f(v) == 0 for f in zeros)
         and all(_enum.max_run_le(row(v), m, cap) for row, m, cap in caps)
@@ -844,15 +850,16 @@ def _decode_array_burst(spec: CodeSpec, a: int, y: Word) -> DecodeResult:
     )
 
 
-def _search(spec: CodeSpec, y: Word, models: tuple) -> tuple[Word, int, tuple[int, ...]]:
+def _search(spec: CodeSpec, received: tuple[int, int], models: tuple) -> tuple[Word, int, tuple[int, ...]]:
     """The unique member among the words whose ball under one of the models
-    holds y, that is among y's ball under their inverse events
-    (balls._inverse), with the model index and refilled positions of the
-    first event that gives it. Each distinct candidate is tested with member."""
-    n, v = spec.n, to_int(y)
+    holds the received word, given as (length, packed value), that is among
+    its ball under their inverse events (balls._inverse), with the model
+    index and refilled positions of the first event that gives it. Each
+    distinct candidate is tested with member."""
+    n, (m, v) = spec.n, received
     first: dict[int, tuple] = {}
     for step, model in enumerate(models):
-        for ev, x in balls.walk(v, balls._inverse(n, model, len(y))):
+        for ev, x in balls.walk(v, balls._inverse(n, model, m)):
             first.setdefault(x, (step, ev.inserted))  # the refilled positions
     survivors = [x for x in first if member(spec, from_int(x, n))]
     if not survivors:
@@ -871,10 +878,11 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
     a pass-through for codewords. VT and array-view decoders rebuild the word,
     with constants read from the key forms once per (spec, a); c21 and the
     windowed patterns of noncons3/noncons4 search y's inverse ball. Every path
-    ends in one check: the word is a member and y lies in its ball under the
-    path's model (a burst of a deletions, the (2,1)-burst, or the windowed
-    deletions), tested by balls.in_ball, which stops at the first event that
-    gives y.
+    ends in one check on y and the decoded word, each packed once: the word
+    is a member and y lies in its ball under the path's model (a burst of a
+    deletions, the (2,1)-burst, or the windowed deletions), tested by
+    balls.in_ball, in closed form from their common prefix and suffix except
+    for the windowed deletions.
     """
     y = as_word(y)
     n = spec.n
@@ -885,12 +893,13 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
         raise DecodeFailure("length-n input is not a codeword of this code")
     if a < 0:
         raise DecodeFailure("received word longer than the code length")
+    received = (len(y), to_int(y))
     kind, model = _FAMILIES[spec.family].model, balls.del_exact(a)
     if kind is ErrorKind.BURST_2_1:
         if a != 1:
             raise DecodeFailure(f"{spec.family.value} expects received length {n - 1}, got {len(y)}")
         model = balls.burst21()
-        x, step, refilled = _search(spec, y, (balls.del_exact(1), model))
+        x, step, refilled = _search(spec, received, (balls.del_exact(1), model))
         detail = {"kind": ("single-deletion", "burst-2-1")[step], "position": refilled[0]}
         result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
     elif kind is ErrorKind.DEL_EXACT and a != spec.b:
@@ -903,14 +912,13 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
         result = vt_decode(y, _decoder_params(spec, a)[0])
     elif kind is ErrorKind.DEL_AT_MOST_NONCONSECUTIVE and a < spec.b:
         model = balls.del_at_most_noncons(spec.b)
-        x, _, refilled = _search(spec, y, (model,))
+        x, _, refilled = _search(spec, received, (model,))
         detail = {"kind": "windowed-deletion", "positions": refilled}
         result = DecodeResult(word=x, window=(refilled[0], refilled[-1]), detail=detail)
     else:
         result = _decode_array_burst(spec, a, y)
-    if not member(spec, result.word) or not balls.in_ball(
-        (len(y), to_int(y)), to_int(result.word), n, model
-    ):
+    x = to_int(result.word)
+    if not _member(spec, x) or not balls.in_ball(received, x, n, model):
         raise DecodeFailure("decoded word does not explain the received word")
     return result
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one integer check."""
+
+import operator
 
 
 class BurstCodesError(Exception):
@@ -15,3 +17,12 @@ class DecodeFailure(BurstCodesError):
 
 class CodeIntegrityError(BurstCodesError):
     """A codebook that was assumed verified produced ambiguous decoding."""
+
+
+def integer(value, name: str) -> int:
+    """value as a Python int, taken through operator.index (bools and numpy
+    ints pass); DomainError for anything else, such as a float or a string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -29,7 +29,7 @@ from itertools import groupby
 
 from . import _enum
 from .bitseq import BITS, DIGITS, Word, array_view
-from .errors import DecodeFailure, DomainError
+from .errors import DecodeFailure, DomainError, integer
 
 
 def max_run(x: Word) -> int:
@@ -51,6 +51,8 @@ class RllSpec:
     f: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "f"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if not 1 <= self.f <= self.n:
             raise DomainError(f"run cap must satisfy 1 <= f <= n, got f={self.f}, n={self.n}")
 
@@ -201,6 +203,8 @@ class UrllSpec:
     f: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "b") if self.f is None else ("n", "b", "f"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.b < 3:
             raise DomainError("universal constraint applies for b >= 3")
         if self.n < 1:

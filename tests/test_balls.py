@@ -197,12 +197,12 @@ def test_ball_keys_equal_ball_ints_exhaustively():
 
 
 def test_in_ball_agrees_with_ball_ints():
-    # the predicate against the set it stands for, every model at b <= 3, on
+    # the predicate against the set it stands for, every model at b <= 4, on
     # every word at n <= 6 and 8 seeded words at n = 12, against the words of
     # each length m the ball reaches: all of them where n + m <= 13 (2^13
     # pairs of words), else the ball's own words and 32 seeded others
     rng = random.Random(12)
-    for b in (1, 2, 3):
+    for b in (1, 2, 3, 4):
         for model in _models(b):
             for n in (*range(1, 7), 12):
                 try:
@@ -216,6 +216,55 @@ def test_in_ball_agrees_with_ball_ints():
                         us = range(1 << m) if n + m <= 13 else {*want, *rng.sample(range(1 << m), 32)}
                         assert {u for u in us if in_ball((m, u), v, n, model)} == want, (model, v, m)
                     assert not in_ball((max(lengths) + 1, 0), v, n, model)
+
+
+_ONE_WINDOW = (del_exact, del_at_most, ins_exact, ins_at_most)
+
+
+def test_in_ball_past_64_bits_agrees_with_ball_ints():
+    # the closed form on Python ints of 65 to 128 bits, for every model of one
+    # window: every element of the ball is in it, and so is a word one bit
+    # away from an element exactly when the ball holds that word
+    rng = random.Random(65)
+    for n in (65, 100, 128):
+        for model in [make(b) for make in _ONE_WINDOW for b in (1, 2, 3, 4)] + [burst21()]:
+            for v in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(3))):
+                ball = ball_ints(v, n, model)
+                for m, u in ball:
+                    assert in_ball((m, u), v, n, model), (model, n, v, m, u)
+                    near = u ^ (1 << rng.randrange(m))
+                    assert in_ball((m, near), v, n, model) == ((m, near) in ball), (model, n, v, m, near)
+                for m in {k for k, _ in ball}:
+                    u = rng.getrandbits(m)
+                    assert in_ball((m, u), v, n, model) == ((m, u) in ball), (model, n, v, m, u)
+                assert not in_ball((n, v), v, n, model)
+
+
+@pytest.mark.parametrize("model", [*(make(2) for make in _ONE_WINDOW), burst21(),
+                                   del_at_most_noncons(3), ins_at_most_noncons(3)], ids=str)
+def test_in_ball_refuses_values_outside_their_lengths(model):
+    # a word or element value outside [0, 2^length) is refused, never read by
+    # its low bits only; the bounds themselves pass
+    n, m = 8, 8 - next(iter(model.sizes))
+    for v, u in (((1 << n), 0), (-1, 0), (0, 1 << m), (0, -1), (1 << 70, 0), (0, 1 << 70)):
+        with pytest.raises(DomainError):
+            in_ball((m, u), v, n, model)
+    with pytest.raises(DomainError):
+        in_ball((-1, 0), 0, n, model)
+    for v, u in ((0, 0), ((1 << n) - 1, (1 << m) - 1)):
+        assert in_ball((m, u), v, n, model)
+
+
+def test_model_constructors_build_each_model_once():
+    # decoders ask for their model per word, and get the same object; an
+    # argument that is not an integer still raises DomainError
+    assert del_exact(3) is del_exact(3) is balls.parse_model("del-exact", 3)
+    assert burst21() is balls.parse_model("burst-2-1", 1)
+    assert del_exact(np.int64(2)) is del_exact(2)
+    for bad in (2.0, "2", None, [2]):
+        for make in (*_ONE_WINDOW, del_at_most_noncons, ins_at_most_noncons):
+            with pytest.raises(DomainError):
+                make(bad)
 
 
 def test_ball_keys_columns_follow_the_event_table():

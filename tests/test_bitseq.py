@@ -58,6 +58,16 @@ def test_int_round_trip():
     assert to_int(()) == 0
 
 
+def test_unpacking_refuses_values_outside_the_length():
+    # from_int is exact: a negative value or one of more than n bits is
+    # refused, never cut to its low n bits (from_int(99, 4) gave 1100)
+    for v, n in ((-1, 4), (99, 4), (16, 4), (1, 0), (1 << 64, 64), (-(1 << 70), 70)):
+        with pytest.raises(DomainError):
+            from_int(v, n)
+    assert from_int(15, 4) == (1, 1, 1, 1) and from_int(0, 0) == ()
+    assert from_int((1 << 64) - 1, 64) == (1,) * 64
+
+
 def test_packing_refuses_entries_other_than_0_and_1():
     for bad in ((0, 2, 1), (1, -1), (0, 256), (0.0, 1.0), (None,), tuple("01"), (48, 49)):
         with pytest.raises(DomainError):

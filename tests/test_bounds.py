@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from burstcodes.balls import ball_size_formula, ball_size_tally
+from burstcodes.balls import ErrorKind, ErrorModel, ball, ball_size_formula, ball_size_tally, parse_model
 from burstcodes.bitseq import from_int
 from burstcodes.bounds import (
     _run_formula_sizes,
@@ -15,6 +15,7 @@ from burstcodes.bounds import (
     upper_bound,
 )
 from burstcodes.errors import DomainError
+from burstcodes.rll import RllSpec, UrllSpec, rll_count, urll_count
 
 
 def test_upper_bound_values():
@@ -106,3 +107,31 @@ def test_bound_report_shape():
         assert bound_report(n, b).transversal_weight_enumerated == upper_bound(n, b), (n, b)
     rep = bound_report(26, 2)  # n - b > TRANSVERSAL_MAX_BITS: not enumerated
     assert rep.transversal_weight_enumerated is None
+
+
+def test_non_integer_arguments_raise_domain_error():
+    # lengths, burst sizes and caps go through operator.index, as CodeSpec's
+    # do: a float or a string is refused with DomainError, not a raw
+    # TypeError from inside the computation
+    calls = [
+        lambda: rll_count(RllSpec(10.5, 3)),
+        lambda: RllSpec(10, "3"),
+        lambda: urll_count(UrllSpec(12.0, 3)),
+        lambda: UrllSpec(12, 3, 2.5),
+        lambda: upper_bound(10.5, 2),
+        lambda: lower_bound_redundancy(10, 2.0),
+        lambda: transversal_weight(10.5, 2),
+        lambda: reference_redundancies(10, "2"),
+        lambda: bound_report(10.5, 2),
+        lambda: ball((0, 1, 0), ErrorModel(ErrorKind.DEL_EXACT, "1")),
+        lambda: parse_model("del-exact", "2"),
+        lambda: parse_model("burst-2-1", None),
+        lambda: ErrorModel("del-exact", 1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    # integers of any type still pass, as Python ints
+    assert rll_count(RllSpec(np.int64(10), True)) == rll_count(RllSpec(10, 1)) == 2
+    assert upper_bound(np.int64(8), np.int64(2)) == Fraction(124, 5)
+    assert parse_model("del-exact", np.int64(2)).b == 2

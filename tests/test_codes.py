@@ -981,6 +981,15 @@ def test_specs_hold_python_ints():
             CodeSpec(**fields)
 
 
+def test_specs_refuse_a_family_that_is_not_a_family():
+    # a family's name, None or another enum is refused, not looked up in the
+    # family records (which ended in KeyError)
+    for bad in ("burst-exact", None, balls.ErrorKind.DEL_EXACT):
+        with pytest.raises(DomainError, match="Family"):
+            CodeSpec(bad, 12, 3, (0, 0, 0))
+    assert CodeSpec(parse_family("burst-exact"), 12, 3, (0, 0, 0)).family is Family.BURST_EXACT
+
+
 def test_noncons3_gap_patterns_round_trip():
     spec = best_params(Family.NONCONS3, 12, 3)
     cb = build(spec)

@@ -15,7 +15,9 @@ full sizes:
   b = 3 and cl2 b = 2, which take the transfer, and at-most-consecutive
   b = 3, which takes the pair join;
 - decode-mix: every request of the mix, a received line parsed, decoded and
-  printed, in the mix's order, one stage per decoder path; the requests are
+  printed, in the mix's order, one stage per decoder path; then the final
+  check of decode alone, balls.in_ball on every request's received word,
+  decoded word and the model of its path, as one stage; the requests are
   drawn with --seed;
 - ball-census: the bound, equiv, greedy and verify_code calls of one pass,
   then rll.rll_encode of every word of the RLL length and rll.rll_decode of
@@ -126,17 +128,30 @@ def _certify(bc, seed: int) -> list:
 
 
 def _decode_mix(bc, seed: int) -> list:
-    codes, bitseq = bc.codes, bc.bitseq
+    balls, codes, bitseq = bc.balls, bc.codes, bc.bitseq
     mix = workloads.DecodeMix(SMOKE)
     mix.setup(seed)
 
     def request(spec, line: str):
         return lambda: bitseq.format_word(codes.decode(spec, bitseq.parse_word(line)).word)
 
+    def final_check(spec, line: str, sent: str, path: str):
+        # the model decode's path checks y against: the (2,1)-burst for c21,
+        # the windowed deletions of b for windowed, else a burst of n - |y|
+        y, x = bitseq.parse_word(line), bitseq.parse_word(sent)
+        if path == "c21":
+            model = balls.burst21()
+        elif path == "windowed":
+            model = balls.del_at_most_noncons(spec.b)
+        else:
+            model = balls.del_exact(len(x) - len(y))
+        args = ((len(y), bitseq.to_int(y)), bitseq.to_int(x), len(x), model)
+        return lambda: balls.in_ball(*args)
+
     return [
         (path, request(_spec(bc, spec), line), lambda out, sent=sent: out == sent)
         for spec, line, sent, path in mix.requests
-    ]
+    ] + [("final check", final_check(*req), lambda out: out is True) for req in mix.requests]
 
 
 def _ball_census(bc, seed: int) -> list:
