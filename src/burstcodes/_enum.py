@@ -2,28 +2,29 @@
 
 Every function here treats a word as an integer with position 1 at the least
 significant bit, and is polymorphic over a plain Python int and a numpy array
-of packed words. ``iter_chunks`` draws the parts of a split word for
-codes.py: both halves for a codebook build and for the pair join, the low
-half that starts the transfer over positions; between them they search
-parameters and count the VT, SVT and URLL classes. ``max_run_le`` serves
-codes.member, the boundary tables of the parts and ``count_max_run_le``, the
-full sweep kept as the oracle for rll.rll_count; the row kernels serve only
-perfbench's kernel timing. ``pack`` turns codebook rows (``np.packbits`` of
-each word, position 1 at the most significant bit of byte 0) into such an
-array, and ``unpack`` turns packed words back into rows.
+of packed words. ``iter_chunks`` draws the parts of a split word for the
+builds and class counts of codes.py. ``max_run_le`` serves codes.member, the
+boundary tables of the parts and ``count_max_run_le``, the full sweep kept
+as the oracle for rll.rll_count; the row kernels serve only perfbench's
+kernel timing. ``pack`` turns codebook rows (``np.packbits`` of each word,
+position 1 at the most significant bit of byte 0) into such an array,
+``unpack`` turns packed words back into rows, and ``words`` checks that
+values are packed words of a length.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from .errors import DomainError
 
-# log2 of the words per chunk in full-space sweeps and in the parts of a split
-# word. At n = 24, a codebook build plus parameter search tabulates parts of
-# 2^12 values and peaks at 29-114 MB RSS, the interpreter included (29 MB for
-# burst-exact at b = 3, whose classes take the transfer; 114 MB for noncons3,
-# whose pair join sorts about 1.66M pairs of part bins at once).
+# log2 of the words per chunk in sweeps and in the parts of a split word, and
+# of the cells in one grid of codes._transfer (a larger grid takes the join or
+# is refused). At n = 24 a build plus parameter search peaks at 29-114 MB RSS,
+# the interpreter included: 29 MB for burst-exact at b = 3, on the transfer,
+# 114 MB for noncons3, whose pair join sorts about 1.66M pairs of part bins.
 CHUNK_BITS = 20
 
 
@@ -54,6 +55,19 @@ def pack(rows: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((len(rows), 8), dtype=np.uint8)
     out[:, : rows.shape[1]] = _REVERSED[rows]
     return out.view("<u8").ravel()
+
+
+def words(vs, n: int) -> np.ndarray:
+    """vs (an integer array, or ints of any size) as an array of packed
+    length-n words; DomainError unless all lie in [0, 2^n). One pass: their
+    OR is negative or reaches 2^n exactly when one of them does."""
+    try:
+        vs = vs if isinstance(vs, np.ndarray) else np.fromiter(map(operator.index, vs), dtype=object)
+        if vs.dtype.kind in "iuO" and not int(np.bitwise_or.reduce(vs, axis=None)) >> n:
+            return vs
+    except TypeError:
+        pass
+    raise DomainError(f"packed words must be integers in [0, 2^{n})")
 
 
 def unpack(vs, n: int) -> np.ndarray:

@@ -23,21 +23,14 @@ sampler; ball_keys, the vector kernel whose oracle is ball_ints, applies the
 table to an array of words, giving keys (1 << length) | value, which sort like
 those pairs, and sorted_ball_keys sorts each word's keys and masks its
 repeats, the one dedupe of verify_code, the equivalence sweep and the
-ball-size tally (greedy codes mark unsorted keys in a bitmap). Keys are uint32
-where the words and every key fit in 32 bits (elements of at most 31 bits),
-else uint64; they hold elements of at most KEY_MAX_BITS = 63 bits, and longer
-ones raise DomainError, never wrap. A table holds at most EVENTS_MAX = 2^20
-events: a larger one is counted from its placements, not built, and raises
-DomainError.
+ball-size tally (greedy codes mark unsorted keys in a bitmap). Keys are as
+narrow as key_dtype allows and never wrap. A table holds at most EVENTS_MAX
+= 2^20 events: a larger one is counted from its placements, not built, and
+raises DomainError.
 
 Membership (in_ball) needs no table for the models whose events replace one
-window of d consecutive bits with i free bits: the exact and at-most
-consecutive models and the (2,1)-burst. A word y of length m = n - d + i
-lies in the ball of x exactly when its common prefix and suffix with x, each
-capped at min(n, m), together cover the m - i = n - d bits that the event
-keeps; then the window can sit right after the prefix. The two windowed
-(non-consecutive) models keep the walk over their events of length m, up to
-the first that gives y; ball_ints stays the oracle of both.
+window of consecutive bits: it compares common prefix and suffix. The two
+windowed models walk their events; ball_ints stays the oracle of both.
 """
 
 from __future__ import annotations
@@ -52,6 +45,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import _enum
 from .bitseq import Word, from_int, to_int
 from .errors import DomainError, integer
 
@@ -256,7 +250,9 @@ def walk(v: int, events):
 
 
 def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
-    """The error ball of a packed word, as a set of (length, value) pairs."""
+    """The error ball of a packed word in [0, 2^n), as a set of (length, value) pairs."""
+    if not 0 <= v < 1 << n:
+        raise DomainError(f"packed word {v} outside [0, 2^{n})")
     return {(ev.length, y) for ev, y in walk(v, _events(n, model))}
 
 
@@ -308,16 +304,13 @@ def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
     """The balls of many packed length-n words at once, shape (len(vs), E), of
     key_dtype(n, model): row i holds the key (1 << length) | value of each
     event applied to vs[i]. A row may repeat a key; its distinct keys are the
-    ball_ints of vs[i].
+    ball_ints of vs[i]. A value outside [0, 2^n) raises DomainError.
 
-    Event-major: the events of one placement share a segment tuple, so the
-    segments are applied once per placement to the whole word array, with
-    scalar shift counts, and one OR of that result with the placement's
-    (1 << length) | bits tags writes its events, one choice of inserted bits
-    each, into contiguous rows of an (E, len(vs)) buffer, which is returned
-    as one C-contiguous transposed copy."""
+    Event-major: each placement's segments are applied once to the whole
+    array, and one OR with its events' (1 << length) | bits tags writes them
+    into contiguous rows of an (E, len(vs)) buffer, returned transposed."""
     events = _events(n, model)
-    vs = np.asarray(vs, dtype=key_dtype(n, model)).reshape(-1)
+    vs = np.asarray(_enum.words(vs, n), dtype=key_dtype(n, model)).reshape(-1)
     out = np.empty((len(events), len(vs)), dtype=vs.dtype)
     y, part = np.empty_like(vs), np.empty_like(vs)
     tags = np.array([(1 << ev.length) | ev.bits for ev in events], dtype=vs.dtype)[:, None]

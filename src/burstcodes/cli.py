@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from io import StringIO
 
@@ -207,14 +208,13 @@ def _tabulate(args, stdin_text):
         raise DomainError(f"--n takes comma-separated integers, got {args.n!r}") from None
     rows = []
     for n in lengths:
-        spec = codes.best_params(family, n, b)
-        cb = codes.build(spec)
+        params, size = codes._best(family, n, b)  # the size of the best class is the code's
         refs = bounds.reference_redundancies(n, b)
         rows.append({
             "n": n,
-            "params": ",".join(map(str, spec.params)) or "-",
-            "cardinality": cb.cardinality,
-            "redundancy_measured": None if not cb.cardinality else round(cb.redundancy, 4),
+            "params": ",".join(map(str, params)) or "-",
+            "cardinality": size,
+            "redundancy_measured": round(n - math.log2(size), 4),
             **{col: None if refs.get(col) is None else round(refs[col], 4) for col in columns},
         })
     cells = [[h, *("-" if r[h] is None else str(r[h]) for r in rows)] for h in rows[0]]

@@ -13,13 +13,11 @@ one by one. Every form adds across a split of the word into hi * 2^L + lo,
 and a capped row only needs the two runs that meet at the split, so
 ``build`` tabulates both parts once (2^L and 2^(n-L) entries, drawn from
 ``_enum.iter_chunks``, at L = n // 2) and looks up, for each hi, the one low
-residue vector that completes it to the parameters. ``best_params`` counts
-every class exactly (``_classes``), and vt and rll count their classes with
-it too, through one adapter (``_class_sizes``). Where the grids are small,
-each group of forms that share positions keeps a grid of counts that starts
-from the tabulated low part and takes the later positions one bit at a time
-(``_transfer``); else the bins of the two parts of the split word are
-joined (``_join``), at L = n // 2.
+residue vector that completes it to the parameters. ``best_params``, the
+CLI's tabulate (``_best``) and vt and rll (``_class_sizes``) count classes
+exactly with ``_classes``, which alone decides how: by a transfer over
+positions (``_transfer``), by a join of the parts of the split word
+(``_join``), or not at all.
 """
 
 from __future__ import annotations
@@ -553,14 +551,7 @@ def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = N
 def codebook_from_ints(vs, n: int, spec: CodeSpec | None = None) -> Codebook:
     """The codebook of packed length-n words (n <= 64, position 1 at the
     least significant bit); DomainError for a value outside [0, 2^n)."""
-    try:  # Python ints of any size, compared exactly, unless vs is an array
-        vs = vs if isinstance(vs, np.ndarray) else np.fromiter(map(operator.index, vs), dtype=object)
-        fits = not vs.size or (vs.dtype.kind in "iuO" and vs.min() >= 0 and not int(vs.max()) >> n)
-    except TypeError:
-        fits = False
-    if not fits:
-        raise DomainError(f"packed words must be integers in [0, 2^{n})")
-    return Codebook(n, _distinct(_enum.unpack(vs, n)), spec)
+    return Codebook(n, _distinct(_enum.unpack(_enum.words(vs, n), n)), spec)
 
 
 def build(spec: CodeSpec) -> Codebook:
@@ -585,8 +576,8 @@ def build(spec: CodeSpec) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# Class counts: a transfer over the positions where its grids are small, else
-# the pair join of the two parts of a split word.
+# Class counts: a transfer over the positions where its grids fit one chunk,
+# else the pair join of the two parts of a split word.
 # ---------------------------------------------------------------------------
 
 
@@ -630,17 +621,17 @@ def _step(grid: np.ndarray, axis: int, cap: int, bit: int) -> np.ndarray:
 def _transfer(table: _Table, n: int):
     """_classes by a pass over the positions of each group (_groups), with
     a dense int64 grid of counts over the group's axes. The grid starts from
-    the parts on positions 1..L, L = n // 2, tabulated as build tabulates
-    them: each part that keeps the group's caps adds to the cell of its
-    group's residues and states, once for every value of the other low
-    positions. Then the grid takes the bits of the group's later positions
-    in order: a 1 bit rolls the residues by the forms' weights there, and at
-    a column of a capped row each bit steps its state (_step). Each group
-    keeps tie residue 0 and sums out its states. The groups vary
-    independently, so the classes are the outer product of their key grids,
-    in parameter order, times 2 for each position that no form covers."""
+    the parts on positions 1..L, L = min(n, BUILD_MAX_N) // 2, tabulated as
+    build tabulates them: each part that keeps the group's caps adds to the
+    cell of its residues and states, once per value of the other low
+    positions. Then the grid takes the group's later positions in order: a 1
+    bit rolls the residues by the forms' weights there, and at a column of a
+    capped row each bit steps its state (_step). Each group keeps tie residue
+    0 and sums out its states. The groups vary independently, so the classes
+    are the outer product of their key grids, in parameter order, times 2
+    for each position that no form covers."""
     zeros, caps, keys = _compiled(table, n)
-    t, residues, L = len(zeros), len(zeros) + len(keys), n // 2
+    t, residues, L = len(zeros), len(zeros) + len(keys), min(n, BUILD_MAX_N) // 2
     forms, groups = zeros + keys + [row for row, _, _ in caps], _groups(table, n)
     grids = [np.zeros(math.prod(radices), dtype=np.int64) for _, radices, _ in groups]
     for _, low, states in _parts(table, n, 0, L):
@@ -726,40 +717,45 @@ def _classes(table: _Table, n: int):
     """Every non-empty parameter class as its packed key residues (ascending,
     the first key most significant) and its size, and the key moduli.
 
-    The transfer counts them where its work, each group's positions times
-    the cells of its grid, is at most 2^n, the pairs of part values that
-    bound the pairs of bins any split joins; else the pair join, at n // 2.
-    The rule reads the radices only, before any part is tabulated."""
-    work = sum(len(positions) * math.prod(radices) for _, radices, positions in _groups(table, n))
-    count = _transfer(table, n) if work <= 1 << n else _join(table, n, n // 2)
+    The one place that decides what can be counted, from the radices alone,
+    before any part is tabulated: the transfer where 2^n fits an int64 and
+    every group's grid holds at most 2^_enum.CHUNK_BITS cells (one chunk);
+    else the pair join at n // 2, up to BUILD_MAX_N, where it tabulates the
+    halves that build does; else DomainError."""
+    fits = n < np.iinfo(np.int64).bits - 1 and all(
+        math.prod(radices) <= 1 << _enum.CHUNK_BITS for _, radices, _ in _groups(table, n))
+    if not fits and n > BUILD_MAX_N:
+        raise DomainError(f"cannot count the classes at n={n}: the pair join stops at n = {BUILD_MAX_N}, "
+                          f"the transfer needs 2^n in int64 and grids of <= 2^{_enum.CHUNK_BITS} cells")
+    count = _transfer(table, n) if fits else _join(table, n, n // 2)
     return count, [f.mod for f in _compiled(table, n)[2]]
 
 
 def _class_sizes(table: _Table, n: int) -> dict[tuple[int, ...], int]:
-    """Every non-empty class of the table at 1 <= n <= 30 as {key residues:
-    size}, in Python ints, counted by _classes (the transfer or the pair
-    join); a table of no key forms has the one class ()."""
-    if not 1 <= n <= 30:
-        raise DomainError(f"count needs 1 <= n <= 30, got n={n}")
+    """Every non-empty class of the table at n >= 1 as {key residues: size} in
+    Python ints, by _classes; a table of no key forms has the one class ()."""
+    if n < 1:
+        raise DomainError(f"count needs n >= 1, got n={n}")
     (classes, sizes), mods = _classes(table, n)
     residues = zip(*(d.tolist() for d in _unpack(classes, mods))) if mods else [()] * len(classes)
     return dict(zip(residues, sizes.tolist()))
 
 
-def best_params(family: Family, n: int, b: int) -> CodeSpec:
+def _best(family: Family, n: int, b: int) -> tuple[tuple[int, ...], int]:
     """The parameter tuple with the largest class, ties broken by the
-    lexicographically smallest tuple."""
+    lexicographically smallest tuple, and the size of that class."""
     _validate_structure(family, n, b)
-    if not param_fields(family, b):
-        return CodeSpec(family, n, b, ())  # nothing to search, at any n
-    if n > BUILD_MAX_N:
-        raise DomainError(f"search capped at n <= {BUILD_MAX_N}")
     (classes, sizes), mods = _classes(_family_table(family, b), n)
     if not len(classes):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")
-    # argmax takes the first, smallest, of the largest classes.
-    best = np.unravel_index(classes[np.argmax(sizes)], mods)
-    return CodeSpec(family, n, b, tuple(map(int, best)))
+    best = np.argmax(sizes)  # the first, smallest, of the largest classes
+    return tuple(int(d) for d in _unpack(classes[best], mods)), int(sizes[best])
+
+
+def best_params(family: Family, n: int, b: int) -> CodeSpec:
+    """The spec of _best's parameters; a family of none has nothing to search, at any n."""
+    _validate_structure(family, n, b)
+    return CodeSpec(family, n, b, _best(family, n, b)[0] if param_fields(family, b) else ())
 
 
 # ---------------------------------------------------------------------------
@@ -879,10 +875,7 @@ def decode(spec: CodeSpec, y: Word) -> DecodeResult:
     with constants read from the key forms once per (spec, a); c21 and the
     windowed patterns of noncons3/noncons4 search y's inverse ball. Every path
     ends in one check on y and the decoded word, each packed once: the word
-    is a member and y lies in its ball under the path's model (a burst of a
-    deletions, the (2,1)-burst, or the windowed deletions), tested by
-    balls.in_ball, in closed form from their common prefix and suffix except
-    for the windowed deletions.
+    is a member and y lies in its ball under the path's model (balls.in_ball).
     """
     y = as_word(y)
     n = spec.n

@@ -255,6 +255,26 @@ def test_in_ball_refuses_values_outside_their_lengths(model):
         assert in_ball((m, u), v, n, model)
 
 
+@pytest.mark.parametrize("vs", [[16], np.array([16]), [-1], np.array([-1]), [3, 1 << 64], [3.5],
+                                np.array([3.5]), ["1"], np.array([True])])
+def test_ball_keys_refuse_values_outside_the_length(vs):
+    # as codebook_from_ints: never the keys of a value's low n bits, nor of a
+    # truncated float
+    for keys in (ball_keys, balls.sorted_ball_keys):
+        with pytest.raises(DomainError, match=r"\[0, 2\^4\)"):
+            keys(vs, 4, del_exact(1))
+    # the bounds themselves pass, in a list or an array of any integer dtype
+    for ok in ([0, 15], np.array([0, 15], dtype=np.int8), np.array([0, 15], dtype=np.uint64)):
+        assert ball_keys(ok, 4, del_exact(1)).tolist() == [[8, 8, 8, 8], [15, 15, 15, 15]]
+
+
+def test_ball_ints_refuses_words_outside_the_length():
+    for v in (16, -1, 1 << 70):
+        with pytest.raises(DomainError, match=r"\[0, 2\^4\)"):
+            ball_ints(v, 4, del_exact(1))
+    assert ball_ints(15, 4, del_exact(1)) == {(3, 7)}
+
+
 def test_model_constructors_build_each_model_once():
     # decoders ask for their model per word, and get the same object; an
     # argument that is not an integer still raises DomainError

@@ -292,6 +292,31 @@ def test_decode_parameterless_family_past_the_search_cap(capsys):
     assert "build capped at n <= 26" in capsys.readouterr().err
 
 
+def test_wide_families_past_the_build_cap_exit_2_at_once(peak_rss_mb):
+    # their transfer grids would hold 10^8 cells and more, and the pair join
+    # stops at the build cap: every valid n in 28..48 is refused before any
+    # part is tabulated, each in under a second, all under 100 MB
+    peak = peak_rss_mb(
+        "import time\n"
+        "from burstcodes import codes\n"
+        "from burstcodes.cli import main\n"
+        "refused = 0\n"
+        "for family, b in (('at-most-consecutive', 3), ('at-most-consecutive', 4),\n"
+        "                  ('noncons3', 3), ('noncons4', 4)):\n"
+        "    for n in range(28, 49):\n"
+        "        try:\n"
+        "            codes._validate_structure(codes.Family(family), n, b)\n"
+        "        except codes.DomainError:\n"
+        "            continue\n"
+        "        start = time.perf_counter()\n"
+        "        assert main(['tabulate', '--family', family, '--b', str(b), '--n', str(n)]) == 2\n"
+        "        assert time.perf_counter() - start < 1, (family, n)\n"
+        "        refused += 1\n"
+        "assert refused == 10, refused\n"
+    )
+    assert peak < 100, peak
+
+
 @pytest.mark.parametrize(
     "argv, word",
     [

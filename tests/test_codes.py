@@ -12,6 +12,7 @@ import pytest
 
 from burstcodes import _enum, balls, codes, verify
 from burstcodes.bitseq import array_view, enumerate_words, format_word, from_int, parse_word, to_int
+from burstcodes.bounds import reference_redundancies
 from burstcodes.codes import (
     BUILD_MAX_N,
     CodeSpec,
@@ -401,13 +402,14 @@ def test_vt_svt_urll_counts_match_per_word_brute_force():
             assert urll_count(spec) == want, spec
             for counted in (_transferred(table, 12), _joined(table, 12, 6)):
                 assert sum(counted.values()) == want, spec
-    for n in (-1, 0, 31):
+    # the counts end where every size, at most 2^n, still fits an int64
+    for n in (-1, 0, 63):
         for count in (vt_class_sizes, lambda n: vt_class_sizes(n, 3)):
             with pytest.raises(DomainError):
                 count(n)
         with pytest.raises(DomainError):
             svt_class_sizes(n, 3)
-    for n in (0, 33):
+    for n in (0, 63):
         with pytest.raises(DomainError):
             urll_count(UrllSpec(n, 3, 2))
 
@@ -424,8 +426,10 @@ def test_class_count_adapter_returns_python_ints():
         for key, size in sizes.items():
             assert type(key) is tuple and len(key) == width
             assert all(type(r) is int for r in key) and type(size) is int
-    with pytest.raises(DomainError, match="1 <= n <= 30"):
-        codes._class_sizes(tables[0], 31)
+    with pytest.raises(DomainError, match="n >= 1, got n=0"):
+        codes._class_sizes(tables[0], 0)
+    with pytest.raises(DomainError, match="cannot count the classes at n=63"):
+        codes._class_sizes(tables[0], 63)
 
 def test_capped_counts_at_every_split(monkeypatch):
     # A run cap on the whole word meets the split at every position; the
@@ -550,8 +554,8 @@ def test_transfer_and_pair_join_count_the_same_classes():
 
 
 def _route(monkeypatch, table, n):
-    """The counter _classes takes for the table at n, as its rule decides
-    before any part is tabulated."""
+    """The counter _classes takes for the table at n, or "refused", as its
+    rule decides before any part is tabulated."""
 
     class Picked(Exception):
         pass
@@ -569,26 +573,51 @@ def _route(monkeypatch, table, n):
         m.setattr(codes, "_transfer", picked("transfer"))
         m.setattr(codes, "_join", picked("join"))
         m.setattr(codes, "_tabulate", tabulated)
-        with pytest.raises(Picked) as choice:
+        m.setattr(codes, "_parts", tabulated)
+        try:
             codes._classes(table, n)
-    return choice.value.args[0]
+        except Picked as choice:
+            return choice.args[0]
+        except DomainError:
+            return "refused"
+    raise AssertionError("no counter was chosen")
 
 
-def test_classes_route_by_the_work_of_the_transfer(monkeypatch):
-    transfer = {(Family.CHENG1, 3), (Family.CL2, 2), (Family.C21, 2)}
-    transfer |= {(Family.BURST_EXACT, b) for b in (2, 3, 4)}
-    tables = sorted({*PINNED_24, *transfer}, key=str)
-    for family, b in tables:
+def _cells(table, n):
+    """The cells of the transfer's largest grid at n."""
+    return max(math.prod(radices) for _, radices, _ in codes._groups(table, n))
+
+
+WIDE = {(Family.AT_MOST_CONSECUTIVE, 3), (Family.NONCONS3, 3), (Family.NONCONS4, 4)}
+
+
+def test_classes_route_by_the_cells_of_the_transfer_grids(monkeypatch):
+    # the transfer where every grid holds at most one chunk of cells, and the
+    # join up to BUILD_MAX_N where one does not; the wide families' grids
+    # hold 10^8 cells and more
+    for family, b in sorted(PINNED_24, key=str):
         table = codes._family_table(family, b)
-        want = "transfer" if (family, b) in transfer else "join"
-        assert _route(monkeypatch, table, 24) == want, (family, b)
-    # cl2 at n = 8: 8 positions of 2,880 cells against 2^8 pairs of parts
+        wide = (family, b) in WIDE
+        assert (_cells(table, 24) > 1 << _enum.CHUNK_BITS) == wide, (family, b)
+        assert _route(monkeypatch, table, 24) == ("join" if wide else "transfer"), (family, b)
+        # past BUILD_MAX_N the join is not taken, so the wide families are refused
+        n = next(n for n in range(BUILD_MAX_N + 1, 63) if _rejection(codes._validate_structure, family, n, b) is None)
+        assert _route(monkeypatch, table, n) == ("refused" if wide else "transfer"), (family, b)
+        assert _route(monkeypatch, table, 63) == "refused"
+    # cl2 at n = 8: one grid of 2,880 cells, on the transfer while a chunk holds as many
     cl2 = codes._family_table(Family.CL2, 2)
-    assert _transfer_work(cl2, 8) == 8 * 2880 and _route(monkeypatch, cl2, 8) == "join"
-    # every VT, SVT and URLL count at n = 24..30 takes the transfer
+    assert _cells(cl2, 8) == 2880 and _route(monkeypatch, cl2, 8) == "transfer"
+    monkeypatch.setattr(_enum, "CHUNK_BITS", 11)  # 2,048 cells
+    assert _route(monkeypatch, cl2, 8) == "join"
+    assert _route(monkeypatch, cl2, BUILD_MAX_N + 2) == "refused"
+    monkeypatch.setattr(_enum, "CHUNK_BITS", 12)
+    assert _route(monkeypatch, cl2, 8) == "transfer"
+    monkeypatch.undo()
+    # every VT, SVT and URLL count at n = 24..62 takes the transfer, and n = 63 is refused
     for table in (_vt_table(None), _vt_table(5), _svt_table(7), _urll_table(4, 7)):
-        for n in (24, 30):
+        for n in (24, 30, 62):
             assert _route(monkeypatch, table, n) == "transfer", n
+        assert _route(monkeypatch, table, 63) == "refused"
 
 
 def test_join_and_build_tabulate_the_two_halves(monkeypatch):
@@ -600,7 +629,7 @@ def test_join_and_build_tabulate_the_two_halves(monkeypatch):
         return tabulate(table, n, lo, hi)
 
     monkeypatch.setattr(codes, "_tabulate", parts)
-    for family, n, b in ((Family.AT_MOST_CONSECUTIVE, 12, 3), (Family.CL2, 10, 2), (Family.C21, 9, 2)):
+    for family, n, b in ((Family.AT_MOST_CONSECUTIVE, 12, 3), (Family.NONCONS3, 12, 3)):
         spans.clear()
         codes._classes(codes._family_table(family, b), n)
         assert spans == [(0, n // 2), (n // 2, n)], (family, n)
@@ -608,6 +637,94 @@ def test_join_and_build_tabulate_the_two_halves(monkeypatch):
         spans.clear()
         build(best_params(family, n, b))
         assert spans == [(0, n // 2), (n // 2, n)], (family, n)
+
+
+def test_transfer_starts_from_at_most_half_the_build_cap(monkeypatch):
+    # the low part that starts the transfer has n // 2 positions up to
+    # BUILD_MAX_N, so every count there keeps its width, and 13 past it
+    widths, make_parts = [], codes._parts
+
+    def parts(table, n, lo, hi):
+        widths.append(hi - lo)
+        return make_parts(table, n, lo, hi)
+
+    monkeypatch.setattr(codes, "_parts", parts)
+    for n in (10, 24, 26, 28, 62):
+        widths.clear()
+        codes._classes(_vt_table(None), n)
+        assert widths == [min(n, BUILD_MAX_N) // 2], n
+
+
+def _ginzburg(n, a):
+    """|VT_a(n)| by Ginzburg's closed form (Sloane, "On single-deletion-
+    correcting codes", 2002): the sum over odd d dividing n + 1 of
+    2^((n+1)/d) phi(d) mu(d/g) / phi(d/g), g = gcd(d, a), over 2(n + 1)."""
+
+    def factors(k):
+        p, out = 2, []
+        while p * p <= k:
+            while k % p == 0:
+                out.append(p)
+                k //= p
+            p += 1
+        return out + [k] * (k > 1)
+
+    def phi(k):
+        primes = set(factors(k))
+        return k // math.prod(primes) * math.prod(p - 1 for p in primes)
+
+    def mu(k):
+        fs = factors(k)
+        return 0 if len(set(fs)) < len(fs) else (-1) ** len(fs)
+
+    total = 0
+    for d in range(1, n + 2, 2):
+        if (n + 1) % d == 0:
+            e = d // math.gcd(d, a)
+            total += (1 << (n + 1) // d) * phi(d) * mu(e) // phi(e)
+    size, rest = divmod(total, 2 * (n + 1))
+    assert rest == 0
+    return size
+
+
+def test_vt_class_sizes_equal_ginzburgs_closed_form():
+    # an oracle independent of the transfer, at every length the counts reach
+    for n in range(1, 63):
+        assert vt_class_sizes(n) == [_ginzburg(n, a) for a in range(n + 1)], n
+    assert [_ginzburg(4, a) for a in range(5)] == [4, 3, 3, 3, 3]  # VT_0(4): 0000 1001 0110 1111
+
+
+@pytest.mark.parametrize("b, n", [(2, 62), (3, 60), (4, 60)])
+def test_cheng1_class_is_a_power_of_one_vt_class(b, n):
+    # every row of A_b is in VT_0(n/b), independently
+    assert codes._best(Family.CHENG1, n, b) == ((), _ginzburg(n // b, 0) ** b)
+
+
+@pytest.mark.parametrize("n", [28, 30])
+def test_join_equals_transfer_past_the_build_cap(n):
+    # the join, which _classes takes only up to BUILD_MAX_N, called directly
+    tables = [(Family.BURST_EXACT, b) for b in (2, 3, 4) if n % b == 0] + [(Family.CL2, 2), (Family.C21, 2)]
+    for family, b in tables:
+        table = codes._family_table(family, b)
+        (classes, sizes), (want_classes, want_sizes) = codes._join(table, n, n // 2), codes._transfer(table, n)
+        assert np.array_equal(classes, want_classes) and np.array_equal(sizes, want_sizes), (family, b)
+
+
+# The first length from which burst-exact's measured redundancy is below
+# Cheng's b log2(n/b + 1), for good up to n = 62; below it only n = 2b is.
+CROSSOVER = {2: 26, 3: 36, 4: 48}
+
+
+@pytest.mark.parametrize("b", sorted(CROSSOVER))
+def test_burst_exact_falls_below_cheng_past_the_crossover(b):
+    below = []
+    for n in range(2 * b, 63, b):
+        _, size = codes._best(Family.BURST_EXACT, n, b)
+        measured, refs = n - math.log2(size), reference_redundancies(n, b)
+        assert measured < refs["burst_exact_bound"], n  # the paper's bound
+        if measured < refs["cheng_baseline"]:
+            below.append(n)
+    assert below == [2 * b, *range(CROSSOVER[b], 63, b)]
 
 
 def test_boundary_tables_are_cached_read_only():
@@ -1224,15 +1341,18 @@ def test_build_cap():
         build(CodeSpec(Family.CHENG1, BUILD_MAX_N + 2, 2))
 
 
-def test_parameterless_family_skips_the_search_cap():
-    # cheng1 has no parameters to search, so best_params answers past the
-    # search cap; building that code still stops at the build cap
+def test_search_past_the_build_cap_refuses_only_the_wide_families():
+    # cheng1 has no parameters to search, so best_params answers at any n;
+    # past the build cap the other families search where their grids fit and
+    # the wide ones are refused; building still stops at the build cap
     spec = best_params(Family.CHENG1, 30, 3)
-    assert spec == CodeSpec(Family.CHENG1, 30, 3, ())
+    assert spec == CodeSpec(Family.CHENG1, 30, 3, ()) and best_params(Family.CHENG1, 300, 3).params == ()
     with pytest.raises(DomainError, match=f"build capped at n <= {BUILD_MAX_N}"):
         build(spec)
-    with pytest.raises(DomainError, match=f"search capped at n <= {BUILD_MAX_N}"):
-        best_params(Family.BURST_EXACT, 30, 3)
+    assert best_params(Family.BURST_EXACT, 30, 3).params == (0, 0, 0)
+    for family, b in sorted(WIDE, key=str):
+        with pytest.raises(DomainError, match=f"the pair join stops at n = {BUILD_MAX_N}"):
+            best_params(family, 48, b)
 
 
 def test_target_models():

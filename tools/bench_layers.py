@@ -13,7 +13,9 @@ full sizes:
   verify.verify_code under del-exact(3), burst-exact at n = 24 and b = 3;
   then codes._classes at n = 24 for one table per class counter: burst-exact
   b = 3 and cl2 b = 2, which take the transfer, and at-most-consecutive
-  b = 3, which takes the pair join;
+  b = 3, which takes the pair join; then the CLI's tabulate (cli.run) of
+  burst-exact and at-most-consecutive at b = 3 and n = 24, each checked
+  against the cardinality of the code build lists;
 - decode-mix: every request of the mix, a received line parsed, decoded and
   printed, in the mix's order, one stage per decoder path; then the final
   check of decode alone, balls.in_ball on every request's received word,
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import hashlib
 import importlib
@@ -95,6 +98,16 @@ def _spec(bc, spec):
     return bc.codes.CodeSpec(bc.codes.Family(spec.family.value), spec.n, spec.b, spec.params)
 
 
+def _cli(bc, *argv: str) -> dict:
+    """The JSON record that the CLI of the package bc prints for argv."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = bc.cli.run([*argv, "--format", "json"])
+    if status != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {status}")
+    return json.loads(buf.getvalue())
+
+
 def _certify(bc, seed: int) -> list:
     codes, verify = bc.codes, bc.verify
     n = 12 if SMOKE else 24
@@ -115,14 +128,21 @@ def _certify(bc, seed: int) -> list:
         (f"verify_code n={n} del-exact(3)", lambda: verify.verify_code(cb, bc.balls.del_exact(3)),
          lambda report: report.passed),
     ]
+    sizes = {}
     for name, b in (("burst-exact", 3), ("cl2", 2), ("at-most-consecutive", 3)):
         table = codes._family_table(codes.Family(name), b)
         # the largest class has as many words as build lists for its residues
-        best = codes.build(codes.best_params(codes.Family(name), n, b)).cardinality
+        sizes[name] = best = codes.build(codes.best_params(codes.Family(name), n, b)).cardinality
         calls.append((
             f"_classes {name} b={b} n={n}",
             lambda table=table: codes._classes(table, n),
             lambda out, best=best: out[0][1].max() == best,
+        ))
+    for name in ("burst-exact", "at-most-consecutive"):
+        calls.append((
+            f"tabulate {name} b=3 n={n}",
+            lambda name=name: _cli(bc, "tabulate", "--family", name, "--b", "3", "--n", str(n)),
+            lambda out, best=sizes[name]: out["rows"][0]["cardinality"] == best,
         ))
     return calls
 
@@ -157,15 +177,7 @@ def _decode_mix(bc, seed: int) -> list:
 def _ball_census(bc, seed: int) -> list:
     balls, rll, verify = bc.balls, bc.rll, bc.verify
     sizes = workloads.CENSUS_SIZES[SMOKE]
-
-    def cli(*argv: str) -> dict:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            status = bc.cli.run([*argv, "--format", "json"])
-        if status != 0:
-            raise SystemExit(f"{' '.join(argv)} exited {status}")
-        return json.loads(buf.getvalue())
-
+    cli = functools.partial(_cli, bc)
     calls = []
     for n, b in sizes["bounds"]:
         want = Fraction(2 ** (n - b + 1) - 2**b, n - 2 * b + 1)
