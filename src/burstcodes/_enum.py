@@ -8,8 +8,8 @@ boundary tables of the parts and ``count_max_run_le``, the full sweep kept
 as the oracle for rll.rll_count; the row kernels serve only perfbench's
 kernel timing. ``pack`` turns codebook rows (``np.packbits`` of each word,
 position 1 at the most significant bit of byte 0) into such an array,
-``unpack`` turns packed words back into rows, and ``words`` checks that
-values are packed words of a length.
+``unpack`` turns packed words back into rows, and ``words`` (``word`` for
+one value) checks that values are packed words of a length.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 # log2 of the words per chunk in sweeps and in the parts of a split word, and
 # of the cells in one grid of codes._transfer (a larger grid takes the join or
@@ -68,6 +68,16 @@ def words(vs, n: int) -> np.ndarray:
     except TypeError:
         pass
     raise DomainError(f"packed words must be integers in [0, 2^{n})")
+
+
+def word(v, n: int) -> int:
+    """v as a Python int, the one scalar twin of words; DomainError unless v
+    and n are integers and v is a packed length-n word, in [0, 2^n)."""
+    if type(v) is not int or type(n) is not int:  # Python ints, as most are, skip two calls
+        v, n = integer(v, "packed word"), integer(n, "word length")
+    if n < 0 or v >> n:  # v >> n is -1 for a negative v, nonzero past 2^n
+        raise DomainError(f"packed word {v} outside [0, 2^{n})")
+    return v
 
 
 def unpack(vs, n: int) -> np.ndarray:

@@ -104,6 +104,10 @@ class ErrorModel:
         deleted = max(d for d, _ in self.sizes.values())
         return deleted + 1 if deleted else 0
 
+    def longest(self, n: int) -> int:
+        """The longest element of a length-n word's ball: n less the fewest bits taken off."""
+        return n - min(self.sizes)
+
 
 @lru_cache(maxsize=64)
 def _built(kind: ErrorKind, b: int) -> ErrorModel:
@@ -251,9 +255,7 @@ def walk(v: int, events):
 
 def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
     """The error ball of a packed word in [0, 2^n), as a set of (length, value) pairs."""
-    if not 0 <= v < 1 << n:
-        raise DomainError(f"packed word {v} outside [0, 2^{n})")
-    return {(ev.length, y) for ev, y in walk(v, _events(n, model))}
+    return {(ev.length, y) for ev, y in walk(_enum.word(v, n), _events(n, model))}
 
 
 @lru_cache(maxsize=64)
@@ -274,8 +276,7 @@ def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool
     m, u = element
     if n < model.shortest:
         raise DomainError(f"word length {n} too short for {model}")
-    if not (0 <= v < 1 << n and 0 <= m and 0 <= u < 1 << m):
-        raise DomainError(f"({m}, {u}) and {v} are not packed words of lengths {m} and {n}")
+    v, u = _enum.word(v, n), _enum.word(u, m)
     if model.windowed:
         for _, y in walk(v, _ending(n, model, m)):
             if y == u:
@@ -294,7 +295,7 @@ def key_dtype(n: int, model: ErrorModel) -> np.dtype:
     """The dtype of the model's ball_keys at length n, the narrowest that holds
     the words and every key: uint32 when n <= 32 and no element is longer
     than 31 bits, else uint64. Elements past KEY_MAX_BITS raise DomainError."""
-    longest = max(ev.length for ev in _events(n, model))
+    longest = model.longest(n)
     if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
         raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
     return np.dtype(np.uint32 if max(n, longest + 1) <= 32 else np.uint64)
@@ -349,9 +350,11 @@ def sorted_ball_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndar
 
 
 def key_word(key: int) -> Word:
-    """The ball element a ball_keys key stands for."""
-    length = key.bit_length() - 1
-    return from_int(key ^ (1 << length), length)
+    """The ball element a ball_keys key, (1 << length) | value, stands for;
+    DomainError for any other value."""
+    key = _enum.word(key, KEY_MAX_BITS + 1)
+    length = max(key.bit_length(), 1) - 1  # a key of 0 leaves 1 at length 0, which from_int refuses
+    return from_int(key ^ 1 << length, length)
 
 
 def ball(x: Word, model: ErrorModel) -> set[Word]:

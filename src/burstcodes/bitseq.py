@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
+from . import _enum
 from .errors import DomainError
 
 Word = tuple[int, ...]
@@ -74,9 +75,8 @@ def to_int(x: Word) -> int:
 
 def from_int(v: int, n: int) -> Word:
     """The length-n word packed in v, inverse to to_int; DomainError unless
-    0 <= v < 2^n, so that no bit of v is dropped or made up."""
-    if not 0 <= v < 1 << n:
-        raise DomainError(f"packed word {v} outside [0, 2^{n})")
+    0 <= v < 2^n (_enum.word), so that no bit of v is dropped or made up."""
+    v = _enum.word(v, n)
     return tuple((v >> i) & 1 for i in range(n))
 
 

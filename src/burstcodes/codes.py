@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 from . import _enum, balls
 from .balls import ErrorKind
 from .bitseq import Word, array_view, as_word, flatten, from_int, to_int
-from .errors import DecodeFailure, DomainError
+from .errors import DecodeFailure, DomainError, integer
 from .rll import ceil_log2, urll_cap
 from .vt import DecodeResult, SvtParams, VtParams, svt_decode, vt_decode
 
@@ -66,15 +65,14 @@ class CodeSpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            raise DomainError(f"family must be a Family, got {self.family!r}")
-        try:  # Python ints, so that specs equal in value share cached constants
-            for name in ("n", "b"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            object.__setattr__(self, "params", tuple(map(operator.index, self.params)))
+        # Python ints, so that specs equal in value share cached constants
+        n, b = _validate_structure(self.family, self.n, self.b)
+        try:
+            params = tuple(integer(p, "parameter") for p in self.params)
         except TypeError:
-            raise DomainError(f"n, b and params must be integers, got {self}") from None
-        _validate_structure(self.family, self.n, self.b)
+            raise DomainError(f"params must be a sequence of integers, got {self.params!r}") from None
+        for name, value in (("n", n), ("b", b), ("params", params)):
+            object.__setattr__(self, name, value)
         fields = param_fields(self.family, self.b)
         if len(self.params) != len(fields):
             raise DomainError(
@@ -220,20 +218,31 @@ def _family_table(family: Family, b: int) -> _Table:
     return _FAMILIES[family].table(b)
 
 
+def _record(family: Family) -> _Record:
+    """The family's record; DomainError for anything but a Family."""
+    if not isinstance(family, Family):
+        raise DomainError(f"family must be a Family, got {family!r}")
+    return _FAMILIES[family]
+
+
 def default_burst(family: Family) -> int | None:
     """The burst parameter a family fixes on its own, if any."""
-    rec = _FAMILIES[family]
+    rec = _record(family)
     return rec.b if rec.fixed else None
 
 
-def _validate_structure(family: Family, n: int, b: int) -> None:
-    rec, name = _FAMILIES[family], family.value
+def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
+    """n and b as Python ints; DomainError unless family is a Family, n and b
+    are integers, and (n, b) lies in the family's domain."""
+    rec, name = _record(family), family.value
+    n, b = integer(n, "code length n"), integer(b, "burst size b")
     if b != rec.b and (rec.fixed or b < rec.b):
         raise DomainError(f"{name} needs b {'=' if rec.fixed else '>='} {rec.b}, got b={b}")
     if n % rec.divisor(b):
         raise DomainError(f"{name} needs n a multiple of {rec.divisor(b)} at b={b}, got n={n}")
     if n < rec.least_n(b):
         raise DomainError(f"{name} needs n >= {rec.least_n(b)} at b={b}, got n={n}")
+    return n, b
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,6 +252,7 @@ def param_fields(family: Family, b: int) -> tuple[str, ...]:
 
 def param_ranges(family: Family, n: int, b: int) -> tuple[int, ...]:
     """Inclusive upper bound of every parameter, in param_fields order."""
+    n, b = _validate_structure(family, n, b)
     return tuple(form.mod(n) - 1 for _, form in _family_table(family, b).keys)
 
 
@@ -744,7 +754,7 @@ def _class_sizes(table: _Table, n: int) -> dict[tuple[int, ...], int]:
 def _best(family: Family, n: int, b: int) -> tuple[tuple[int, ...], int]:
     """The parameter tuple with the largest class, ties broken by the
     lexicographically smallest tuple, and the size of that class."""
-    _validate_structure(family, n, b)
+    n, b = _validate_structure(family, n, b)
     (classes, sizes), mods = _classes(_family_table(family, b), n)
     if not len(classes):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")
@@ -754,7 +764,7 @@ def _best(family: Family, n: int, b: int) -> tuple[tuple[int, ...], int]:
 
 def best_params(family: Family, n: int, b: int) -> CodeSpec:
     """The spec of _best's parameters; a family of none has nothing to search, at any n."""
-    _validate_structure(family, n, b)
+    n, b = _validate_structure(family, n, b)
     return CodeSpec(family, n, b, _best(family, n, b)[0] if param_fields(family, b) else ())
 
 

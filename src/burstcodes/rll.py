@@ -172,8 +172,6 @@ def rll_decode(y: Word) -> Word:
         if not 1 <= pos <= len(buf):
             raise DecodeFailure(f"marker names position {pos} outside the word")
         buf = buf[: pos - 1] + buf[pos - 1 : pos] * block + buf[pos - 1 :]
-    if len(buf) != n + 1:
-        raise DecodeFailure("marker blocks inconsistent with declared length")
     # buf is x + (0,): the loop stopped on a final 0
     if _encode(buf) != word:
         raise DecodeFailure("word is not an encoder output")

@@ -100,7 +100,7 @@ def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     return VerifyReport(model, cb.label, k * (k - 1) // 2, violations)
 
 
-EQUIV_MAX_BITS = 10
+EQUIV_MAX_BITS = 12
 
 _FLAVORS = {
     "exact": (balls.del_exact, balls.ins_exact),
@@ -176,9 +176,9 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     of each block of words are made at once; in sub-blocks of GREEDY_ROWS
     words, one gather drops the words whose ball meets the bitmap, and only
     the rest are tried, in lexicographic order."""
-    if not 1 <= n <= GREEDY_MAX_BITS:
-        raise DomainError(f"greedy construction needs 1 <= n <= {GREEDY_MAX_BITS}")
-    longest = max(n - len(deleted) + len(inserted) for deleted, inserted in balls._placements(n, model))
+    if not (least := max(1, model.shortest)) <= n <= GREEDY_MAX_BITS:
+        raise DomainError(f"greedy construction of {model} needs {least} <= n <= {GREEDY_MAX_BITS}")
+    longest = model.longest(n)
     if 2 << longest > GREEDY_MAP_BYTES:
         raise DomainError(f"{model} at length {n} gives {longest}-bit elements; "
                           f"the greedy bitmap stops at {GREEDY_MAP_BYTES} keys")

@@ -30,7 +30,7 @@ from operator import mul
 from typing import Mapping
 
 from .bitseq import Word, as_word
-from .errors import DecodeFailure, DomainError
+from .errors import DecodeFailure, DomainError, integer
 from .rll import max_run
 
 
@@ -40,6 +40,8 @@ class VtParams:
     a: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "a"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.n < 1:
             raise DomainError("code length must be >= 1")
         if not 0 <= self.a <= self.n:
@@ -54,6 +56,8 @@ class SvtParams:
     d: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "P", "c", "d"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.n < 2:
             raise DomainError("code length must be >= 2")
         if self.P < 2:
@@ -120,6 +124,10 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
     0 satisfies s <= w and is reinserted with exactly s ones to its right; a
     deleted 1 satisfies s > w and is reinserted with s - w - 1 zeros to its
     left. DomainError for an entry of y other than 0 or 1.
+
+    Every result is a member of VT_a(n): the reinserted bit adds exactly s to
+    the checksum. Its window starts at the reinserted bit, since _slot returns
+    the leftmost slot of its run.
     """
     y = as_word(y)
     n = p.n
@@ -132,16 +140,10 @@ def vt_decode(y: Word, p: VtParams) -> DecodeResult:
     value = int(s > w)
     t = _slot(y, value, s - w - 1 if value else s)
     x = y[:t] + (value,) + y[t:]
-    if not vt_member(x, p):
-        raise DecodeFailure(f"no VT_{p.a}({n}) preimage for the received word")
-    lo, hi = t, t + 1  # x[lo:hi] grows to the run holding position t + 1
-    while lo > 0 and x[lo - 1] == value:
-        lo -= 1
-    while hi < n and x[hi] == value:
-        hi += 1
+    hi = (x + (1 - value,)).index(1 - value, t)  # the run at t + 1 ends at the next other bit
     return DecodeResult(
         word=x,
-        window=(lo + 1, hi),
+        window=(t + 1, hi),
         detail={"kind": "deletion", "value": value, "position": t + 1},
     )
 
@@ -155,10 +157,14 @@ def svt_decode(y: Word, p: SvtParams, u: int) -> DecodeResult:
     right; the defect delta = (c - a') mod P then equals, for a deleted 0, the
     number of ones to the right of the reinsertion point inside the window
     slice, and for a deleted 1 shifts by u + wt(slice) to count zeros on the
-    left instead. DomainError for an entry of y other than 0 or 1.
+    left instead. DomainError for an entry of y other than 0 or 1, or for u
+    other than an integer in [1, n-1].
+
+    Every result is a member of the code: the value restores the parity d,
+    and the reinserted bit adds exactly delta to the checksum mod P.
     """
     y = as_word(y)
-    n, P = p.n, p.P
+    n, P, u = p.n, p.P, integer(u, "window start u")
     if len(y) != n - 1:
         raise DomainError(f"expected received length {n - 1}, got {len(y)}")
     if not 1 <= u <= n - 1:
@@ -179,8 +185,6 @@ def svt_decode(y: Word, p: SvtParams, u: int) -> DecodeResult:
             raise DecodeFailure("checksum defect incompatible with a deleted 1")
     t = u - 1 + _slot(window, value, count)
     x = y[:t] + (value,) + y[t:]
-    if not svt_member(x, p):
-        raise DecodeFailure("restored word violates the code constraints")
     return DecodeResult(
         word=x,
         window=(u, min(u + P - 1, n)),

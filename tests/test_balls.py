@@ -176,6 +176,22 @@ def _models(b):
     return [ErrorModel(kind, b) for kind in ErrorKind if kind is not ErrorKind.BURST_2_1 or b == 2]
 
 
+def test_longest_element_follows_from_the_sizes():
+    # key_dtype and greedy_code read ErrorModel.longest, not the table:
+    # n less the fewest bits an event takes off is the longest event output
+    checked = 0
+    for b in (1, 2, 3, 4):
+        for model in _models(b):
+            for n in range(17):
+                try:
+                    events = balls._events(n, model)
+                except DomainError:
+                    continue
+                assert model.longest(n) == max(ev.length for ev in events), (model, n)
+                checked += 1
+    assert checked == 380  # 425 (model, n) pairs less 45 with n too short
+
+
 def test_ball_keys_equal_ball_ints_exhaustively():
     # the batch applier and the scalar one read the same event table; their
     # balls agree as sets on every word, for every model, n <= 10, b <= 4
@@ -249,8 +265,9 @@ def test_in_ball_refuses_values_outside_their_lengths(model):
     for v, u in (((1 << n), 0), (-1, 0), (0, 1 << m), (0, -1), (1 << 70, 0), (0, 1 << 70)):
         with pytest.raises(DomainError):
             in_ball((m, u), v, n, model)
-    with pytest.raises(DomainError):
-        in_ball((-1, 0), 0, n, model)
+    for element, v in (((-1, 0), 0), ((m, 1.5), 0), ((m, 0), 3.0), ((float(m), 0), 0)):
+        with pytest.raises(DomainError):
+            in_ball(element, v, n, model)
     for v, u in ((0, 0), ((1 << n) - 1, (1 << m) - 1)):
         assert in_ball((m, u), v, n, model)
 
@@ -273,6 +290,19 @@ def test_ball_ints_refuses_words_outside_the_length():
         with pytest.raises(DomainError, match=r"\[0, 2\^4\)"):
             ball_ints(v, 4, del_exact(1))
     assert ball_ints(15, 4, del_exact(1)) == {(3, 7)}
+    for v, n in ((3.0, 4), (3, 4.0), (np.float64(3), 4)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ball_ints(v, n, del_exact(1))
+    assert ball_ints(np.uint64(15), np.int8(4), del_exact(1)) == {(3, 7)}
+
+
+def test_key_word_refuses_values_that_are_not_keys():
+    # a key is (1 << length) | value: 0 has no length, and a negative or
+    # non-integer value is no key
+    for bad in (0, -1, -5, 2.0, 1 << 64):
+        with pytest.raises(DomainError):
+            balls.key_word(bad)
+    assert balls.key_word(1) == () and balls.key_word(0b1011) == (1, 1, 0)
 
 
 def test_model_constructors_build_each_model_once():

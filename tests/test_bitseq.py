@@ -61,7 +61,8 @@ def test_int_round_trip():
 def test_unpacking_refuses_values_outside_the_length():
     # from_int is exact: a negative value or one of more than n bits is
     # refused, never cut to its low n bits (from_int(99, 4) gave 1100)
-    for v, n in ((-1, 4), (99, 4), (16, 4), (1, 0), (1 << 64, 64), (-(1 << 70), 70)):
+    for v, n in ((-1, 4), (99, 4), (16, 4), (1, 0), (1 << 64, 64), (-(1 << 70), 70),
+                 (3.0, 4), (3, 4.0), ("3", 4), (0, -1)):
         with pytest.raises(DomainError):
             from_int(v, n)
     assert from_int(15, 4) == (1, 1, 1, 1) and from_int(0, 0) == ()

@@ -14,8 +14,10 @@ from burstcodes.bounds import (
     transversal_weight,
     upper_bound,
 )
+from burstcodes.codes import Family, best_params, param_ranges
 from burstcodes.errors import DomainError
 from burstcodes.rll import RllSpec, UrllSpec, rll_count, urll_count
+from burstcodes.vt import SvtParams, VtParams, svt_decode
 
 
 def test_upper_bound_values():
@@ -127,6 +129,11 @@ def test_non_integer_arguments_raise_domain_error():
         lambda: parse_model("del-exact", "2"),
         lambda: parse_model("burst-2-1", None),
         lambda: ErrorModel("del-exact", 1),
+        lambda: VtParams(5, 1.5),
+        lambda: SvtParams(5, 3.0, 1, 0),
+        lambda: svt_decode((0, 0, 0, 0), SvtParams(5, 3, 1, 0), 1.5),
+        lambda: best_params(Family.BURST_EXACT, 12.0, 3),
+        lambda: param_ranges(Family.BURST_EXACT, 12.5, 3),
     ]
     for call in calls:
         with pytest.raises(DomainError):
@@ -135,3 +142,6 @@ def test_non_integer_arguments_raise_domain_error():
     assert rll_count(RllSpec(np.int64(10), True)) == rll_count(RllSpec(10, 1)) == 2
     assert upper_bound(np.int64(8), np.int64(2)) == Fraction(124, 5)
     assert parse_model("del-exact", np.int64(2)).b == 2
+    assert VtParams(np.int64(5), True) == VtParams(5, 1) and type(VtParams(5, True).a) is int
+    assert svt_decode((0, 0, 0, 0), SvtParams(5, 3, 0, 0), np.int64(1)).word == (0,) * 5
+    assert param_ranges(Family.BURST_EXACT, np.int64(12), 3) == param_ranges(Family.BURST_EXACT, 12, 3)

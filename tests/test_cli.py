@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import burstcodes
-from burstcodes import bounds
+from burstcodes import _enum, balls, bitseq, bounds, codes, rll, vt
 from burstcodes.cli import main, run
+from burstcodes.codes import CodeSpec, Family
+from burstcodes.errors import DecodeFailure, DomainError
 
 
 def _capture(capsys, argv, stdin_text=None):
@@ -106,12 +108,12 @@ def test_equiv_verb(capsys):
     assert json.loads(out)["equivalent"] is True
 
 
-@pytest.mark.parametrize("n", ["-1", "0", "11"])
+@pytest.mark.parametrize("n", ["-1", "0", "13"])
 def test_equiv_out_of_range_n_exits_2(capsys, n):
     assert main(["equiv", "--n", n, "--b", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: pairwise sweep needs 1 <= n <= 10, got n={n}\n"
+    assert captured.err == f"error: pairwise sweep needs 1 <= n <= 12, got n={n}\n"
 
 
 @pytest.mark.parametrize("n", [1036, 14290])
@@ -127,6 +129,44 @@ def test_bound_reports_just_below_the_float_range(capsys):
     code, out = _capture(capsys, ["bound", "--n", "1035", "--b", "2", "--format", "json"])
     assert code == 0
     assert json.loads(out)["upper_bound_float"] > 1e308
+
+
+_CL2_8 = CodeSpec(Family.CL2, 8, 2, (0, 0, 1, 0))
+
+# One refusal of each kind that no other test reaches: (call, error, message).
+_REFUSALS = {
+    "spec-params": (lambda: CodeSpec(Family.CL2, 8, 2, (1, 2)), DomainError, "expects 4 parameters"),
+    "codebook-empty": (lambda: codes.read_codebook([]), DomainError, "empty codebook file"),
+    "codebook-header": (lambda: codes.read_codebook(["00000000"]), DomainError, "header"),
+    "decode-deletions": (lambda: codes.decode(_CL2_8, (0,) * 5), DecodeFailure, "at most 2 deletions"),
+    "rll-encode-length": (lambda: rll.rll_encode((0,)), DomainError, "length >= 2"),
+    "flatten-ragged": (lambda: bitseq.flatten(((0, 1), (0,))), DomainError, "ragged"),
+    "chunks-negative": (lambda: next(_enum.iter_chunks(-1)), DomainError, ">= 0"),
+    "unpack-65": (lambda: _enum.unpack([0], 65), DomainError, "uint64"),
+    "model-name": (lambda: balls.parse_model("bogus", 1), DomainError, "unknown error model"),
+    "in-ball-short": (lambda: balls.in_ball((0, 0), 0, 2, balls.del_exact(3)), DomainError, "too short"),
+    "tally-cap": (lambda: balls.ball_size_tally(25, 2), DomainError, "n <= 24"),
+    "urll-cap-b": (lambda: rll.urll_cap(10, 2), DomainError, "b >= 3"),
+    "rll-cap": (lambda: rll.RllSpec(5, 6), DomainError, "1 <= f <= n"),
+    "ceil-log2": (lambda: rll.ceil_log2(0), DomainError, "positive"),
+    "vt-length": (lambda: vt.VtParams(0, 0), DomainError, "length must be >= 1"),
+    "svt-span": (lambda: vt.SvtParams(5, 1, 0, 0), DomainError, "P must be >= 2"),
+    "svt-window": (lambda: vt.svt_decode((0,) * 7, vt.SvtParams(8, 3, 0, 0), 9), DomainError, "u must lie"),
+    "cli-b": (["tabulate", "--family", "burst-exact", "--n", "12"], 2, "--b is required"),
+    "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_each_refusal_raises_its_error(capsys, case):
+    call, error, message = _REFUSALS[case]
+    if isinstance(call, list):  # a CLI invocation: its exit code and one stderr line
+        assert main(call) == error
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and message in captured.err
+    else:
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_equiv_unknown_model_names_the_flag(capsys):

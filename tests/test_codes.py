@@ -1104,6 +1104,11 @@ def test_specs_refuse_a_family_that_is_not_a_family():
     for bad in ("burst-exact", None, balls.ErrorKind.DEL_EXACT):
         with pytest.raises(DomainError, match="Family"):
             CodeSpec(bad, 12, 3, (0, 0, 0))
+    # so are the other calls that take a family: through _validate_structure
+    for call in (lambda: best_params("cl2", 12, 2), lambda: codes.default_burst("cl2"),
+                 lambda: param_ranges("cl2", 12, 2), lambda: codes._best("cl2", 12, 2)):
+        with pytest.raises(DomainError, match="Family"):
+            call()
     assert CodeSpec(parse_family("burst-exact"), 12, 3, (0, 0, 0)).family is Family.BURST_EXACT
 
 

