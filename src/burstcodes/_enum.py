@@ -27,6 +27,10 @@ from .errors import DomainError, integer
 # 114 MB for noncons3, whose pair join sorts about 1.66M pairs of part bins.
 CHUNK_BITS = 20
 
+# Entries per block of the blocked kernels (verify_code's ball keys, _join's
+# pairs, ball_size_tally's ball keys): 2 MB per 64-bit temporary.
+BLOCK = 1 << 18
+
 
 def iter_chunks(n: int):
     """Yield uint64 arrays that together cover all 2^n packed words (the one

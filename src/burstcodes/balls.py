@@ -417,7 +417,8 @@ def ball_size_tally(n: int, b: int) -> dict[int, int]:
         raise DomainError("tally capped at n <= 24")
     if n <= b:
         raise DomainError("need n > b")
-    model, block = del_exact(b), 1 << 14  # words per ball_keys call
+    model = del_exact(b)
+    block = _enum.BLOCK // len(_events(n, model))  # words per sorted_ball_keys call
     counts = np.zeros(n - b + 2, dtype=np.int64)
     for start in range(0, 1 << n, block):
         vs = np.arange(start, min(start + block, 1 << n), dtype=np.uint64)

@@ -108,8 +108,9 @@ def runs(x: Word) -> tuple[Run, ...]:
 
 
 def run_count(x: Word) -> int:
-    """r(x): 1 + number of positions where adjacent bits differ."""
-    return 1 + sum(1 for i in range(len(x) - 1) if x[i] != x[i + 1])
+    """r(x): 1 + number of positions where adjacent bits differ; 0 for the
+    empty word."""
+    return 1 + sum(1 for i in range(len(x) - 1) if x[i] != x[i + 1]) if x else 0
 
 
 def array_view(x: Word, b: int) -> tuple[Word, ...]:

@@ -86,6 +86,8 @@ def reference_redundancies(n: int, b: int) -> dict[str, float | None]:
       lower_bound               exact-burst redundancy lower bound
     """
     n, b = integer(n, "n"), integer(b, "b")
+    if n < 1 or b < 1:
+        raise DomainError(f"reference redundancies need n >= 1 and b >= 1, got n={n}, b={b}")
     out: dict[str, float | None] = {}
     ratio = n / b
     log_n = math.log2(n)

@@ -73,15 +73,13 @@ class CodeSpec:
             raise DomainError(f"params must be a sequence of integers, got {self.params!r}") from None
         for name, value in (("n", n), ("b", b), ("params", params)):
             object.__setattr__(self, name, value)
-        fields = param_fields(self.family, self.b)
-        if len(self.params) != len(fields):
-            raise DomainError(
-                f"{self.family.value} expects {len(fields)} parameters "
-                f"({','.join(fields)}), got {len(self.params)}"
-            )
-        for name, value, top in zip(fields, self.params, param_ranges(self.family, self.n, self.b)):
-            if not 0 <= value <= top:
-                raise DomainError(f"parameter {name}={value} outside [0, {top}]")
+        keys = _family_table(self.family, b).keys
+        if len(params) != len(keys):
+            raise DomainError(f"{self.family.value} expects {len(keys)} parameters "
+                              f"({','.join(name for name, _ in keys)}), got {len(params)}")
+        for (name, form), value in zip(keys, params):
+            if value not in range(mod := form.mod(n)):
+                raise DomainError(f"parameter {name}={value} outside [0, {mod - 1}]")
 
 
 def _burst_consts(n: int, b: int) -> tuple[int, int, int]:
@@ -450,9 +448,6 @@ def _key_groups(mods: tuple[int, ...]):
     return groups
 
 
-JOIN_PAIRS = 1 << 16  # bin pairs per block of _classes' join: 0.5 MB per intp temporary
-
-
 def _matches(keys: np.ndarray, want: np.ndarray):
     """The positions of keys in ascending order of key, and for each want[j]
     the first of them whose key equals it and how many do."""
@@ -700,14 +695,14 @@ def _join(table: _Table, n: int, L: int):
     (t_lo, s_lo, k_lo, n_lo), (t_hi, s_hi, k_hi, n_hi) = parts
     low = _pack(t_lo, ties, len(n_lo))
     want = _pack([(m - d) % m for d, m in zip(t_hi, ties)], ties, len(n_hi))
-    # The high bins join in blocks of about `step` pairs, each made when the
-    # tally takes it. A block of fewer pairs than classes saves nothing: a
-    # dense tally passes over every class per block, and a sparse one (more
-    # classes than pairs) sorts all pairs at once, so it gets one block.
+    # The high bins join in blocks of about `step` pairs (_enum.BLOCK), each
+    # made when the tally takes it. A block of fewer pairs than classes saves
+    # nothing: a dense tally passes over every class per block, and a sparse
+    # one (more classes than pairs) sorts all pairs at once, so it gets one block.
     order, first, count = _matches(low, want)
     ends, size = np.cumsum(count), math.prod(mods)
     total = int(ends[-1]) if len(ends) else 0  # pairs before the caps are checked
-    step = max(JOIN_PAIRS, size)
+    step = max(_enum.BLOCK, size)
     cuts = np.searchsorted(ends, np.arange(step, total, step))
 
     def block(start: int, stop: int):

@@ -203,15 +203,12 @@ class UrllSpec:
     def __post_init__(self) -> None:
         for name in ("n", "b") if self.f is None else ("n", "b", "f"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.b < 3:
-            raise DomainError("universal constraint applies for b >= 3")
-        if self.n < 1:
-            raise DomainError(f"universal constraint needs length n >= 1, got n={self.n}")
+        cap = urll_cap(self.n, self.b)  # refuses b < 3 and n < 1
         for i in range(3, self.b + 1):
             if self.n % i != 0:
                 raise DomainError(f"level {i} does not divide n={self.n}")
         if self.f is None:
-            object.__setattr__(self, "f", urll_cap(self.n, self.b))
+            object.__setattr__(self, "f", cap)
 
 
 def urll_member(x: Word, spec: UrllSpec) -> bool:

@@ -46,14 +46,11 @@ class VerifyReport:
         }
 
 
-BLOCK_KEYS = 1 << 18  # ball keys per block of words: 1 MB per uint32 temporary, 2 MB per uint64
-
-
 def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel, keys=balls.sorted_ball_keys):
     """(index of the first word, keys of the block) per block of packed words,
     sorted_ball_keys unless keys names another kernel; at least one block, so
     that an empty array still checks n and model."""
-    rows = max(1, BLOCK_KEYS // len(balls._events(n, model)))
+    rows = max(1, _enum.BLOCK // len(balls._events(n, model)))
     for start in range(0, max(len(packed), 1), rows):
         yield start, keys(packed[start : start + rows], n, model)
 

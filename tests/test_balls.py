@@ -149,6 +149,7 @@ def test_words_with_runs_counts():
             tally[r] = tally.get(r, 0) + 1
         for r in range(1, n + 1):
             assert tally.get(r, 0) == words_with_runs(n, r) == 2 * math.comb(n - 1, r - 1)
+    assert words_with_runs(5, 0) == 0
 
 
 def test_distribution_formula_matches_tally():
@@ -333,6 +334,8 @@ def test_ball_keys_columns_follow_the_event_table():
                                                           for src, mask, dst in ev.segs)
                          for ev in events] for v in words]
                 assert keys.tolist() == want, (model, n)
+    # the one event with no copy segment: a bit inserted into the empty word
+    assert ball_keys([0], 0, ins_exact(1)).tolist() == [[0b10, 0b11]]
 
 
 def test_ball_keys_at_the_key_limit():

@@ -132,6 +132,7 @@ def test_runs_basics():
 
 
 def test_run_count_matches_adjacent_differences():
+    assert run_count(()) == len(runs(())) == 0
     for x in enumerate_words(9):
         assert run_count(x) == len(runs(x))
         assert sum(r.length for r in runs(x)) == 9

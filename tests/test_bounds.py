@@ -94,6 +94,13 @@ def test_reference_formulas_spot_values():
     assert refs["noncons4_bound"] == pytest.approx(
         7 * math.log2(24) + 2 * math.log2(math.log2(24)) + 4
     )
+    # at n = 1 log2 log2 n is undefined, multi_deletion needs b >= 2 and the
+    # lower bound n > 2b - 1
+    refs = reference_redundancies(1, 1)
+    assert [k for k, v in refs.items() if v is None] == [
+        "multi_deletion", "burst_exact_bound", "at_most_consecutive_bound",
+        "noncons3_bound", "noncons4_bound", "lower_bound",
+    ]
 
 
 def test_bound_report_shape():

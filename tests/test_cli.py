@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import burstcodes
@@ -136,6 +137,10 @@ _CL2_8 = CodeSpec(Family.CL2, 8, 2, (0, 0, 1, 0))
 # One refusal of each kind that no other test reaches: (call, error, message).
 _REFUSALS = {
     "spec-params": (lambda: CodeSpec(Family.CL2, 8, 2, (1, 2)), DomainError, "expects 4 parameters"),
+    "spec-param-low": (lambda: CodeSpec(Family.CL2, 8, 2, (-1, 0, 0, 0)), DomainError,
+                       r"^parameter a_vt=-1 outside \[0, 8\]$"),
+    "spec-param-high": (lambda: CodeSpec(Family.CL2, 8, 2, (0, 0, 4, 0)), DomainError,
+                        r"^parameter c2=4 outside \[0, 3\]$"),
     "codebook-empty": (lambda: codes.read_codebook([]), DomainError, "empty codebook file"),
     "codebook-header": (lambda: codes.read_codebook(["00000000"]), DomainError, "header"),
     "decode-deletions": (lambda: codes.decode(_CL2_8, (0,) * 5), DecodeFailure, "at most 2 deletions"),
@@ -152,6 +157,31 @@ _REFUSALS = {
     "vt-length": (lambda: vt.VtParams(0, 0), DomainError, "length must be >= 1"),
     "svt-span": (lambda: vt.SvtParams(5, 1, 0, 0), DomainError, "P must be >= 2"),
     "svt-window": (lambda: vt.svt_decode((0,) * 7, vt.SvtParams(8, 3, 0, 0), 9), DomainError, "u must lie"),
+    "model-b": (lambda: balls.ErrorModel(balls.ErrorKind.DEL_EXACT, 0), DomainError, "b must be >= 1"),
+    "burst21-short": (lambda: balls.restricted_burst21_ball((0, 1), (0, 1), 1), DomainError, "too short"),
+    "tally-n-b": (lambda: balls.ball_size_tally(3, 3), DomainError, "need n > b"),
+    "rll-enumerated-cap": (lambda: rll.rll_count_enumerated(rll.RllSpec(25, 3)), DomainError, "n <= 24"),
+    "urll-spec-b": (lambda: rll.UrllSpec(12, 2), DomainError, "^universal constraint applies for b >= 3$"),
+    "urll-spec-n": (lambda: rll.UrllSpec(0, 3), DomainError,
+                    "^universal constraint needs length n >= 1, got n=0$"),
+    "urll-member-length": (lambda: rll.urll_member((0,) * 5, rll.UrllSpec(6, 3)), DomainError,
+                           "expected length 6, got 5"),
+    "member-length": (lambda: codes.member(_CL2_8, (0,) * 7), DomainError, "expected length 8, got 7"),
+    "vt-decode-length": (lambda: vt.vt_decode((0,) * 9, vt.VtParams(8, 0)), DomainError,
+                         "expected received length 7, got 9"),
+    "svt-decode-length": (lambda: vt.svt_decode((0,) * 9, vt.SvtParams(8, 3, 0, 0), 1), DomainError,
+                          "expected received length 7, got 9"),
+    "vt-decode-short": (lambda: vt.vt_decode((0,), vt.VtParams(1, 0)), DomainError, "code length >= 2"),
+    "svt-length": (lambda: vt.SvtParams(1, 2, 0, 0), DomainError, "code length must be >= 2"),
+    "svt-parity": (lambda: vt.SvtParams(5, 3, 0, 2), DomainError, "parity d must be 0 or 1"),
+    "codebook-length": (lambda: codes.Codebook(0, np.zeros((1, 1), dtype=np.uint8)), DomainError,
+                        "length must be >= 1"),
+    "report-adhoc": (lambda: codes.redundancy_report(codes.codebook_from_words([(0, 1, 0)], 3)),
+                     DomainError, "needs a family codebook"),
+    "references-b-0": (lambda: bounds.reference_redundancies(10, 0), DomainError, "got n=10, b=0$"),
+    "references-b-negative": (lambda: bounds.reference_redundancies(10, -1), DomainError, "got n=10, b=-1$"),
+    "references-n-0": (lambda: bounds.reference_redundancies(0, 1), DomainError, "got n=0, b=1$"),
+    "references-n-negative": (lambda: bounds.reference_redundancies(-4, 2), DomainError, "got n=-4, b=2$"),
     "cli-b": (["tabulate", "--family", "burst-exact", "--n", "12"], 2, "--b is required"),
     "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
 }

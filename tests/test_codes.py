@@ -339,7 +339,7 @@ def test_class_sizes_match_reference_at_every_kind_of_split(monkeypatch, family,
         assert not all(map(_has_weight, hi_rows))
         splits.append(n - 1)
     monkeypatch.setattr(_enum, "CHUNK_BITS", 2)  # several chunks in every part
-    monkeypatch.setattr(codes, "JOIN_PAIRS", 1)  # and blocks of as many pairs as classes
+    monkeypatch.setattr(_enum, "BLOCK", 1)  # and blocks of as many pairs as classes
     table = codes._family_table(family, b)
     got = {L: _joined(table, n, L) for L in splits}
     # at-most-consecutive and noncons3 have transfer grids of 10^8 cells and

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from burstcodes import balls, verify
+from burstcodes import _enum, balls, verify
 from burstcodes.bitseq import enumerate_words, from_int, parse_word, to_int
 from burstcodes.bounds import upper_bound
 from burstcodes.cli import run as cli_run
@@ -316,7 +316,7 @@ def test_blocked_verify_code_matches_reference(monkeypatch):
         want = _reference_verify_code(bad, model)
         events = len(balls._events(10, model))
         for rows in (3, 10):
-            monkeypatch.setattr(verify, "BLOCK_KEYS", rows * events)
+            monkeypatch.setattr(_enum, "BLOCK", rows * events)
             assert verify_code(bad, model) == want, (model, rows)
             crossed += sum(index[x] // rows != index[y] // rows for x, y, _ in want.violations)
     assert crossed
@@ -373,7 +373,7 @@ def test_greedy_code_at_n12_matches_reference(monkeypatch, model, rows, sub):
     # blocks and sub-blocks of a few words, so that a ball taken in one block
     # or sub-block turns words of later ones away
     if rows:
-        monkeypatch.setattr(verify, "BLOCK_KEYS", rows * len(balls._events(12, model)))
+        monkeypatch.setattr(_enum, "BLOCK", rows * len(balls._events(12, model)))
         monkeypatch.setattr(verify, "GREEDY_ROWS", sub)
     want = _reference_greedy_code(12, model)
     assert want.cardinality == (61 if model.kind is balls.ErrorKind.INS_AT_MOST_NONCONSECUTIVE else 143)

@@ -11,11 +11,12 @@ full sizes:
 
 - certify: codes.best_params, codes.build, codes.write_codebook to memory and
   verify.verify_code under del-exact(3), burst-exact at n = 24 and b = 3;
-  then codes._classes at n = 24 for one table per class counter: burst-exact
-  b = 3 and cl2 b = 2, which take the transfer, and at-most-consecutive
-  b = 3, which takes the pair join; then the CLI's tabulate (cli.run) of
-  burst-exact and at-most-consecutive at b = 3 and n = 24, each checked
-  against the cardinality of the code build lists;
+  then codes._classes at n = 24: burst-exact b = 3 and cl2 b = 2, which take
+  the transfer, and at-most-consecutive b = 3, noncons3 and noncons4, which
+  take the pair join (noncons4 at n = 24 in smoke runs too, its least
+  length); then the CLI's tabulate (cli.run) of burst-exact and
+  at-most-consecutive at b = 3 and n = 24, each checked against the
+  cardinality of the code build lists;
 - decode-mix: every request of the mix, a received line parsed, decoded and
   printed, in the mix's order, one stage per decoder path; then the final
   check of decode alone, balls.in_ball on every request's received word,
@@ -129,13 +130,14 @@ def _certify(bc, seed: int) -> list:
          lambda report: report.passed),
     ]
     sizes = {}
-    for name, b in (("burst-exact", 3), ("cl2", 2), ("at-most-consecutive", 3)):
+    for name, b, m in (("burst-exact", 3, n), ("cl2", 2, n), ("at-most-consecutive", 3, n),
+                        ("noncons3", 3, n), ("noncons4", 4, 24)):
         table = codes._family_table(codes.Family(name), b)
         # the largest class has as many words as build lists for its residues
-        sizes[name] = best = codes.build(codes.best_params(codes.Family(name), n, b)).cardinality
+        sizes[name] = best = codes.build(codes.best_params(codes.Family(name), m, b)).cardinality
         calls.append((
-            f"_classes {name} b={b} n={n}",
-            lambda table=table: codes._classes(table, n),
+            f"_classes {name} b={b} n={m}",
+            lambda table=table, m=m: codes._classes(table, m),
             lambda out, best=best: out[0][1].max() == best,
         ))
     for name in ("burst-exact", "at-most-consecutive"):
