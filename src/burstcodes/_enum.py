@@ -28,8 +28,11 @@ from .errors import DomainError, integer
 CHUNK_BITS = 20
 
 # Entries per block of the blocked kernels (verify_code's ball keys, _join's
-# pairs, ball_size_tally's ball keys): 2 MB per 64-bit temporary.
-BLOCK = 1 << 18
+# pairs, ball_size_tally's ball keys, write_codebook's characters): 1 MB per
+# 64-bit temporary, small enough that the allocator keeps a block's pages
+# between calls instead of handing them back to the OS and faulting them in
+# again on the next call.
+BLOCK = 1 << 17
 
 
 def iter_chunks(n: int):

@@ -343,9 +343,9 @@ def sorted_ball_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndar
     turn."""
     keys = ball_keys(vs, n, model)
     keys.sort(axis=1)
-    fresh = np.empty(keys.shape, dtype=bool)
-    fresh[:, :1] = True
-    np.not_equal(keys[:, 1:], keys[:, :-1], out=fresh[:, 1:])
+    flat, fresh = keys.reshape(-1), np.empty(keys.shape, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=fresh.reshape(-1)[1:])  # one pass over all rows,
+    fresh[:, :1] = True  # then each row's first key is fresh whatever precedes it
     return keys, fresh
 
 
@@ -394,6 +394,7 @@ def ball_size_formula(x: Word, b: int) -> int:
 
 def words_with_runs(n: int, r: int) -> int:
     """M(n, r): number of length-n words with exactly r runs."""
+    n, r = integer(n, "n"), integer(r, "r")
     if not 1 <= r <= n:
         return 0
     return 2 * math.comb(n - 1, r - 1)
@@ -404,6 +405,7 @@ def ball_size_distribution(n: int, b: int) -> dict[int, int]:
     the closed form N(n, b, i) = 2^b * C(n-b, i-1) for 1 <= i <= n-b+1: the
     first b bits are free, and so is each of the n - b differences x_p !=
     x_{p+b} that ball_size_formula counts."""
+    n, b = integer(n, "n"), integer(b, "b")
     if n <= b:
         raise DomainError("need n > b")
     return {i: (1 << b) * math.comb(n - b, i - 1) for i in range(1, n - b + 2)}
@@ -413,6 +415,7 @@ def ball_size_tally(n: int, b: int) -> dict[int, int]:
     """Brute-force tally of |D_b(x)| over all 2^n words: the distinct keys of
     every ball, counted row by row in blocks of words. Independent of
     ball_size_formula."""
+    n, b = integer(n, "n"), integer(b, "b")
     if n > 24:
         raise DomainError("tally capped at n <= 24")
     if n <= b:

@@ -84,10 +84,20 @@ def reference_redundancies(n: int, b: int) -> dict[str, float | None]:
       noncons3_bound            4 log2 n + 2 log2 log2 n + 6
       noncons4_bound            7 log2 n + 2 log2 log2 n + 4
       lower_bound               exact-burst redundancy lower bound
+
+    DomainError where a formula leaves the float range, or the exact lower
+    bound the range of an int shift.
     """
     n, b = integer(n, "n"), integer(b, "b")
     if n < 1 or b < 1:
         raise DomainError(f"reference redundancies need n >= 1 and b >= 1, got n={n}, b={b}")
+    try:
+        return _redundancies(n, b)
+    except OverflowError:
+        raise DomainError(f"reference redundancies overflow a float at n={n}, b={b}") from None
+
+
+def _redundancies(n: int, b: int) -> dict[str, float | None]:
     out: dict[str, float | None] = {}
     ratio = n / b
     log_n = math.log2(n)

@@ -408,13 +408,20 @@ def _unpack(values: np.ndarray, radices) -> tuple:
     return np.unravel_index(values, radices) if radices else ()
 
 
+def _dense(size: int, total: int) -> bool:
+    """Whether `total` values below size are counted in one slot per value
+    (np.bincount) rather than sorted: where size is at most total, or 2^16.
+    _tally and _matches both read it."""
+    return size <= max(total, 1 << 16)
+
+
 def _tally(blocks, size: int, total: int):
     """The distinct values, all below size, in ascending order, with how
     often each occurs (or the sum of its weights), over blocks of (values,
-    weights or None), `total` values in all. Where size is at most total (or
-    2^16) the blocks add into one count per value, one block at a time; else
-    the values are sorted, and they must come as one block."""
-    if size <= max(total, 1 << 16):
+    weights or None), `total` values in all. Where they are _dense the
+    blocks add into one count per value, one block at a time; else the
+    values are sorted, and they must come as one block."""
+    if _dense(size, total):
         counts = None  # the first block's counts take the others
         for values, weights in blocks:
             count = np.bincount(values, weights, minlength=size)
@@ -448,10 +455,16 @@ def _key_groups(mods: tuple[int, ...]):
     return groups
 
 
-def _matches(keys: np.ndarray, want: np.ndarray):
-    """The positions of keys in ascending order of key, and for each want[j]
-    the first of them whose key equals it and how many do."""
+def _matches(keys: np.ndarray, want: np.ndarray, size: int):
+    """The positions of keys, all below size, in ascending order of key, and
+    for each want[j] (below size too) the first of them whose key equals it
+    and how many do: by one count per key where the keys are _dense, else
+    by searching the sorted keys."""
     order = np.argsort(keys, kind="stable")
+    if _dense(size, len(keys)):
+        counts = np.bincount(keys, minlength=size)
+        count = counts[want]
+        return order, np.cumsum(counts)[want] - count, count
     ordered = keys[order]
     first = np.searchsorted(ordered, want, "left")
     return order, first, np.searchsorted(ordered, want, "right") - first
@@ -575,7 +588,7 @@ def build(spec: CodeSpec) -> Codebook:
         _tabulate(table, n, lo, hi) for lo, hi in ((0, L), (L, n))
     )
     want = [(t + m - r) % m for t, r, m in zip(targets, r_hi, mods)]
-    i, j = _expand(*_matches(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi))))
+    i, j = _expand(*_matches(_pack(r_lo, mods, len(w_lo)), _pack(want, mods, len(w_hi)), math.prod(mods)))
     fit = _fit(caps, s_lo, s_hi, i, j)
     return codebook_from_ints(w_hi[j[fit]] << L | w_lo[i[fit]], n, spec)
 
@@ -699,7 +712,7 @@ def _join(table: _Table, n: int, L: int):
     # made when the tally takes it. A block of fewer pairs than classes saves
     # nothing: a dense tally passes over every class per block, and a sparse
     # one (more classes than pairs) sorts all pairs at once, so it gets one block.
-    order, first, count = _matches(low, want)
+    order, first, count = _matches(low, want, math.prod(ties))
     ends, size = np.cumsum(count), math.prod(mods)
     total = int(ends[-1]) if len(ends) else 0  # pairs before the caps are checked
     step = max(_enum.BLOCK, size)
@@ -769,16 +782,22 @@ def best_params(family: Family, n: int, b: int) -> CodeSpec:
 
 
 def write_codebook(cb: Codebook, out: IO[str]) -> None:
-    """The header and every word in one write: the rows' bits become the
-    characters 0 and 1 of all lines at once, newlines included."""
+    """The header, then the words in blocks of about _enum.BLOCK characters:
+    the bits of a block's rows become the characters 0 and 1 of its lines in
+    one reused buffer, whose newlines stay in place."""
     if cb.spec is None:
         header = f"# family=adhoc n={cb.n} b=0 params=-\n"
     else:
         p = ",".join(map(str, cb.spec.params)) or "-"
         header = f"# family={cb.spec.family.value} n={cb.spec.n} b={cb.spec.b} params={p}\n"
-    lines = np.full((cb.cardinality, cb.n + 1), ord("\n"), dtype=np.uint8)
-    lines[:, :-1] = np.unpackbits(cb.rows, axis=1, count=cb.n) + ord("0")
-    out.write(header + lines.tobytes().decode("ascii"))
+    out.write(header)
+    step = max(1, _enum.BLOCK // (cb.n + 1))
+    lines = np.full((min(step, cb.cardinality), cb.n + 1), ord("\n"), dtype=np.uint8)
+    for start in range(0, cb.cardinality, step):
+        rows = cb.rows[start : start + step]
+        block = lines[: len(rows)]
+        np.add(np.unpackbits(rows, axis=1, count=cb.n), ord("0"), out=block[:, :-1])
+        out.write(str(block.data, "ascii"))
 
 
 def read_codebook(lines: Iterable[str]) -> Codebook:

@@ -38,6 +38,7 @@ def max_run(x: Word) -> int:
 
 
 def ceil_log2(k: int) -> int:
+    k = integer(k, "ceil_log2's argument")
     if k < 1:
         raise DomainError("ceil_log2 needs a positive argument")
     return (k - 1).bit_length()
@@ -184,12 +185,16 @@ def rll_decode(y: Word) -> Word:
 
 
 def urll_cap(n: int, b: int) -> int:
-    """Default run cap for the universal constraint: ceil(log2(n log2 b)) + 1."""
+    """Default run cap for the universal constraint: ceil(log2(n log2 b)) + 1;
+    DomainError where n log2 b is past the float range."""
     if b < 3:
         raise DomainError("universal constraint applies for b >= 3")
     if n < 1:
         raise DomainError(f"universal constraint needs length n >= 1, got n={n}")
-    return math.ceil(math.log2(n * math.log2(b))) + 1
+    try:
+        return math.ceil(math.log2(n * math.log2(b))) + 1
+    except OverflowError:
+        raise DomainError(f"universal constraint needs n log2 b in the float range, got n={n}, b={b}") from None
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,33 @@ def test_in_ball_refuses_values_outside_their_lengths(model):
         assert in_ball((m, u), v, n, model)
 
 
+def _fresh_by_rows(keys):
+    """sorted_ball_keys' mask as it was before it compared the flat array:
+    each row against itself shifted by one key."""
+    fresh = np.empty(keys.shape, dtype=bool)
+    fresh[:, :1] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=fresh[:, 1:])
+    return fresh
+
+
+def test_sorted_ball_keys_mask_equals_the_row_compare(monkeypatch):
+    rng = random.Random(5)
+    for n, model in ((12, del_exact(3)), (9, ins_at_most_noncons(3)), (6, burst21())):
+        vs = [rng.getrandbits(n) for _ in range(40)] + [0, (1 << n) - 1, 0]
+        for words in (vs, []):
+            keys, fresh = balls.sorted_ball_keys(words, n, model)
+            assert keys.shape == (len(words), len(balls._events(n, model)))
+            assert (fresh == _fresh_by_rows(keys)).all()
+    # no model has one event per word: cut every row to its first key, where
+    # every key is fresh though it repeats the previous row's
+    real = balls.ball_keys
+    monkeypatch.setattr(balls, "ball_keys", lambda vs, n, model: real(vs, n, model)[:, :1].copy())
+    for words in ([0, 0, 5, 5, 7], []):
+        keys, fresh = balls.sorted_ball_keys(words, 4, del_exact(1))
+        assert keys.shape == (len(words), 1) and fresh.all()
+        assert (fresh == _fresh_by_rows(keys)).all()
+
+
 @pytest.mark.parametrize("vs", [[16], np.array([16]), [-1], np.array([-1]), [3, 1 << 64], [3.5],
                                 np.array([3.5]), ["1"], np.array([True])])
 def test_ball_keys_refuse_values_outside_the_length(vs):

@@ -4,7 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from burstcodes.balls import ErrorKind, ErrorModel, ball, ball_size_formula, ball_size_tally, parse_model
+from burstcodes.balls import (
+    ErrorKind,
+    ErrorModel,
+    ball,
+    ball_size_distribution,
+    ball_size_formula,
+    ball_size_tally,
+    parse_model,
+    words_with_runs,
+)
 from burstcodes.bitseq import from_int
 from burstcodes.bounds import (
     _run_formula_sizes,
@@ -16,7 +25,7 @@ from burstcodes.bounds import (
 )
 from burstcodes.codes import Family, best_params, param_ranges
 from burstcodes.errors import DomainError
-from burstcodes.rll import RllSpec, UrllSpec, rll_count, urll_count
+from burstcodes.rll import RllSpec, UrllSpec, ceil_log2, rll_count, urll_cap, urll_count
 from burstcodes.vt import SvtParams, VtParams, svt_decode
 
 
@@ -141,6 +150,10 @@ def test_non_integer_arguments_raise_domain_error():
         lambda: svt_decode((0, 0, 0, 0), SvtParams(5, 3, 1, 0), 1.5),
         lambda: best_params(Family.BURST_EXACT, 12.0, 3),
         lambda: param_ranges(Family.BURST_EXACT, 12.5, 3),
+        lambda: ball_size_tally(10.0, 2),
+        lambda: words_with_runs(5.5, 2),
+        lambda: ball_size_distribution(10.5, 2),
+        lambda: ceil_log2(2.5),
     ]
     for call in calls:
         with pytest.raises(DomainError):
@@ -152,3 +165,23 @@ def test_non_integer_arguments_raise_domain_error():
     assert VtParams(np.int64(5), True) == VtParams(5, 1) and type(VtParams(5, True).a) is int
     assert svt_decode((0, 0, 0, 0), SvtParams(5, 3, 0, 0), np.int64(1)).word == (0,) * 5
     assert param_ranges(Family.BURST_EXACT, np.int64(12), 3) == param_ranges(Family.BURST_EXACT, 12, 3)
+    assert words_with_runs(np.int64(5), 2) == 8 and ceil_log2(np.int64(5)) == 3
+    assert ball_size_distribution(np.int64(6), 2) == ball_size_distribution(6, 2)
+
+
+def test_lengths_past_the_float_range_raise_domain_error():
+    # the float formulas refuse an n (or b) whose value, or n log2 b, leaves
+    # the float range, instead of escaping with OverflowError
+    for call in (
+        lambda: reference_redundancies(10**400, 2),
+        lambda: reference_redundancies(10**300, 2),  # n fits a float, the lower bound's 2^(n-b+1) no int
+        lambda: reference_redundancies(10**20, 10**200),
+        lambda: urll_cap(3 * 10**400, 3),
+        lambda: urll_cap(15 * 10**307, 3),  # n fits a float, n log2 b does not
+        lambda: UrllSpec(3 * 10**400, 3),
+        lambda: UrllSpec(3 * 10**400, 3, 5),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # just inside the range the cap still answers
+    assert urll_cap(10**308, 3) == math.ceil(math.log2(10**308 * math.log2(3))) + 1

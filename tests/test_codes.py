@@ -1244,6 +1244,53 @@ def test_empty_codebook(n):
     assert back == cb and back.rows.shape == (0, (n + 7) // 8)
 
 
+def _matches_by_search(keys, want):
+    """codes._matches as it was before it counted dense keys: two binary
+    searches of the sorted keys per want."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.searchsorted(ordered, want, "left")
+    return order, first, np.searchsorted(ordered, want, "right") - first
+
+
+def test_matches_counts_dense_keys_like_the_search():
+    rng = np.random.default_rng(7)
+    floor = 1 << 16  # _dense's floor: below it any key space is counted
+    cases = [
+        (rng.integers(0, 900, 4096), rng.integers(0, 1000, 500), 1000),  # wants past every key
+        (rng.integers(0, 50, 30), np.arange(60), 60),  # most wants absent
+        (np.array([], dtype=np.intp), rng.integers(0, 9, 20), 9),  # no keys
+        (np.array([3]), np.array([0, 3, 3, 8]), 9),  # one key
+        (rng.integers(0, floor, 100), rng.integers(0, floor, 300), floor),  # dense at the floor
+        (rng.integers(0, floor + 1, 100), rng.integers(0, floor + 1, 300), floor + 1),  # just past it
+        (rng.integers(0, floor + 9, floor + 9), rng.integers(0, floor + 9, 300), floor + 9),  # as many keys
+        (rng.integers(0, floor + 9, floor + 8), rng.integers(0, floor + 9, 300), floor + 9),  # one key fewer
+    ]
+    for keys, want, size in cases:
+        got, expect = codes._matches(keys, want, size), _matches_by_search(keys, want)
+        for a, b in zip(got, expect):
+            assert a.tolist() == b.tolist(), (len(keys), size)
+    # both paths are taken: counted up to the floor or the key count, searched past them
+    assert [codes._dense(size, len(keys)) for keys, _, size in cases] == [True] * 5 + [False, True, False]
+
+
+@pytest.mark.parametrize("block", [13 * 12, 13 * 4, 13 * 3 + 12, 5])
+def test_write_codebook_in_blocks_writes_like_the_tuple_writer(monkeypatch, block):
+    # _enum.BLOCK // (n + 1) rows per block, at n = 12: 12 words in one block,
+    # in 3 of 4 rows, in 4 of 3 rows (11 words: 3 full, the last of 2), and
+    # one row per block where the budget is below one line
+    cb = build(best_params(Family.BURST_EXACT, 12, 3))
+    assert cb.cardinality == 12
+    monkeypatch.setattr(_enum, "BLOCK", block)
+    books = (cb, codebook_from_words(cb.words[:11], 12), codebook_from_words([], 12),
+             codebook_from_words([], 12, cb.spec))
+    for book in books:
+        buf, ref = io.StringIO(), io.StringIO()
+        write_codebook(book, buf)
+        _reference_write_codebook(book, ref)
+        assert buf.getvalue() == ref.getvalue()
+
+
 @pytest.mark.parametrize("n", [1, 8, 9, 24])
 def test_words_unpack_like_tolist(n):
     # words unpacks rows through struct; the tolist form is its oracle

@@ -36,6 +36,8 @@ def test_every_stage_is_timed_on_two_versions(monkeypatch, workload):
     for record in figures.values():
         assert list(record["stages"]) == list(dict.fromkeys(stages))
         assert all(s["calls"] > 0 and s["call_us"] > 0 for s in record["stages"].values())
+        # minor page faults per call beside the CPU time: a count, often 0
+        assert all(s["call_faults"] >= 0 for s in record["stages"].values())
         assert record["pass_ms"] > 0
     assert _bench_files() == before
 

@@ -35,10 +35,13 @@ stage's warm-up time (the slowest version's) says will fill about FILL_S
 seconds, at least once and equally often in every version, so that a stage
 of one short call is not timed from one call per round. Every
 call is timed alone in process CPU time, which a busy neighbour on the host
-inflates less than wall time. The figures of a stage are its calls per pass,
-how often each call is repeated, the median over rounds of each round's
-median call time and the median over rounds of its time per pass (the
-repeats' mean); the pass is the median over rounds of a whole pass.
+inflates less than wall time, and its minor page faults are counted (the
+ru_minflt delta of getrusage around it): a first touch of a page that the
+allocator handed back to the OS costs a fault. The figures of a stage are
+its calls per pass, how often each call is repeated, the median over rounds
+of each round's median call time, the same median of its faults per call
+and the median over rounds of its time per pass (the repeats' mean); the
+pass is the median over rounds of a whole pass.
 
 The figures are stored under each label in the workload's BENCH file at the
 repository root, beside those of other labels, with the host they were
@@ -61,6 +64,7 @@ import itertools
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -229,29 +233,39 @@ def _ball_census(bc, seed: int) -> list:
 STAGES = {"certify": _certify, "decode-mix": _decode_mix, "ball-census": _ball_census}
 
 
-def _pass(calls, repeats: dict[str, int]) -> dict[str, list[float]]:
-    """Seconds of every call, by stage, each call made repeats[stage] times."""
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _pass(calls, repeats: dict[str, int]) -> tuple[dict[str, list[float]], dict[str, list[int]]]:
+    """Seconds and minor page faults of every call, by stage, each call made
+    repeats[stage] times."""
     took: dict[str, list[float]] = {}
+    faults: dict[str, list[int]] = {}
     clock = time.process_time
     for stage, call, _ in calls:
         for _ in range(repeats[stage]):
+            before = _minflt()
             start = clock()
             call()
             took.setdefault(stage, []).append(clock() - start)
-    return took
+            faults.setdefault(stage, []).append(_minflt() - before)
+    return took, faults
 
 
-def _figures(passes: list[dict], repeats: dict[str, int]) -> dict:
+def _figures(passes: list[tuple[dict, dict]], repeats: dict[str, int]) -> dict:
     med = statistics.median
-    per_pass = [{stage: sum(t) / repeats[stage] for stage, t in p.items()} for p in passes]
+    times = [took for took, _ in passes]
+    per_pass = [{stage: sum(t) / repeats[stage] for stage, t in p.items()} for p in times]
     stages = {
         stage: {
-            "calls": len(passes[0][stage]) // repeats[stage],
+            "calls": len(times[0][stage]) // repeats[stage],
             "repeats": repeats[stage],
-            "call_us": round(med(med(p[stage]) for p in passes) * 1e6, 3),
+            "call_us": round(med(med(p[stage]) for p in times) * 1e6, 3),
+            "call_faults": med(med(faults[stage]) for _, faults in passes),
             "pass_ms": round(med(p[stage] for p in per_pass) * 1e3, 3),
         }
-        for stage in passes[0]
+        for stage in times[0]
     }
     return {"stages": stages, "pass_ms": round(med(sum(p.values()) for p in per_pass) * 1e3, 3)}
 
