@@ -2,14 +2,13 @@
 
 Every function here treats a word as an integer with position 1 at the least
 significant bit, and is polymorphic over a plain Python int and a numpy array
-of packed words. ``iter_chunks`` draws the parts of a split word for the
-builds and class counts of codes.py. ``max_run_le`` serves codes.member, the
-boundary tables of the parts and ``count_max_run_le``, the full sweep kept
-as the oracle for rll.rll_count; the row kernels serve only perfbench's
-kernel timing. ``pack`` turns codebook rows (``np.packbits`` of each word,
-position 1 at the most significant bit of byte 0) into such an array,
-``unpack`` turns packed words back into rows, and ``words`` (``word`` for
-one value) checks that values are packed words of a length.
+of packed words. ``Linear`` is the one evaluator of a linear form on them and
+``row`` gives the weights of one row of an array view: codes.py's tables and
+perfbench's row kernels are made of the two. ``iter_chunks`` draws the parts
+of a split word for codes.py. ``max_run_le`` serves codes.member, the parts'
+boundary tables and ``count_max_run_le``, the oracle for rll.rll_count.
+``pack`` and ``unpack`` turn codebook rows (``np.packbits`` of each word) into
+such arrays and back; ``words`` (``word`` for one value) checks packed words.
 """
 
 from __future__ import annotations
@@ -96,35 +95,64 @@ def unpack(vs, n: int) -> np.ndarray:
     return _REVERSED[octets[:, : (n + 7) // 8]]
 
 
-def bit(v, pos: int):
-    """Bit at 1-indexed position pos."""
-    return (v >> (pos - 1)) & 1
+def row(n: int, b: int, r: int, weight) -> list[int]:
+    """The weights of row r of the b x (n/b) array view, one per position:
+    weight(k) at column k + 1 (position r + k b), 0 off the row."""
+    w = [0] * n
+    w[r - 1 : n // b * b : b] = [weight(k) for k in range(n // b)]
+    return w
+
+
+def octets(vs: np.ndarray, n: int) -> list[np.ndarray]:
+    """Byte i of each packed length-n word as the i-th array, for Linear.at."""
+    return [vs >> i & 0xFF for i in range(0, max(n, 1), 8)]
+
+
+class Linear:
+    """A linear form on packed words: per-position weights summed mod `mod`,
+    kept as the residue of every value of each byte."""
+
+    def __init__(self, weights: list[int], mod: int) -> None:
+        self.weights, self.mod, self.bytes = weights, mod, []
+        for i in range(0, max(len(weights), 1), 8):  # a form on no positions is 0
+            t = [0]
+            for w in weights[i : i + 8]:
+                t += [(s + w) % mod for s in t]
+            self.bytes.append(t)
+        # The narrowest dtype that holds a sum over all bytes keeps lookups fast.
+        dtype = np.min_scalar_type(max(len(self.bytes) * (mod - 1), mod))
+        self.tables = [np.array(t, dtype=dtype) for t in self.bytes]
+
+    def __call__(self, v: int) -> int:
+        s = 0
+        for t in self.bytes:
+            s += t[v & 0xFF]
+            v >>= 8
+        return s % self.mod
+
+    def at(self, octets: list[np.ndarray]) -> np.ndarray:
+        """The residue of every word of an array given by its bytes (octets)."""
+        return sum(np.take(t, o) for t, o in zip(self.tables, octets)) % self.mod
+
+
+def _row_kernel(v, n: int, b: int, r: int, weight, mod: int):
+    """The form of row r under weight, mod `mod`, at an int or an array."""
+    form = Linear(row(n, b, r, weight), mod)
+    return form(v) if isinstance(v, int) else form.at(octets(v, n))
 
 
 def row_int(v, n: int, b: int, r: int):
     """Row r of the b x (n/b) array view, packed with column 1 at the LSB."""
-    m = n // b
-    t = bit(v, r)
-    for k in range(1, m):
-        t = t | (bit(v, r + k * b) << k)
-    return t
+    return _row_kernel(v, n, b, r, lambda k: 1 << k, 1 << n // b)
 
 
 def row_weight_mod(v, n: int, b: int, r: int, mod: int):
-    m = n // b
-    s = bit(v, r)
-    for k in range(1, m):
-        s = s + bit(v, r + k * b)
-    return s % mod
+    return _row_kernel(v, n, b, r, lambda k: 1, mod)
 
 
 def row_weighted_sum_mod(v, n: int, b: int, r: int, mod: int):
     """VT checksum of row r (weights are the column indices 1..n/b)."""
-    m = n // b
-    s = bit(v, r)
-    for k in range(1, m):
-        s = s + bit(v, r + k * b) * (k + 1)
-    return s % mod
+    return _row_kernel(v, n, b, r, lambda k: k + 1, mod)
 
 
 def max_run_le(v, n: int, f: int):
@@ -149,9 +177,4 @@ def count_max_run_le(n: int, f: int) -> int:
     """Number of n-bit words whose longest run is <= f, by full enumeration."""
     if f >= n:
         return 1 << n
-    if f < 1:
-        return 0
-    total = 0
-    for chunk in iter_chunks(n):
-        total += int(np.count_nonzero(max_run_le(chunk, n, f)))
-    return total
+    return sum(int(np.count_nonzero(max_run_le(chunk, n, f))) for chunk in iter_chunks(n))

@@ -79,18 +79,18 @@ class ErrorModel:
             return self.kind.value
         return f"{self.kind.value}(b={self.b})"
 
-    @cached_property
-    def sizes(self) -> dict[int, tuple[int, int]]:
+    def each_size(self, shift: int | None = None):
         """(deleted, inserted) bits of each size of event, in ascending size,
-        keyed by the bits it takes off a word's length: one window of
-        consecutive bits replaced by inserted bits, or for the windowed
-        models positions inside a window of b deleted or inserted."""
-        if self.kind is ErrorKind.BURST_2_1:
-            return {1: (2, 1)}  # two adjacent bits, one bit at the first
-        counts = (self.b,) if self.kind.value.endswith("-exact") else range(1, self.b + 1)
-        if self.kind.value.startswith("del-"):
-            return {a: (a, 0) for a in counts}
-        return {-a: (0, a) for a in counts}
+        one at a time (the at-most models have b): one window of consecutive
+        bits replaced by inserted bits, or positions inside a window of b for
+        the windowed models. Given a shift, only the size that takes that many
+        bits off a word's length, if any."""
+        if self.kind is ErrorKind.BURST_2_1:  # two adjacent bits, one bit at the first
+            return iter([(2, 1)] if shift in (None, 1) else [])
+        sign = 1 if self.kind.value.startswith("del-") else -1
+        counts = range(self.b if self.kind.value.endswith("-exact") else 1, self.b + 1)
+        counts = counts if shift is None else [a for a in [sign * shift] if a in counts]
+        return ((a, 0) if sign > 0 else (0, a) for a in counts)
 
     @cached_property
     def windowed(self) -> bool:
@@ -101,12 +101,12 @@ class ErrorModel:
     def shortest(self) -> int:
         """The shortest word the model applies to: one bit longer than an
         event deletes, or any word when no event deletes."""
-        deleted = max(d for d, _ in self.sizes.values())
-        return deleted + 1 if deleted else 0
+        return self.b + 1 if self.kind.value.startswith(("del-", "burst-")) else 0
 
     def longest(self, n: int) -> int:
         """The longest element of a length-n word's ball: n less the fewest bits taken off."""
-        return n - min(self.sizes)
+        d, i = next(self.each_size())
+        return n - d + i if d else n + self.b
 
 
 @lru_cache(maxsize=64)
@@ -178,7 +178,6 @@ def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[t
     b, window = model.b, model.windowed
     if n < model.shortest:
         raise DomainError(f"word length {n} too short for {model}")
-    sizes = [(d, i) for d, i in model.sizes.values() if m in (None, n - d + i)]
 
     def sets(k: int, a: int) -> int:
         # a positions of 1..k inside a window of b, each set by its minimum p
@@ -187,10 +186,16 @@ def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[t
             return max(0, k - b + 1) * math.comb(b - 1, a - 1) + math.comb(min(b - 1, k), a)
         return max(0, k - a + 1)
 
-    # positions index the input when bits are deleted, else the output
-    events = sum(sets(n if d else n + i, d or i) << (i if m is None else d) for d, i in sizes)
+    # positions index the input when bits are deleted, else the output; the
+    # sizes count one at a time, each shift capped where it alone passes EVENTS_MAX
+    sizes, events = [], 0
+    for d, i in model.each_size(None if m is None else n - m):
+        if events > EVENTS_MAX:
+            break
+        sizes.append((d, i))
+        events += sets(n if d else n + i, d or i) << min(i if m is None else d, EVENTS_MAX + 1)
     if events > EVENTS_MAX:
-        raise DomainError(f"{model} at length {n} has {events} events; tables stop at {EVENTS_MAX}")
+        raise DomainError(f"{model} at length {n} has too many events; tables stop at {EVENTS_MAX}")
     placements = []
     for d, i in sizes:
         a, k = d or i, n if d else n + i
@@ -264,6 +269,12 @@ def _ending(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
     return tuple(ev for ev in _events(n, model) if ev.length == m)
 
 
+@lru_cache(maxsize=256)
+def _size(model: ErrorModel, shift: int) -> tuple[int, int] | None:
+    """The model's size of event that takes shift bits off a word's length, if any."""
+    return next(model.each_size(shift), None)
+
+
 def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool:
     """Whether element, a (length, value) pair, lies in ball_ints(v, n, model);
     DomainError for v outside [0, 2^n) or a value outside [0, 2^length).
@@ -282,8 +293,7 @@ def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool
             if y == u:
                 return True
         return False
-    size = model.sizes.get(n - m)
-    if size is None:
+    if (size := _size(model, n - m)) is None:
         return False
     k = min(n, m)
     low = (u ^ v) | (1 << k)  # its lowest set bit is at the common prefix's length

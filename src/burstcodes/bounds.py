@@ -11,6 +11,7 @@ constructions are floating point, used only in reports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,10 +19,6 @@ import numpy as np
 
 from . import _enum
 from .errors import DomainError, integer
-
-
-def _log2_fraction(f: Fraction) -> float:
-    return math.log2(f.numerator) - math.log2(f.denominator)
 
 
 def upper_bound(n: int, b: int) -> Fraction:
@@ -36,7 +33,8 @@ def upper_bound(n: int, b: int) -> Fraction:
 def lower_bound_redundancy(n: int, b: int) -> float:
     """Redundancy any such code must pay: n - log2(upper_bound(n, b)),
     approximately log2(n) + b - 1 for large n."""
-    return n - _log2_fraction(upper_bound(n, b))
+    bound = upper_bound(n, b)
+    return n - (math.log2(bound.numerator) - math.log2(bound.denominator))
 
 
 TRANSVERSAL_MAX_BITS = 22
@@ -98,39 +96,29 @@ def reference_redundancies(n: int, b: int) -> dict[str, float | None]:
 
 
 def _redundancies(n: int, b: int) -> dict[str, float | None]:
-    out: dict[str, float | None] = {}
-    ratio = n / b
-    log_n = math.log2(n)
+    ratio, log_n, whole = n / b, math.log2(n), n % b == 0
     loglog_n = math.log2(log_n) if log_n > 0 else None
-
-    out["cheng_baseline"] = b * math.log2(ratio + 1) if n % b == 0 else None
-    out["cheng_markers"] = ratio + (b - 1) * math.log2(3) if n % b == 0 else None
-    if n % b == 0:
-        out["cheng_two_vt_rows"] = (
-            2 * ratio
-            + (b - 2) * math.log2(3)
-            - (2 + (ratio - 1) * math.log2(3) - 2 * math.log2(ratio + 1))
-        )
-    else:
-        out["cheng_two_vt_rows"] = None
-    out["bours_cfc"] = ratio
-    out["multi_deletion"] = b * b * math.log2(b) * log_n if b >= 2 else None
-    out["two_burst_reference"] = log_n + 1
+    out = {
+        "cheng_baseline": b * math.log2(ratio + 1) if whole else None,
+        "cheng_markers": ratio + (b - 1) * math.log2(3) if whole else None,
+        "cheng_two_vt_rows": (
+            2 * ratio + (b - 2) * math.log2(3) - (2 + (ratio - 1) * math.log2(3) - 2 * math.log2(ratio + 1))
+            if whole else None
+        ),
+        "bours_cfc": ratio,
+        "multi_deletion": b * b * math.log2(b) * log_n if b >= 2 else None,
+        "two_burst_reference": log_n + 1,
+    }
+    out |= dict.fromkeys(("burst_exact_bound", "at_most_consecutive_bound", "noncons3_bound",
+                          "noncons4_bound"))
     if loglog_n is not None:
         out["burst_exact_bound"] = log_n + (b - 1) * loglog_n + b - math.log2(b)
-        pairs = math.comb(b, 2)
-        out["at_most_consecutive_bound"] = (
-            (b - 1) * log_n + (pairs - 1) * loglog_n + pairs + math.log2(math.log2(b))
-            if b >= 3
-            else None
-        )
+        if b >= 3:
+            pairs = math.comb(b, 2)
+            out["at_most_consecutive_bound"] = (
+                (b - 1) * log_n + (pairs - 1) * loglog_n + pairs + math.log2(math.log2(b)))
         out["noncons3_bound"] = 4 * log_n + 2 * loglog_n + 6
         out["noncons4_bound"] = 7 * log_n + 2 * loglog_n + 4
-    else:
-        out["burst_exact_bound"] = None
-        out["at_most_consecutive_bound"] = None
-        out["noncons3_bound"] = None
-        out["noncons4_bound"] = None
     out["burst21_bound"] = math.log2(4 * (2 * n - 1))
     out["lower_bound"] = lower_bound_redundancy(n, b) if n > 2 * b - 1 else None
     return out
@@ -165,8 +153,11 @@ def bound_report(n: int, b: int) -> BoundReport:
     """Assemble the full bound report; the transversal sum, a popcount over all
     2^(n-b) packed words, is included wherever transversal_weight takes it,
     n - b <= TRANSVERSAL_MAX_BITS. DomainError where the upper bound is
-    beyond the float range of the report, from n = 1035 at b = 1."""
+    beyond the float range of the report, from n = 1035 at b = 1, and before
+    it is built where it exceeds 2^(n-b) / 2^(bits of n - 2b + 1) >= 2^1024."""
     n, b = integer(n, "n"), integer(b, "b")
+    if 1 <= b <= n // 2 and n - b + 1 - (n - 2 * b + 1).bit_length() > sys.float_info.max_exp:
+        raise DomainError(f"upper bound overflows a float at n={n}, b={b}")
     bound = upper_bound(n, b)
     try:
         float(bound)

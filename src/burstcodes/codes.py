@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -155,18 +156,30 @@ def _at_most_consecutive(b: int) -> _Table:
     return table
 
 
+def _factorial(b: int, n: int) -> int | None:
+    """b!, the divisor of n != 0, one factor at a time: None once the product
+    passes |n|, which b! then cannot divide, and the ints that str prints."""
+    d, top = 1, None
+    for k in range(2, b + 1):
+        d *= k
+        if d > abs(n) and d >= (top := top or 10 ** sys.get_int_max_str_digits()):
+            return None
+    return d
+
+
 @dataclass(frozen=True)
 class _Record:
     """A family: its table at b, the kind of error it corrects, its column of
     bounds.reference_redundancies, and its domain: b equal to `b` when fixed,
-    else at least `b`; n a multiple of divisor(b) and at least least_n(b)."""
+    else at least `b`; n a multiple of divisor(b, n) (None where it cannot be
+    and is too long to print) and at least least_n(b)."""
 
     table: Callable[[int], _Table]
     model: ErrorKind
     bound: str
     b: int
     fixed: bool = True
-    divisor: Callable[[int], int] = lambda b: 1
+    divisor: Callable[[int, int], int | None] = lambda b, n: 1
     least_n: Callable[[int], int] = lambda b: 1
 
 
@@ -174,22 +187,22 @@ _FAMILIES = {
     # every row of A_b a VT_0 code (the baseline)
     Family.CHENG1: _Record(
         _cheng1, ErrorKind.DEL_EXACT, "cheng_baseline",
-        b=1, fixed=False, divisor=lambda b: b, least_n=lambda b: 2 * b,
+        b=1, fixed=False, divisor=lambda b, n: b, least_n=lambda b: 2 * b,
     ),
     # row 1 of A_b a run-length-limited VT code, rows 2..b one shifted-VT code
     Family.BURST_EXACT: _Record(
         lambda b: _burst_rows(b, ""), ErrorKind.DEL_EXACT, "burst_exact_bound",
-        b=2, fixed=False, divisor=lambda b: b, least_n=lambda b: 2 * b,
+        b=2, fixed=False, divisor=lambda b, n: b, least_n=lambda b: 2 * b,
     ),
     # a whole-word VT residue with burst-exact at b = 2 (see the report's note)
     Family.CL2: _Record(
         lambda b: _vt_word("a_vt") + _burst_rows(2, "2"), ErrorKind.DEL_AT_MOST_CONSECUTIVE,
-        "two_burst_reference", b=2, divisor=lambda b: 2, least_n=lambda b: 4,
+        "two_burst_reference", b=2, divisor=lambda b, n: 2, least_n=lambda b: 4,
     ),
     # cl2 with burst-exact-style codes for levels 3..b under a universal run cap
     Family.AT_MOST_CONSECUTIVE: _Record(
         _at_most_consecutive, ErrorKind.DEL_AT_MOST_CONSECUTIVE, "at_most_consecutive_bound",
-        b=3, fixed=False, divisor=math.factorial,
+        b=3, fixed=False, divisor=_factorial,
     ),
     # weight mod 4 (c) and checksum mod 2n - 1 (a): one (2,1)-burst or deletion
     Family.C21: _Record(
@@ -200,12 +213,12 @@ _FAMILIES = {
     Family.NONCONS3: _Record(
         lambda b: _vt_word("a1") + _burst_rows(3, "3") + _row_keys(2, "h"),
         ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, "noncons3_bound",
-        b=3, divisor=math.factorial, least_n=lambda b: 8,
+        b=3, divisor=_factorial, least_n=lambda b: 8,
     ),
     Family.NONCONS4: _Record(
         lambda b: _vt_word("a1") + _burst_rows(4, "4") + _row_keys(2, "h") + _row_keys(3, "t"),
         ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, "noncons4_bound",
-        b=4, divisor=math.factorial, least_n=lambda b: 12,
+        b=4, divisor=_factorial, least_n=lambda b: 12,
     ),
 }
 
@@ -236,8 +249,8 @@ def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
     n, b = integer(n, "code length n"), integer(b, "burst size b")
     if b != rec.b and (rec.fixed or b < rec.b):
         raise DomainError(f"{name} needs b {'=' if rec.fixed else '>='} {rec.b}, got b={b}")
-    if n % rec.divisor(b):
-        raise DomainError(f"{name} needs n a multiple of {rec.divisor(b)} at b={b}, got n={n}")
+    if n and ((d := rec.divisor(b, n)) is None or n % d):  # 0 is a multiple of every divisor
+        raise DomainError(f"{name} needs n a multiple of {'b!' if d is None else d} at b={b}, got n={n}")
     if n < rec.least_n(b):
         raise DomainError(f"{name} needs n >= {rec.least_n(b)} at b={b}, got n={n}")
     return n, b
@@ -254,35 +267,6 @@ def param_ranges(family: Family, n: int, b: int) -> tuple[int, ...]:
     return tuple(form.mod(n) - 1 for _, form in _family_table(family, b).keys)
 
 
-class _Linear:
-    """A form made concrete for one n, on packed words (position 1 at the
-    least significant bit): per-bit weights summed mod `mod`, kept as the
-    residue of every value of each byte."""
-
-    def __init__(self, weights: list[int], mod: int) -> None:
-        self.weights, self.mod, self.bytes = weights, mod, []
-        for i in range(0, max(len(weights), 1), 8):  # a form on no positions is 0
-            t = [0]
-            for w in weights[i : i + 8]:
-                t += [(s + w) % mod for s in t]
-            self.bytes.append(t)
-        # The narrowest dtype that holds a sum over all bytes keeps lookups fast.
-        dtype = np.min_scalar_type(max(len(self.bytes) * (mod - 1), mod))
-        self.tables = [np.array(t, dtype=dtype) for t in self.bytes]
-
-    def __call__(self, v: int) -> int:
-        s = 0
-        for t in self.bytes:
-            s += t[v & 0xFF]
-            v >>= 8
-        return s % self.mod
-
-    def at(self, octets: list[np.ndarray]) -> np.ndarray:
-        """The residue of every word of an array given by its bytes, octets[i]
-        holding byte i of each word."""
-        return sum(np.take(t, o) for t, o in zip(self.tables, octets)) % self.mod
-
-
 @functools.lru_cache(maxsize=128)
 def _compiled(table: _Table, n: int, lo: int = 0, hi: int | None = None):
     """The table at length n: the ties as forms that must be 0, the caps as
@@ -291,29 +275,21 @@ def _compiled(table: _Table, n: int, lo: int = 0, hi: int | None = None):
     form gives that part's share of its residue and a packed row that part's
     columns, its first column at bit 0."""
     hi = n if hi is None else hi
-
-    def weights(f: _Form) -> list[int]:
-        w = [0] * n
-        for k in range(n // f.lev):
-            w[f.row - 1 + k * f.lev] = k + 1 if f.weighted else 1
-        return w
-
+    weights = lambda f: _enum.row(n, f.lev, f.row, lambda k: k + 1 if f.weighted else 1) if f else [0] * n
     keys = dict(table.keys)
-    zeros = []
-    for f, key in table.ties:
-        w = weights(f)
-        if key is not None:  # a tie to a key form is their difference
-            w = [x - y for x, y in zip(w, weights(keys[key]))]
-        zeros.append(_Linear(w[lo:hi], f.mod(n)))
+    zeros = [  # a tie to a key form is their difference (a tie to 0, to no form)
+        _enum.Linear([x - y for x, y in zip(weights(f), weights(keys.get(key)))][lo:hi], f.mod(n))
+        for f, key in table.ties
+    ]
     caps = []
     for lev, cap in table.caps:
         top = cap(n)
         if top < n // lev:  # otherwise no row can break the cap
-            first = -(-lo // lev)  # the part's first column
-            row = [1 << p // lev - first if p % lev == 0 else 0 for p in range(lo, hi)]
+            first = -(-lo // lev)  # the part's first column, at bit 0
+            row = _enum.row(n, lev, 1, lambda k: 1 << k >> first)[lo:hi]
             cols = len(range(first * lev, hi, lev))
-            caps.append((_Linear(row, 1 << cols), cols, top))
-    return zeros, caps, [_Linear(weights(f)[lo:hi], f.mod(n)) for f in keys.values()]
+            caps.append((_enum.Linear(row, 1 << cols), cols, top))
+    return zeros, caps, [_enum.Linear(weights(f)[lo:hi], f.mod(n)) for f in keys.values()]
 
 
 def member(spec: CodeSpec, x: Word) -> bool:
@@ -378,7 +354,7 @@ def _parts(table: _Table, n: int, lo: int, hi: int):
     edges = [(row, _edges(cols, cap, lo == 0)) for row, cols, cap in caps]
     for chunk in _enum.iter_chunks(hi - lo):
         words = chunk.astype(np.intp)
-        octets = [words >> i & 0xFF for i in range(0, max(hi - lo, 1), 8)]
+        octets = _enum.octets(words, hi - lo)
         yield words, [f.at(octets) for f in zeros + keys], [np.take(t, row.at(octets)) for row, t in edges]
 
 
@@ -555,21 +531,25 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = None) -> Codebook:
-    """The codebook of the words, each taken through as_word."""
-    words = list(map(as_word, words))
+def _codebook(n: int, spec: CodeSpec | None, words, rows: Callable[[], np.ndarray]) -> Codebook:
+    """The one constructor: words all of length n >= 1, rows() put in order."""
     if n < 1:
         raise DomainError(f"codebook length must be >= 1, got n={n}")
     if any(len(w) != n for w in words):
         raise DomainError("codebook words must share one length")
-    bits = np.array(words, dtype=np.uint8).reshape(len(words), n)
-    return Codebook(n, _distinct(np.packbits(bits, axis=1)), spec)
+    return Codebook(n, _distinct(rows()), spec)
+
+
+def codebook_from_words(words: Iterable[Word], n: int, spec: CodeSpec | None = None) -> Codebook:
+    """The codebook of the words, each taken through as_word."""
+    words = list(map(as_word, words))
+    return _codebook(n, spec, words, lambda: np.packbits(np.array(words, np.uint8).reshape(-1, n), axis=1))
 
 
 def codebook_from_ints(vs, n: int, spec: CodeSpec | None = None) -> Codebook:
     """The codebook of packed length-n words (n <= 64, position 1 at the
     least significant bit); DomainError for a value outside [0, 2^n)."""
-    return Codebook(n, _distinct(_enum.unpack(_enum.words(vs, n), n)), spec)
+    return _codebook(n, spec, (), lambda: _enum.unpack(_enum.words(vs, n), n))
 
 
 def build(spec: CodeSpec) -> Codebook:
@@ -818,16 +798,12 @@ def read_codebook(lines: Iterable[str]) -> Codebook:
             spec = CodeSpec(parse_family(kv["family"]), n, int(kv["b"]), params)
     except (KeyError, ValueError) as exc:
         raise DomainError(f"malformed codebook header {header!r}: {exc!r}") from None
-    if n < 1:
-        raise DomainError(f"codebook length must be >= 1, got n={n}")
     words = [line for line in map(str.strip, it) if line]
     bits = np.frombuffer("".join(words).encode(), dtype=np.uint8) - ord("0")
     if (bits > 1).any():
         bad = next(w for w in words if w.strip("01"))
         raise DomainError(f"not a binary word: {bad!r}")
-    if any(len(w) != n for w in words):
-        raise DomainError("codebook words must share one length")
-    return Codebook(n, _distinct(np.packbits(bits.reshape(len(words), n), axis=1)), spec)
+    return _codebook(n, spec, words, lambda: np.packbits(bits.reshape(-1, n), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,9 @@ def vt_rll_member(x: Word, p: VtParams, f: int) -> bool:
 @functools.lru_cache(maxsize=64)
 def _vt_table(run_cap: int | None):
     """The VT checksum as the one key form, under a run cap on the word."""
-    from .codes import _Form, _Table
+    from .codes import _Table, _vt_word
 
-    caps = () if run_cap is None else ((1, lambda n: max(run_cap, 0)),)
-    return _Table((("a", _Form(1, 1, True, lambda n: n + 1)),), caps=caps)
+    return _vt_word("a") + _Table(caps=() if run_cap is None else ((1, lambda n: max(run_cap, 0)),))
 
 
 @functools.lru_cache(maxsize=64)

@@ -262,7 +262,8 @@ def test_in_ball_past_64_bits_agrees_with_ball_ints():
 def test_in_ball_refuses_values_outside_their_lengths(model):
     # a word or element value outside [0, 2^length) is refused, never read by
     # its low bits only; the bounds themselves pass
-    n, m = 8, 8 - next(iter(model.sizes))
+    (d, i), n = next(model.each_size()), 8
+    m = n - d + i
     for v, u in (((1 << n), 0), (-1, 0), (0, 1 << m), (0, -1), (1 << 70, 0), (0, 1 << 70)):
         with pytest.raises(DomainError):
             in_ball((m, u), v, n, model)

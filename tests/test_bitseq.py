@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from burstcodes import _enum
 from burstcodes.bitseq import (
     array_view,
     enumerate_words,
@@ -168,6 +171,29 @@ def test_flatten_column_major():
     # 2x2 array with rows (a, c), (b, d) flattens to (a, b, c, d)
     assert flatten(((1, 0), (0, 1))) == (1, 0, 0, 1)
     assert flatten(((1, 0, 0),)) == (1, 0, 0)
+
+
+def test_row_kernels_equal_the_rows_of_the_array_view():
+    # row_int, row_weight_mod and row_weighted_sum_mod are Linear forms of
+    # _enum.row; on ints and on uint64 arrays alike they read row r of
+    # array_view: packed with column 1 at bit 0, its weight, its VT checksum
+    rng = random.Random(7)
+    for b in (1, 2, 3, 4):
+        for n in range(b, 25, b):
+            vs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]
+            array = np.array(vs, dtype=np.uint64)
+            for r in range(1, b + 1):
+                rows = [array_view(from_int(v, n), b)[r - 1] for v in vs]
+                for mod in (2, 3, n // b + 1):
+                    cases = (
+                        (_enum.row_int, (), [sum(bit << k for k, bit in enumerate(row)) for row in rows]),
+                        (_enum.row_weight_mod, (mod,), [sum(row) % mod for row in rows]),
+                        (_enum.row_weighted_sum_mod, (mod,),
+                         [sum((k + 1) * bit for k, bit in enumerate(row)) % mod for row in rows]),
+                    )
+                    for kernel, args, want in cases:
+                        assert [kernel(v, n, b, r, *args) for v in vs] == want, (kernel, n, b, r)
+                        assert kernel(array, n, b, r, *args).tolist() == want, (kernel, n, b, r)
 
 
 def test_enumeration_cap():

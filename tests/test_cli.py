@@ -476,3 +476,66 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "upper_bound" in json.loads(proc.stdout)
+
+
+# Drawn CLI runs, all in one child process under an address-space limit: each
+# exits 0, 1 or 2, a failure says so in one stderr line and no traceback, and
+# a second run prints the same. Lengths and burst sizes mix 0..64 with values
+# up to 10^30; ball and simulate read one fixed word.
+_BOUNDARY = r"""
+import contextlib, io, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from burstcodes.balls import ErrorKind
+from burstcodes.cli import main
+from burstcodes.codes import Family
+from burstcodes.verify import _FLAVORS
+
+sizes = st.one_of(st.integers(0, 64), st.integers(0, 10**30)).map(str)
+argvs = st.one_of(
+    st.tuples(st.just("bound"), st.just("--n"), sizes, st.just("--b"), sizes),
+    st.tuples(st.just("tabulate"), st.just("--family"), st.sampled_from([f.value for f in Family]),
+              st.just("--n"), sizes, st.just("--b"), sizes),
+    st.tuples(st.sampled_from(["ball", "simulate"]), st.just("--model"),
+              st.sampled_from([k.value for k in ErrorKind]), st.just("--b"), sizes),
+    st.tuples(st.just("equiv"), st.just("--n"), st.integers(0, 10).map(str), st.just("--b"), sizes,
+              st.just("--model"), st.sampled_from(sorted(_FLAVORS))),
+)
+
+
+def cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO("0110100101\n")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None, phases=[Phase.generate],
+          suppress_health_check=list(HealthCheck))
+@given(argvs)
+def boundary(argv):
+    print(*argv, file=sys.__stdout__, flush=True)  # the last line names a command that hangs
+    code, out, err = cli(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code:
+        assert len(err.splitlines()) == 1, err
+    assert cli(argv) == (code, out, err)
+
+
+boundary()
+"""
+
+
+def test_cli_boundary_exits_cleanly_on_drawn_arguments():
+    pytest.importorskip("hypothesis")
+    src = str(Path(burstcodes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+           "OPENBLAS_NUM_THREADS": "1"}
+    try:
+        proc = subprocess.run([sys.executable, "-c", _BOUNDARY], capture_output=True, text=True, env=env,
+                              timeout=60)
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"no exit in 60 s, at: {(exc.stdout or b'').decode().splitlines()[-1:]}")
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -1050,7 +1050,7 @@ def test_decoder_params_equal_the_named_constants(monkeypatch):
     for family in Family:
         record = codes._FAMILIES[family]
         for b in [record.b] if record.fixed else range(record.b, 5):
-            n = next(n for n in itertools.count(record.least_n(b)) if n % record.divisor(b) == 0)
+            n = next(n for n in itertools.count(record.least_n(b)) if n % record.divisor(b, n) == 0)
             specs[family, b] = [
                 CodeSpec(family, n, b, tuple(rng.randrange(top + 1) for top in param_ranges(family, n, b)))
                 for _ in range(3)
