@@ -3,7 +3,7 @@
 Three pieces live here: counting of the set S_n(f) of words whose longest run
 is at most f (a recurrence, with a full sweep kept as its oracle), the
 universal constraint that applies a shared run cap to the first row of every
-array view A_i(x) for 3 <= i <= b (counted by the class counter of codes.py,
+array view A_i(x) for 3 <= i <= b (counted by the class counter of _enum,
 one capped row per level), and a systematic single-redundancy-bit encoder that
 maps any length-n word to a length-(n+1) word with maximum run
 ceil(log2 n) + 3.
@@ -225,14 +225,10 @@ def urll_member(x: Word, spec: UrllSpec) -> bool:
 @lru_cache(maxsize=64)
 def _urll_table(b: int, f: int):
     """Run cap f on row 1 of A_i for every 3 <= i <= b."""
-    from .codes import _Table
-
-    return _Table(caps=tuple((i, lambda n: f) for i in range(3, b + 1)))
+    return _enum._Table(caps=tuple((i, lambda n: f) for i in range(3, b + 1)))
 
 
 def urll_count(spec: UrllSpec) -> int:
-    """|U_{n,b}(f)|, counted by codes._class_sizes: the one class of a table
+    """|U_{n,b}(f)|, counted by _enum._class_sizes: the one class of a table
     of capped rows and no key form."""
-    from .codes import _class_sizes
-
-    return sum(_class_sizes(_urll_table(spec.b, spec.f), spec.n).values())
+    return sum(_enum._class_sizes(_urll_table(spec.b, spec.f), spec.n).values())

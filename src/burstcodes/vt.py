@@ -17,7 +17,7 @@ take one checksum and reinsert at the leftmost slot with a given number of
 ones after it (a deleted 0) or zeros before it (a deleted 1).
 
 ``vt_class_sizes`` and ``svt_class_sizes`` count the classes with the class
-counter of codes.py (a transfer over positions, or a pair join): the VT
+counter of _enum (a transfer over positions, or a pair join): the VT
 checksum is one key form, and a run cap is a capped row on the word itself;
 the SVT checksum and weight are two key forms.
 """
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Mapping
 
+from ._enum import _class_sizes, _Form, _Table, _vt_word
 from .bitseq import Word, as_word
 from .errors import DecodeFailure, DomainError, integer
 from .rll import max_run
@@ -207,24 +208,18 @@ def vt_rll_member(x: Word, p: VtParams, f: int) -> bool:
 @functools.lru_cache(maxsize=64)
 def _vt_table(run_cap: int | None):
     """The VT checksum as the one key form, under a run cap on the word."""
-    from .codes import _Table, _vt_word
-
     return _vt_word("a") + _Table(caps=() if run_cap is None else ((1, lambda n: max(run_cap, 0)),))
 
 
 @functools.lru_cache(maxsize=64)
 def _svt_table(P: int):
     """The checksum mod P and the weight mod 2 as the key forms c and d."""
-    from .codes import _Form, _Table
-
     return _Table((("c", _Form(1, 1, True, lambda n: P)), ("d", _Form(1, 1, False, lambda n: 2))))
 
 
 def vt_class_sizes(n: int, run_cap: int | None = None) -> list[int]:
     """Cardinality of each residue class a = 0..n, optionally restricted to
     words whose longest run is at most run_cap."""
-    from .codes import _class_sizes
-
     sizes = _class_sizes(_vt_table(run_cap), n)
     return [sizes.get((a,), 0) for a in range(n + 1)]
 
@@ -240,8 +235,6 @@ def vt_best_rll_param(n: int, f: int) -> tuple[int, int]:
 def svt_class_sizes(n: int, P: int) -> dict[tuple[int, int], int]:
     """Cardinality of every non-empty (c, d) class; the 2P classes partition
     {0,1}^n."""
-    from .codes import _class_sizes
-
     if P < 2:
         raise DomainError("position span P must be >= 2")
     return _class_sizes(_svt_table(P), n)

@@ -183,6 +183,9 @@ _REFUSALS = {
     "references-n-0": (lambda: bounds.reference_redundancies(0, 1), DomainError, "got n=0, b=1$"),
     "references-n-negative": (lambda: bounds.reference_redundancies(-4, 2), DomainError, "got n=-4, b=2$"),
     "cli-b": (["tabulate", "--family", "burst-exact", "--n", "12"], 2, "--b is required"),
+    # refused before a family table of 10^8 rows is built
+    "cli-past-reach": (["tabulate", "--family", "cheng1", "--b", "100000000", "--n", "200000000"], 2,
+                       "cannot count the classes at n=200000000"),
     "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
 }
 

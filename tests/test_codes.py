@@ -275,7 +275,7 @@ def test_sweep_joins_chunks(monkeypatch, family, n, b):
 
 def _by_params(table, n, counted):
     """A count's non-empty classes, (packed classes, sizes), by parameter tuple."""
-    mods = [f.mod for f in codes._compiled(table, n)[2]]
+    mods = [f.mod for f in _enum._compiled(table, n)[2]]
     classes, sizes = counted
     params = zip(*np.unravel_index(classes, mods)) if mods else [()] * len(classes)
     return {tuple(map(int, p)): int(s) for p, s in zip(params, sizes)}
@@ -283,21 +283,21 @@ def _by_params(table, n, counted):
 
 def _transferred(table, n):
     """The classes by parameter tuple as the transfer counts them, called directly."""
-    return _by_params(table, n, codes._transfer(table, n))
+    return _by_params(table, n, _enum._transfer(table, n))
 
 
 def _joined(table, n, L):
     """The classes by parameter tuple as the pair join at L counts them."""
-    return _by_params(table, n, codes._join(table, n, L))
+    return _by_params(table, n, _enum._join(table, n, L))
 
 
 def _transfer_work(table, n):
     """The transfer's work at n: each group's positions times its cells."""
-    return sum(len(positions) * math.prod(radices) for _, radices, positions in codes._groups(table, n))
+    return sum(len(positions) * math.prod(radices) for _, radices, positions in _enum._groups(table, n))
 
 
 def _part_forms(family, n, b, lo, hi):
-    zeros, caps, keys = codes._compiled(codes._family_table(family, b), n, lo, hi)
+    zeros, caps, keys = _enum._compiled(codes._family_table(family, b), n, lo, hi)
     return zeros + keys, [row for row, _, _ in caps]
 
 
@@ -421,15 +421,15 @@ def test_class_count_adapter_returns_python_ints():
     tables = [_vt_table(None), _vt_table(3), _svt_table(5), _urll_table(3, 3)]
     widths = [1, 1, 2, 0]
     for table, width in zip(tables, widths):
-        sizes = codes._class_sizes(table, 12)
+        sizes = _enum._class_sizes(table, 12)
         assert sizes and sum(sizes.values()) <= 1 << 12
         for key, size in sizes.items():
             assert type(key) is tuple and len(key) == width
             assert all(type(r) is int for r in key) and type(size) is int
     with pytest.raises(DomainError, match="n >= 1, got n=0"):
-        codes._class_sizes(tables[0], 0)
+        _enum._class_sizes(tables[0], 0)
     with pytest.raises(DomainError, match="cannot count the classes at n=63"):
-        codes._class_sizes(tables[0], 63)
+        _enum._class_sizes(tables[0], 63)
 
 def test_capped_counts_at_every_split(monkeypatch):
     # A run cap on the whole word meets the split at every position; the
@@ -456,7 +456,7 @@ def test_counts_at_24_tabulate_only_parts(monkeypatch):
     # called on the same tables, both halves. A capped row's boundary table
     # covers only its part.
     widths, edges = [], []
-    iter_chunks, make_parts, make_edges = _enum.iter_chunks, codes._parts, codes._edges
+    iter_chunks, make_parts, make_edges = _enum.iter_chunks, _enum._parts, _enum._edges
 
     def chunks(width):
         widths.append(width)
@@ -472,8 +472,8 @@ def test_counts_at_24_tabulate_only_parts(monkeypatch):
         return states
 
     monkeypatch.setattr(_enum, "iter_chunks", chunks)
-    monkeypatch.setattr(codes, "_parts", parts)
-    monkeypatch.setattr(codes, "_edges", boundary)
+    monkeypatch.setattr(_enum, "_parts", parts)
+    monkeypatch.setattr(_enum, "_edges", boundary)
     assert sum(vt_class_sizes(24)) == 1 << 24
     assert sum(vt_class_sizes(24, 5)) == rll_count(RllSpec(24, 5))
     assert sum(svt_class_sizes(24, 7).values()) == 1 << 24
@@ -542,7 +542,7 @@ def test_transfer_and_pair_join_count_the_same_classes():
     for table, n, label in tables:
         if _transfer_work(table, n) > 1 << 26:
             continue
-        (classes, sizes), (want_classes, want_sizes) = codes._transfer(table, n), codes._join(table, n, n // 2)
+        (classes, sizes), (want_classes, want_sizes) = _enum._transfer(table, n), _enum._join(table, n, n // 2)
         assert sizes.dtype == want_sizes.dtype == np.int64, (n, label)
         assert classes.dtype == want_classes.dtype, (n, label)
         assert np.array_equal(classes, want_classes), (n, label)
@@ -570,12 +570,12 @@ def _route(monkeypatch, table, n):
         raise AssertionError("a part was tabulated before the counter was chosen")
 
     with monkeypatch.context() as m:
-        m.setattr(codes, "_transfer", picked("transfer"))
-        m.setattr(codes, "_join", picked("join"))
-        m.setattr(codes, "_tabulate", tabulated)
-        m.setattr(codes, "_parts", tabulated)
+        m.setattr(_enum, "_transfer", picked("transfer"))
+        m.setattr(_enum, "_join", picked("join"))
+        m.setattr(_enum, "_tabulate", tabulated)
+        m.setattr(_enum, "_parts", tabulated)
         try:
-            codes._classes(table, n)
+            _enum._classes(table, n)
         except Picked as choice:
             return choice.args[0]
         except DomainError:
@@ -585,7 +585,7 @@ def _route(monkeypatch, table, n):
 
 def _cells(table, n):
     """The cells of the transfer's largest grid at n."""
-    return max(math.prod(radices) for _, radices, _ in codes._groups(table, n))
+    return max(math.prod(radices) for _, radices, _ in _enum._groups(table, n))
 
 
 WIDE = {(Family.AT_MOST_CONSECUTIVE, 3), (Family.NONCONS3, 3), (Family.NONCONS4, 4)}
@@ -622,16 +622,16 @@ def test_classes_route_by_the_cells_of_the_transfer_grids(monkeypatch):
 
 def test_join_and_build_tabulate_the_two_halves(monkeypatch):
     # the join splits at n // 2 when _classes takes it, and build always does
-    spans, tabulate = [], codes._tabulate
+    spans, tabulate = [], _enum._tabulate
 
     def parts(table, n, lo, hi):
         spans.append((lo, hi))
         return tabulate(table, n, lo, hi)
 
-    monkeypatch.setattr(codes, "_tabulate", parts)
+    monkeypatch.setattr(_enum, "_tabulate", parts)
     for family, n, b in ((Family.AT_MOST_CONSECUTIVE, 12, 3), (Family.NONCONS3, 12, 3)):
         spans.clear()
-        codes._classes(codes._family_table(family, b), n)
+        _enum._classes(codes._family_table(family, b), n)
         assert spans == [(0, n // 2), (n // 2, n)], (family, n)
     for family, n, b in ((Family.BURST_EXACT, 24, 3), (Family.C21, 13, 2), (Family.CHENG1, 9, 3)):
         spans.clear()
@@ -642,16 +642,16 @@ def test_join_and_build_tabulate_the_two_halves(monkeypatch):
 def test_transfer_starts_from_at_most_half_the_build_cap(monkeypatch):
     # the low part that starts the transfer has n // 2 positions up to
     # BUILD_MAX_N, so every count there keeps its width, and 13 past it
-    widths, make_parts = [], codes._parts
+    widths, make_parts = [], _enum._parts
 
     def parts(table, n, lo, hi):
         widths.append(hi - lo)
         return make_parts(table, n, lo, hi)
 
-    monkeypatch.setattr(codes, "_parts", parts)
+    monkeypatch.setattr(_enum, "_parts", parts)
     for n in (10, 24, 26, 28, 62):
         widths.clear()
-        codes._classes(_vt_table(None), n)
+        _enum._classes(_vt_table(None), n)
         assert widths == [min(n, BUILD_MAX_N) // 2], n
 
 
@@ -706,7 +706,7 @@ def test_join_equals_transfer_past_the_build_cap(n):
     tables = [(Family.BURST_EXACT, b) for b in (2, 3, 4) if n % b == 0] + [(Family.CL2, 2), (Family.C21, 2)]
     for family, b in tables:
         table = codes._family_table(family, b)
-        (classes, sizes), (want_classes, want_sizes) = codes._join(table, n, n // 2), codes._transfer(table, n)
+        (classes, sizes), (want_classes, want_sizes) = _enum._join(table, n, n // 2), _enum._transfer(table, n)
         assert np.array_equal(classes, want_classes) and np.array_equal(sizes, want_sizes), (family, b)
 
 
@@ -728,9 +728,9 @@ def test_burst_exact_falls_below_cheng_past_the_crossover(b):
 
 
 def test_boundary_tables_are_cached_read_only():
-    states = codes._edges(6, 2, True)
-    assert codes._edges(6, 2, True) is states and not states.flags.writeable
-    assert codes._edges.cache_info().maxsize is not None
+    states = _enum._edges(6, 2, True)
+    assert _enum._edges(6, 2, True) is states and not states.flags.writeable
+    assert _enum._edges.cache_info().maxsize is not None
 
 
 def test_best_params_c21_pigeonhole():
@@ -889,7 +889,7 @@ def _member_past_64_bits(family, n, b, rng):
     """A random member of some class at length n: a word drawn until its
     tie forms vanish and its capped rows keep their caps, with the
     parameters read off its own key forms."""
-    zeros, caps, keys = codes._compiled(codes._family_table(family, b), n)
+    zeros, caps, keys = _enum._compiled(codes._family_table(family, b), n)
     while True:
         v = rng.getrandbits(n)
         if all(f(v) == 0 for f in zeros) and all(
@@ -989,7 +989,7 @@ def _renamed(table):
     """A copy of a constraint table with every key form renamed, its ties
     following the new names."""
     name = {key: f"renamed{i}" for i, (key, _) in enumerate(table.keys)}
-    return codes._Table(
+    return _enum._Table(
         tuple((name[key], form) for key, form in table.keys),
         tuple((form, name.get(key)) for form, key in table.ties),
         table.caps,
@@ -1245,7 +1245,7 @@ def test_empty_codebook(n):
 
 
 def _matches_by_search(keys, want):
-    """codes._matches as it was before it counted dense keys: two binary
+    """_enum._matches as it was before it counted dense keys: two binary
     searches of the sorted keys per want."""
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
@@ -1267,11 +1267,11 @@ def test_matches_counts_dense_keys_like_the_search():
         (rng.integers(0, floor + 9, floor + 8), rng.integers(0, floor + 9, 300), floor + 9),  # one key fewer
     ]
     for keys, want, size in cases:
-        got, expect = codes._matches(keys, want, size), _matches_by_search(keys, want)
+        got, expect = _enum._matches(keys, want, size), _matches_by_search(keys, want)
         for a, b in zip(got, expect):
             assert a.tolist() == b.tolist(), (len(keys), size)
     # both paths are taken: counted up to the floor or the key count, searched past them
-    assert [codes._dense(size, len(keys)) for keys, _, size in cases] == [True] * 5 + [False, True, False]
+    assert [_enum._dense(size, len(keys)) for keys, _, size in cases] == [True] * 5 + [False, True, False]
 
 
 @pytest.mark.parametrize("block", [13 * 12, 13 * 4, 13 * 3 + 12, 5])
