@@ -20,11 +20,13 @@ its inverse (_inverse: the placements with the deleted and inserted roles
 swapped). walk, the one scalar application of segments, applies events to one
 int for ball_ints ((length, value) pairs), the search decoders and the
 sampler; ball_keys, the vector kernel whose oracle is ball_ints, applies the
-table to an array of words, giving keys (1 << length) | value, which sort like
-those pairs, and sorted_ball_keys sorts each word's keys and masks its
-repeats, the one dedupe of verify_code, the equivalence sweep and the
-ball-size tally (greedy codes mark unsorted keys in a bitmap). Keys are as
-narrow as key_dtype allows and never wrap. A table holds at most EVENTS_MAX
+table to an array of words by net shift (_moves), giving keys
+(1 << length) | value, which sort like those pairs. sorted_ball_keys sorts
+each word's keys and masks its repeats, the dedupe of the equivalence sweep,
+the ball-size tally and verify_code's owner walk; distinct_keys, verify_code's
+first pass, drops a sliding model's repeats as neighbours in event order and
+sorts only the others (greedy codes mark unsorted keys in a bitmap). Keys are
+as narrow as key_dtype allows and never wrap. A table holds at most EVENTS_MAX
 = 2^20 events: a larger one is counted from its placements, not built, and
 raises DomainError.
 
@@ -40,8 +42,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import combinations
 
 import numpy as np
 
@@ -96,6 +97,16 @@ class ErrorModel:
     def windowed(self) -> bool:
         """Whether an event's positions may spread inside a window of b."""
         return self.kind.value.endswith("-nonconsecutive")
+
+    @cached_property
+    def sliding(self) -> bool:
+        """Whether a ball's repeated elements are neighbours in event order.
+        True for del-exact and del-at-most-consecutive: deleting bits
+        p..p+a-1 and q..q+a-1, p < q, gives one word exactly when
+        x_i = x_{i+a} for p <= i < q, so the placements that give one
+        element are consecutive in the table, and bursts of two sizes give
+        two lengths."""
+        return self.kind in (ErrorKind.DEL_EXACT, ErrorKind.DEL_AT_MOST_CONSECUTIVE)
 
     @cached_property
     def shortest(self) -> int:
@@ -311,39 +322,49 @@ def key_dtype(n: int, model: ErrorModel) -> np.dtype:
     return np.dtype(np.uint32 if max(n, longest + 1) <= 32 else np.uint64)
 
 
+@lru_cache(maxsize=64)
+def _moves(n: int, model: ErrorModel, dtype: np.dtype) -> tuple[np.ndarray, tuple]:
+    """The model's event table as columns of dtype: each event's tag
+    (1 << length) | bits, and per net shift s = src - dst of its segments one
+    column of merged masks. A segment (src, mask, dst) copies
+    (v >> s) & (mask << dst), so an event's key is its tag OR-ed with
+    (v >> s) & column over the shifts (v << -s for s < 0). At least one
+    shift, and at most b + 1; a table with no segment has shift 0, all zero."""
+    events = _events(n, model)
+    columns: dict[int, list[int]] = {}
+    for e, ev in enumerate(events):
+        for src, mask, dst in ev.segs:
+            columns.setdefault(src - dst, [0] * len(events))[e] |= mask << dst
+    columns = columns or {0: [0] * len(events)}
+    tags = np.array([(1 << ev.length) | ev.bits for ev in events], dtype=dtype)[:, None]
+    return tags, tuple((s, np.array(c, dtype=dtype)[:, None]) for s, c in sorted(columns.items()))
+
+
+def _event_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
+    """ball_keys event-major, shape (E, len(vs)): row j holds event j's key of
+    every word. Per net shift the words are shifted once, and one broadcast AND
+    with its mask column and one OR write every event's part from it."""
+    vs = np.asarray(_enum.words(vs, n), dtype=key_dtype(n, model)).reshape(-1)
+    tags, moves = _moves(n, model, vs.dtype)
+    out = np.empty((len(tags), len(vs)), dtype=vs.dtype)
+    part = np.empty_like(out) if len(moves) > 1 else None
+    for k, (shift, mask) in enumerate(moves):
+        moved = vs >> shift if shift > 0 else vs << -shift if shift else vs
+        np.bitwise_and(mask, moved, out=part if k else out)  # the first shift goes straight into out
+        if k:
+            out |= part
+    out |= tags
+    return out
+
+
 def ball_keys(vs, n: int, model: ErrorModel) -> np.ndarray:
     """The balls of many packed length-n words at once, shape (len(vs), E), of
     key_dtype(n, model): row i holds the key (1 << length) | value of each
     event applied to vs[i]. A row may repeat a key; its distinct keys are the
     ball_ints of vs[i]. A value outside [0, 2^n) raises DomainError.
 
-    Event-major: each placement's segments are applied once to the whole
-    array, and one OR with its events' (1 << length) | bits tags writes them
-    into contiguous rows of an (E, len(vs)) buffer, returned transposed."""
-    events = _events(n, model)
-    vs = np.asarray(_enum.words(vs, n), dtype=key_dtype(n, model)).reshape(-1)
-    out = np.empty((len(events), len(vs)), dtype=vs.dtype)
-    y, part = np.empty_like(vs), np.empty_like(vs)
-    tags = np.array([(1 << ev.length) | ev.bits for ev in events], dtype=vs.dtype)[:, None]
-    row = 0
-    for segs, group in groupby(events, key=attrgetter("segs")):
-        if not segs:
-            y.fill(0)
-        for k, (src, mask, dst) in enumerate(segs):
-            to = part if k else y  # the first segment goes straight into y
-            if src:
-                np.right_shift(vs, src, out=to)
-                to &= mask
-            else:
-                np.bitwise_and(vs, mask, out=to)
-            if dst:
-                to <<= dst
-            if k:
-                y |= part
-        end = row + len(list(group))
-        np.bitwise_or(y, tags[row:end], out=out[row:end])
-        row = end
-    return np.ascontiguousarray(out.T)
+    One C-contiguous transposed copy of _event_keys."""
+    return np.ascontiguousarray(_event_keys(vs, n, model).T)
 
 
 def sorted_ball_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -356,6 +377,22 @@ def sorted_ball_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndar
     flat, fresh = keys.reshape(-1), np.empty(keys.shape, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=fresh.reshape(-1)[1:])  # one pass over all rows,
     fresh[:, :1] = True  # then each row's first key is fresh whatever precedes it
+    return keys, fresh
+
+
+def distinct_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the balls of many packed length-n words, and a mask that keeps
+    one copy of each ball element: np.compress(fresh.ravel(), keys.ravel())
+    lists each ball's elements once, in no set order. A sliding model's
+    repeats are neighbours in event order, so its keys are _event_keys with
+    each key equal to the one before it in its column dropped, with no
+    transpose and no sort; any other model's are sorted_ball_keys."""
+    if not model.sliding:
+        return sorted_ball_keys(vs, n, model)
+    keys = _event_keys(vs, n, model)
+    fresh = np.empty(keys.shape, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     return keys, fresh
 
 

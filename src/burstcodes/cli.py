@@ -147,6 +147,7 @@ def run(argv: list[str], stdin_text: str | None = None) -> int:
 
 @_verb("build", "enumerate a codebook and write it as a file", *_spec_flags(), _OUT)
 def _build(args, stdin_text):
+    codes._buildable(args.n)  # before _resolve_spec, which builds a family table of about b forms
     buf = StringIO()
     codes.write_codebook(codes.build(_resolve_spec(args)), buf)
     return 0, buf.getvalue()
@@ -158,6 +159,7 @@ def _build(args, stdin_text):
     _FORMAT, _OUT,
 )
 def _verify(args, stdin_text):
+    codes._buildable(args.n)
     spec = _resolve_spec(args)
     cb = codes.build(spec)
     model = codes.target_model(spec) if args.model is None else balls.parse_model(args.model, spec.b)

@@ -350,10 +350,15 @@ def codebook_from_ints(vs, n: int, spec: CodeSpec | None = None) -> Codebook:
     return _codebook(n, spec, (), lambda: _enum.unpack(_enum.words(vs, n), n))
 
 
+def _buildable(n: int) -> None:
+    """DomainError past BUILD_MAX_N, the longest word build lists."""
+    if n > BUILD_MAX_N:
+        raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
+
+
 def build(spec: CodeSpec) -> Codebook:
     """Enumerate all members of spec, by the split join (_enum._members)."""
-    if spec.n > BUILD_MAX_N:
-        raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
+    _buildable(spec.n)
     return codebook_from_ints(_members(_family_table(spec.family, spec.b), spec.n, spec.params), spec.n, spec)
 
 

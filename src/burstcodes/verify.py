@@ -47,9 +47,9 @@ class VerifyReport:
 
 
 def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel, keys=balls.sorted_ball_keys):
-    """(index of the first word, keys of the block) per block of packed words,
-    sorted_ball_keys unless keys names another kernel; at least one block, so
-    that an empty array still checks n and model."""
+    """(index of the first word, keys(block, n, model)) per block of packed
+    words, for the kernel the caller names (sorted_ball_keys by default); at
+    least one block, so that an empty array still checks n and model."""
     rows = max(1, _enum.BLOCK // len(balls._events(n, model)))
     for start in range(0, max(len(packed), 1), rows):
         yield start, keys(packed[start : start + rows], n, model)
@@ -61,18 +61,22 @@ def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     intersecting pair is found. Violations are (first owner, later owner,
     element), in (later owner, element) order.
 
-    The balls are made block by block, and each block's distinct keys are
-    written into one array that is sorted in place, so the keys of the whole
-    codebook are held once: it is sized for k x E keys, but the pages past
-    the last key written are never touched and cost no memory. Owners are
-    found, in a second walk, only for keys that two balls share."""
+    The balls are made block by block by balls.distinct_keys, and each
+    block's keys, each ball's elements once, are compressed straight into one
+    array that is sorted in place, so the keys of the whole codebook are held
+    once: it is sized for k x E keys, but the pages past the last key written
+    are never touched and cost no memory. A key found twice is shared. The
+    second walk, on sorted_ball_keys, finds the owners of the shared keys
+    only, and decides: a key the first pass listed twice for one ball would
+    find one owner there and name no violation, and a key two balls hold is
+    listed by both."""
     packed = _enum.pack(cb.rows, cb.n)
     events = len(balls._events(cb.n, model))
     held = np.empty(len(packed) * events, dtype=balls.key_dtype(cb.n, model))
     end = 0
-    for _, (keys, fresh) in _blocks(packed, cb.n, model):
+    for _, (keys, fresh) in _blocks(packed, cb.n, model, balls.distinct_keys):
         count = np.count_nonzero(fresh)
-        held[end : end + count] = np.compress(fresh.ravel(), keys.ravel())
+        np.compress(fresh.ravel(), keys.ravel(), out=held[end : end + count])
         end += count
     held = held[:end]
     held.sort()

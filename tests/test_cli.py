@@ -186,6 +186,11 @@ _REFUSALS = {
     # refused before a family table of 10^8 rows is built
     "cli-past-reach": (["tabulate", "--family", "cheng1", "--b", "100000000", "--n", "200000000"], 2,
                        "cannot count the classes at n=200000000"),
+    # refused before --params best asks for the family's table of about b forms
+    "cli-build-past-cap": (["build", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
+                            "--params", "best"], 2, "build capped at n <= 26"),
+    "cli-verify-past-cap": (["verify", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
+                             "--params", "best"], 2, "build capped at n <= 26"),
     "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
 }
 

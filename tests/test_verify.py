@@ -322,6 +322,32 @@ def test_blocked_verify_code_matches_reference(monkeypatch):
     assert crossed
 
 
+@pytest.mark.parametrize("rows", [None, 3])
+def test_second_walk_decides_when_the_first_pass_keeps_repeats(monkeypatch, rows):
+    # the neighbour dedupe on every model: for the five kinds whose repeats
+    # are not neighbours the first pass lists some elements twice for one
+    # ball, and the report, failing or passing, stays the same
+    bad = codebook_from_words(list(enumerate_words(10))[::7], 10)
+    repeated = set()
+    for model in _models_b1_to_3():
+        good = greedy_code(8, model)
+        want = [verify_code(cb, model) for cb in (bad, good)]
+        assert not want[0].passed and want[0] == _reference_verify_code(bad, model)
+        assert want[1].passed
+        with monkeypatch.context() as patch:
+            patch.setattr(balls.ErrorModel, "sliding", property(lambda self: True))
+            if rows:
+                patch.setattr(_enum, "BLOCK", rows * len(balls._events(10, model)))
+            # the passing code's balls share no element, so a key listed twice
+            # is one ball's repeat: a false shared key for the second walk
+            keys, fresh = balls.distinct_keys(_enum.pack(good.rows, 8), 8, model)
+            listed = np.compress(fresh.ravel(), keys.ravel())
+            if np.unique(listed).size < listed.size:
+                repeated.add(model.kind)
+            assert [verify_code(cb, model) for cb in (bad, good)] == want, model
+    assert repeated == {kind for kind in balls.ErrorKind if not balls.ErrorModel(kind, 2).sliding}
+
+
 def test_verify_code_of_cheng1_n24_stays_under_150_mb(peak_rss_mb):
     # 671,092 codewords whose del-exact(1) balls hold 2^23 distinct keys, 32 MB as uint32
     peak = peak_rss_mb(

@@ -23,8 +23,10 @@ full sizes:
   decoded word and the model of its path, as one stage; the requests are
   drawn with --seed;
 - ball-census: the bound, equiv, greedy and verify_code calls of one pass,
-  then rll.rll_encode of every word of the RLL length and rll.rll_decode of
-  every output, each of the two as one call.
+  balls.ball_keys of 2 words at n = 10 under ins-at-most-nonconsecutive(3)
+  (the kernel's fixed cost, which many small blocks pay), then
+  rll.rll_encode of every word of the RLL length and rll.rll_decode of every
+  output, each of the two as one call.
 
 One warm-up pass per version checks every output and times it. Then ROUNDS
 rounds each run one pass of every version in turn, in reverse order every
@@ -212,6 +214,13 @@ def _ball_census(bc, seed: int) -> list:
         f"verify_code n={m} ins-exact(2)",
         lambda: verify.verify_code(code, balls.ins_exact(2)),
         lambda report: report.passed,
+    ))
+    pair, noncons3 = [0b0110100110, 0b1001011001], balls.ins_at_most_noncons(3)
+    calls.append((
+        f"ball_keys 2 words n=10 {noncons3}",
+        lambda: balls.ball_keys(pair, 10, noncons3),
+        lambda out: [set(row) for row in out.tolist()]
+        == [{(1 << m) | y for m, y in balls.ball_ints(v, 10, noncons3)} for v in pair],
     ))
     k = sizes["rll"]
     words = list(itertools.product((0, 1), repeat=k))
