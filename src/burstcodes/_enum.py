@@ -24,11 +24,13 @@ import numpy as np
 
 from .errors import DomainError, integer
 
-# log2 of the words per chunk in sweeps and in the parts of a split word, and
-# of the cells in one grid of _transfer (a larger grid takes the join or
-# is refused). At n = 24 a build plus parameter search peaks at 29-114 MB RSS,
-# the interpreter included: 29 MB for burst-exact at b = 3, on the transfer,
-# 114 MB for noncons3, whose pair join sorts about 1.66M pairs of part bins.
+# log2 of the words per chunk in sweeps and in the parts of a split word, of
+# the cells in one grid of _transfer (a larger grid takes the join or is
+# refused), and of the residues a decoder's table may compile to
+# (codes._decodable). At n = 24 a build plus parameter search peaks at
+# 29-114 MB RSS, the interpreter included: 29 MB for burst-exact at b = 3, on
+# the transfer, 114 MB for noncons3, whose pair join sorts about 1.66M pairs
+# of part bins.
 CHUNK_BITS = 20
 
 # Entries per block of the blocked kernels (verify_code's ball keys, _join's

@@ -26,13 +26,16 @@ each word's keys and masks its repeats, the dedupe of the equivalence sweep,
 the ball-size tally and verify_code's owner walk; distinct_keys, verify_code's
 first pass, drops a sliding model's repeats as neighbours in event order and
 sorts only the others (greedy codes mark unsorted keys in a bitmap). Keys are
-as narrow as key_dtype allows and never wrap. A table holds at most EVENTS_MAX
-= 2^20 events: a larger one is counted from its placements, not built, and
-raises DomainError.
+as narrow as key_dtype allows and never wrap. blocks is the one block rule of
+the passes over many balls' keys (verify_code's two, greedy_code's and the
+ball-size tally's): slices of words whose keys fill about _enum.BLOCK entries.
+A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted from
+its placements (event_count), not built, and raises DomainError.
 
 Membership (in_ball) needs no table for the models whose events replace one
 window of consecutive bits: it compares common prefix and suffix. The two
-windowed models walk their events; ball_ints stays the oracle of both.
+windowed models walk the events of their table that end at the element's
+length; ball_ints stays the oracle of both.
 """
 
 from __future__ import annotations
@@ -180,12 +183,12 @@ _Event = namedtuple("_Event", "length bits segs deleted inserted")
 EVENTS_MAX = 1 << 20  # events in one table; a larger table raises DomainError unbuilt
 
 
-def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[tuple, tuple]]:
-    """(deleted input positions, inserted output positions) of every event of
-    the model on a length-n word, once each. Given m, only the events that end
-    at length m, with the two roles swapped: the events that take a length-m
-    word back to length n. The events they give, 2^(inserted positions) per
-    placement, are counted first and raise DomainError past EVENTS_MAX."""
+def event_count(n: int, model: ErrorModel, m: int | None = None) -> int:
+    """The events of the model on a length-n word, 2^(inserted positions) per
+    placement, counted without listing them; given m, only those that end at
+    length m. The sizes count one at a time, each shift capped where it alone
+    passes EVENTS_MAX, and the count stops at the first size that passes
+    EVENTS_MAX, so any count past it only says that the table is too large."""
     b, window = model.b, model.windowed
     if n < model.shortest:
         raise DomainError(f"word length {n} too short for {model}")
@@ -197,18 +200,25 @@ def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[t
             return max(0, k - b + 1) * math.comb(b - 1, a - 1) + math.comb(min(b - 1, k), a)
         return max(0, k - a + 1)
 
-    # positions index the input when bits are deleted, else the output; the
-    # sizes count one at a time, each shift capped where it alone passes EVENTS_MAX
-    sizes, events = [], 0
+    # positions index the input when bits are deleted, else the output
+    events = 0
     for d, i in model.each_size(None if m is None else n - m):
+        events += sets(n if d else n + i, d or i) << min(i if m is None else d, EVENTS_MAX + 1)
         if events > EVENTS_MAX:
             break
-        sizes.append((d, i))
-        events += sets(n if d else n + i, d or i) << min(i if m is None else d, EVENTS_MAX + 1)
-    if events > EVENTS_MAX:
+    return events
+
+
+def _placements(n: int, model: ErrorModel, m: int | None = None) -> list[tuple[tuple, tuple]]:
+    """(deleted input positions, inserted output positions) of every event of
+    the model on a length-n word, once each. Given m, only the events that end
+    at length m, with the two roles swapped: the events that take a length-m
+    word back to length n. DomainError past EVENTS_MAX events (event_count),
+    before any is listed."""
+    if event_count(n, model, m) > EVENTS_MAX:
         raise DomainError(f"{model} at length {n} has too many events; tables stop at {EVENTS_MAX}")
-    placements = []
-    for d, i in sizes:
+    b, window, placements = model.b, model.windowed, []
+    for d, i in model.each_size(None if m is None else n - m):
         a, k = d or i, n if d else n + i
         if window:
             chosen = [(p, *rest) for p in range(1, k + 1)
@@ -274,12 +284,6 @@ def ball_ints(v: int, n: int, model: ErrorModel) -> set[tuple[int, int]]:
     return {(ev.length, y) for ev, y in walk(_enum.word(v, n), _events(n, model))}
 
 
-@lru_cache(maxsize=64)
-def _ending(n: int, model: ErrorModel, m: int) -> tuple[_Event, ...]:
-    """The events of the model's table on length-n words that end at length m."""
-    return tuple(ev for ev in _events(n, model) if ev.length == m)
-
-
 @lru_cache(maxsize=256)
 def _size(model: ErrorModel, shift: int) -> tuple[int, int] | None:
     """The model's size of event that takes shift bits off a word's length, if any."""
@@ -300,10 +304,7 @@ def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool
         raise DomainError(f"word length {n} too short for {model}")
     v, u = _enum.word(v, n), _enum.word(u, m)
     if model.windowed:
-        for _, y in walk(v, _ending(n, model, m)):
-            if y == u:
-                return True
-        return False
+        return any(y == u for _, y in walk(v, (ev for ev in _events(n, model) if ev.length == m)))
     if (size := _size(model, n - m)) is None:
         return False
     k = min(n, m)
@@ -396,6 +397,14 @@ def distinct_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndarray
     return keys, fresh
 
 
+def blocks(count: int, n: int, model: ErrorModel) -> list[slice]:
+    """The slices of count length-n words, in order, whose ball keys fill about
+    _enum.BLOCK entries each: max(1, BLOCK // events) words a slice, and at
+    least one slice, so that a pass over no words still checks n and model."""
+    rows = max(1, _enum.BLOCK // len(_events(n, model)))
+    return [slice(start, min(start + rows, count)) for start in range(0, max(count, 1), rows)]
+
+
 def key_word(key: int) -> Word:
     """The ball element a ball_keys key, (1 << length) | value, stands for;
     DomainError for any other value."""
@@ -460,19 +469,17 @@ def ball_size_distribution(n: int, b: int) -> dict[int, int]:
 
 def ball_size_tally(n: int, b: int) -> dict[int, int]:
     """Brute-force tally of |D_b(x)| over all 2^n words: the distinct keys of
-    every ball, counted row by row in blocks of words. Independent of
-    ball_size_formula."""
+    every ball, counted row by row in the slices of blocks, each made as its
+    own range of words. Independent of ball_size_formula."""
     n, b = integer(n, "n"), integer(b, "b")
     if n > 24:
         raise DomainError("tally capped at n <= 24")
     if n <= b:
         raise DomainError("need n > b")
     model = del_exact(b)
-    block = _enum.BLOCK // len(_events(n, model))  # words per sorted_ball_keys call
     counts = np.zeros(n - b + 2, dtype=np.int64)
-    for start in range(0, 1 << n, block):
-        vs = np.arange(start, min(start + block, 1 << n), dtype=np.uint64)
-        _, fresh = sorted_ball_keys(vs, n, model)
+    for s in blocks(1 << n, n, model):
+        _, fresh = sorted_ball_keys(np.arange(s.start, s.stop, dtype=np.uint64), n, model)
         counts += np.bincount(np.count_nonzero(fresh, axis=1), minlength=len(counts))
     return {size: int(c) for size, c in enumerate(counts) if c}
 

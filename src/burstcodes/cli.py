@@ -178,6 +178,7 @@ def _verify(args, stdin_text):
 
 @_verb("decode", "decode received words line by line", *_spec_flags(None), _IN, _OUT)
 def _decode(args, stdin_text):
+    codes._decodable(args.n, _burst(args, codes.parse_family(args.family)))  # before any family table
     spec = _resolve_spec(args)
     return _map_words(args, stdin_text, lambda y: codes.decode(spec, y).word)
 

@@ -356,6 +356,14 @@ def _buildable(n: int) -> None:
         raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
 
 
+def _decodable(n: int, b: int) -> None:
+    """DomainError where decoding would compile a table past one chunk,
+    2^CHUNK_BITS residues: a family's table at b has about b forms, and each
+    compiles to 2^8 residues for every 8 of the n positions, 32 n b in all."""
+    if n * b << 5 > 1 << _enum.CHUNK_BITS:
+        raise DomainError(f"decode tables stop at 32 n b <= 2^{_enum.CHUNK_BITS} residues, got n={n}, b={b}")
+
+
 def build(spec: CodeSpec) -> Codebook:
     """Enumerate all members of spec, by the split join (_enum._members)."""
     _buildable(spec.n)

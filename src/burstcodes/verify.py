@@ -46,35 +46,27 @@ class VerifyReport:
         }
 
 
-def _blocks(packed: np.ndarray, n: int, model: balls.ErrorModel, keys=balls.sorted_ball_keys):
-    """(index of the first word, keys(block, n, model)) per block of packed
-    words, for the kernel the caller names (sorted_ball_keys by default); at
-    least one block, so that an empty array still checks n and model."""
-    rows = max(1, _enum.BLOCK // len(balls._events(n, model)))
-    for start in range(0, max(len(packed), 1), rows):
-        yield start, keys(packed[start : start + rows], n, model)
-
-
 def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     """Exhaustively confirm that the error balls of all codewords are pairwise
     disjoint. Exact: every ball element of every codeword is indexed, so any
     intersecting pair is found. Violations are (first owner, later owner,
     element), in (later owner, element) order.
 
-    The balls are made block by block by balls.distinct_keys, and each
-    block's keys, each ball's elements once, are compressed straight into one
-    array that is sorted in place, so the keys of the whole codebook are held
-    once: it is sized for k x E keys, but the pages past the last key written
-    are never touched and cost no memory. A key found twice is shared. The
-    second walk, on sorted_ball_keys, finds the owners of the shared keys
-    only, and decides: a key the first pass listed twice for one ball would
-    find one owner there and name no violation, and a key two balls hold is
-    listed by both."""
+    Both passes walk the codewords in the slices of balls.blocks. The first
+    makes each slice's balls by balls.distinct_keys and compresses its keys,
+    each ball's elements once, straight into one array that is sorted in
+    place, so the keys of the whole codebook are held once: it is sized for
+    k x E keys, but the pages past the last key written are never touched and
+    cost no memory. A key found twice is shared. The second walk, on
+    sorted_ball_keys, finds the owners of the shared keys only, and decides:
+    a key the first pass listed twice for one ball would find one owner there
+    and name no violation, and a key two balls hold is listed by both."""
     packed = _enum.pack(cb.rows, cb.n)
     events = len(balls._events(cb.n, model))
     held = np.empty(len(packed) * events, dtype=balls.key_dtype(cb.n, model))
     end = 0
-    for _, (keys, fresh) in _blocks(packed, cb.n, model, balls.distinct_keys):
+    for part in balls.blocks(len(packed), cb.n, model):
+        keys, fresh = balls.distinct_keys(packed[part], cb.n, model)
         count = np.count_nonzero(fresh)
         np.compress(fresh.ravel(), keys.ravel(), out=held[end : end + count])
         end += count
@@ -85,9 +77,10 @@ def verify_code(cb: Codebook, model: balls.ErrorModel) -> VerifyReport:
     violations = ()
     if shared.size:
         owner, flat = [], []
-        for start, (keys, fresh) in _blocks(packed, cb.n, model):
+        for part in balls.blocks(len(packed), cb.n, model):
+            keys, fresh = balls.sorted_ball_keys(packed[part], cb.n, model)
             fresh &= np.isin(keys, shared)
-            owner.append(start + np.nonzero(fresh)[0])
+            owner.append(part.start + np.nonzero(fresh)[0])
             flat.append(np.compress(fresh.ravel(), keys.ravel()))
         owner, flat = np.concatenate(owner), np.concatenate(flat)
         _, first, group = np.unique(flat, return_index=True, return_inverse=True)
@@ -137,12 +130,20 @@ def equivalence_check(n: int, b: int, flavor: str) -> bool:
     """Whether deletion-ball disjointness and insertion-ball disjointness agree
     on every pair of length-n words, for the given burst flavor. This is the
     pairwise core of the deletion/insertion duality: a code-level
-    counterexample would need a violating pair."""
+    counterexample would need a violating pair.
+
+    Each model's 2^n x events ball keys are held at once, so both are capped
+    at 4^EQUIV_MAX_BITS, the cells of the largest conflict matrix, and
+    refused from balls.event_count before any event table is built."""
     if flavor not in _FLAVORS:
         raise DomainError(f"flavor must be one of {sorted(_FLAVORS)}, got {flavor!r}")
     if not 1 <= n <= EQUIV_MAX_BITS:
         raise DomainError(f"pairwise sweep needs 1 <= n <= {EQUIV_MAX_BITS}, got n={n}")
     del_model, ins_model = (mk(b) for mk in _FLAVORS[flavor])
+    for model in (del_model, ins_model):
+        if balls.event_count(n, model) << n > 1 << 2 * EQUIV_MAX_BITS:
+            raise DomainError(f"{model} at n={n} has more than 4^{EQUIV_MAX_BITS} ball keys "
+                              "(2^n x events); the pairwise sweep stops there")
     return np.array_equal(_conflicts(n, del_model), _conflicts(n, ins_model))
 
 
@@ -174,9 +175,9 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     ball avoids every previously accepted ball.
 
     Accepted balls are marked in a bool bitmap over the key space. The balls
-    of each block of words are made at once; in sub-blocks of GREEDY_ROWS
-    words, one gather drops the words whose ball meets the bitmap, and only
-    the rest are tried, in lexicographic order."""
+    of each slice of balls.blocks are made at once; in sub-blocks of
+    GREEDY_ROWS words, one gather drops the words whose ball meets the
+    bitmap, and only the rest are tried, in lexicographic order."""
     if not (least := max(1, model.shortest)) <= n <= GREEDY_MAX_BITS:
         raise DomainError(f"greedy construction of {model} needs {least} <= n <= {GREEDY_MAX_BITS}")
     longest = model.longest(n)
@@ -188,13 +189,14 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     words = _enum.pack(index.astype(">u8").view(np.uint8).reshape(-1, 8), n)
     taken = np.zeros(2 << longest, dtype=bool)
     chosen: list[int] = []
-    for start, keys in _blocks(words, n, model, balls.ball_keys):
+    for block in balls.blocks(len(words), n, model):
+        keys = balls.ball_keys(words[block], n, model)
         for sub in range(0, len(keys), GREEDY_ROWS):
             part = keys[sub : sub + GREEDY_ROWS]
             for i in np.flatnonzero(~taken[part].any(axis=1)).tolist():
                 if not taken[part[i]].any():
                     taken[part[i]] = True
-                    chosen.append(int(words[start + sub + i]))
+                    chosen.append(int(words[block.start + sub + i]))
     return codebook_from_ints(chosen, n)
 
 

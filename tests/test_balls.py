@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from burstcodes import balls, codes, verify
+from burstcodes import _enum, balls, codes, verify
 from burstcodes.balls import (
     KEY_MAX_BITS,
     ErrorKind,
@@ -164,6 +164,32 @@ def test_distribution_formula_matches_tally():
             assert sum(dist.values()) == 1 << n
     with pytest.raises(DomainError):
         ball_size_distribution(3, 3)
+
+
+@pytest.mark.parametrize("block", [None, 13 * 3, 5])
+def test_blocks_cover_every_word_once_in_order(monkeypatch, block):
+    # del-exact(3) at n = 15 has 13 events: 3 words a slice at BLOCK = 39, 1 at 5
+    n, model = 15, del_exact(3)
+    assert len(balls._events(n, model)) == 13
+    if block:
+        monkeypatch.setattr(_enum, "BLOCK", block)
+    rows = {None: _enum.BLOCK // 13, 39: 3, 5: 1}[block]
+    for count in (0, 1, rows - 1, rows, rows + 1):
+        slices = balls.blocks(count, n, model)
+        assert [i for s in slices for i in range(s.start, s.stop)] == list(range(count)), count
+        assert len(slices) == max(1, -(-count // rows))
+        assert all(s.stop - s.start <= rows for s in slices)
+    assert balls.blocks(0, n, model) == [slice(0, 0)]
+    with pytest.raises(DomainError, match="too short"):
+        balls.blocks(0, 3, model)  # no words, but n and model are still checked
+
+
+@pytest.mark.parametrize("block", [13 * 3, 5])
+def test_tally_in_small_blocks_matches_the_formula(monkeypatch, block):
+    monkeypatch.setattr(_enum, "BLOCK", block)
+    for b in (1, 2, 3):
+        for n in range(b + 1, 13):
+            assert ball_size_tally(n, b) == ball_size_distribution(n, b), (n, b)
 
 
 def test_distribution_report_shape():

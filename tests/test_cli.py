@@ -192,6 +192,12 @@ _REFUSALS = {
     "cli-verify-past-cap": (["verify", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
                              "--params", "best"], 2, "build capped at n <= 26"),
     "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
+    # refused before the family's table of about b forms is built
+    "cli-decode-table": (["decode", "--family", "cheng1", "--b", "100000000", "--n", "200000000"], 2,
+                         "decode tables stop at 32 n b <= 2^20 residues"),
+    # 2^10 x 115,910 ball keys, refused before any event table is built
+    "cli-equiv-keys": (["equiv", "--n", "10", "--b", "9", "--model", "at-most-nonconsecutive"], 2,
+                       "more than 4^12 ball keys"),
 }
 
 
@@ -368,6 +374,14 @@ def test_decode_parameterless_family_past_the_search_cap(capsys):
     assert out == "0" * 30 + "\n"
     assert main(["build", "--family", "cheng1", "--n", "30", "--b", "3"]) == 2
     assert "build capped at n <= 26" in capsys.readouterr().err
+
+
+def test_decode_takes_tables_up_to_one_chunk_of_residues(capsys):
+    # 32 n b = 2^20 at n = 256, b = 128: decoded; one row longer is refused
+    argv = ["decode", "--family", "cheng1", "--n", "256", "--b", "128"]
+    assert _capture(capsys, argv, stdin_text="0" * 128 + "\n") == (0, "0" * 256 + "\n")
+    assert main(argv[:3] + ["--n", "384", "--b", "128"]) == 2
+    assert capsys.readouterr().err == "error: decode tables stop at 32 n b <= 2^20 residues, got n=384, b=128\n"
 
 
 def test_wide_families_past_the_build_cap_exit_2_at_once(peak_rss_mb):

@@ -51,6 +51,22 @@ def test_equivalence_small():
         equivalence_check(6, 2, "bogus")
 
 
+def test_equivalence_sweep_refuses_past_its_key_budget(monkeypatch):
+    # 2^n x events of the larger model against 4^EQUIV_MAX_BITS = 2^24 keys:
+    # b = 7 at n = 10 answers, b = 8 and 9 are refused before any event table
+    def keys(n, b, flavor="at-most-nonconsecutive"):
+        models = [make(b) for make in _FLAVORS[flavor]]
+        assert all(balls.event_count(n, m) == len(balls._events(n, m)) for m in models)
+        return max(balls.event_count(n, m) << n for m in models)
+
+    assert [keys(10, b) for b in (7, 8, 9)] == [14_182_400, 41_056_256, 118_691_840]
+    assert max(keys(12, 4, flavor) for flavor in _FLAVORS) <= 1 << 2 * verify.EQUIV_MAX_BITS
+    monkeypatch.setattr(balls, "_events", lambda n, model: pytest.fail("an event table was built"))
+    for b in (8, 9):
+        with pytest.raises(DomainError, match=r"more than 4\^12 ball keys"):
+            equivalence_check(10, b, "at-most-nonconsecutive")
+
+
 def test_equivalence_at_n12_b4_stays_under_150_mb(peak_rss_mb):
     # two dense 2^12 x 2^12 bool matrices of 16 MB each per flavor; measured
     # at 124 MB on a 2-vCPU x86_64 host
@@ -322,7 +338,7 @@ def test_blocked_verify_code_matches_reference(monkeypatch):
     assert crossed
 
 
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("rows", [None, 3, 1])
 def test_second_walk_decides_when_the_first_pass_keeps_repeats(monkeypatch, rows):
     # the neighbour dedupe on every model: for the five kinds whose repeats
     # are not neighbours the first pass lists some elements twice for one
@@ -394,7 +410,7 @@ def test_verify_code_rejects_words_past_the_key_limit():
 
 
 @pytest.mark.parametrize("model", [balls.ins_at_most_noncons(3), balls.del_exact(2)], ids=str)
-@pytest.mark.parametrize("rows, sub", [(None, None), (3, 128), (10, 3)])
+@pytest.mark.parametrize("rows, sub", [(None, None), (3, 128), (10, 3), (1, 128)])
 def test_greedy_code_at_n12_matches_reference(monkeypatch, model, rows, sub):
     # blocks and sub-blocks of a few words, so that a ball taken in one block
     # or sub-block turns words of later ones away
