@@ -26,11 +26,11 @@ from .errors import DomainError, integer
 
 # log2 of the words per chunk in sweeps and in the parts of a split word, of
 # the cells in one grid of _transfer (a larger grid takes the join or is
-# refused), and of the residues a decoder's table may compile to
-# (codes._decodable). At n = 24 a build plus parameter search peaks at
-# 29-114 MB RSS, the interpreter included: 29 MB for burst-exact at b = 3, on
-# the transfer, 114 MB for noncons3, whose pair join sorts about 1.66M pairs
-# of part bins.
+# refused), and of the residues a family's table may compile to
+# (codes._validate_structure, which reads it once, at import). At n = 24 a
+# build plus parameter search peaks at 29-114 MB RSS, the interpreter
+# included: 29 MB for burst-exact at b = 3, on the transfer, 114 MB for
+# noncons3, whose pair join sorts about 1.66M pairs of part bins.
 CHUNK_BITS = 20
 
 # Entries per block of the blocked kernels (verify_code's ball keys, _join's
@@ -540,26 +540,21 @@ def _join(table: _Table, n: int, L: int):
     return _tally(map(block, [0, *cuts], [*cuts, len(want)]), size, total)
 
 
-def _reach(n: int, fits: bool = True) -> None:
-    """DomainError where no counter reaches n: the join stops at BUILD_MAX_N,
-    the transfer needs 2^n in int64 and grids that fit. Without `fits`, the
-    rule needs no table, so a caller can refuse n before it builds one."""
-    if n > BUILD_MAX_N and (not fits or n >= np.iinfo(np.int64).bits - 1):
-        raise DomainError(f"cannot count the classes at n={n}: the pair join stops at n = {BUILD_MAX_N}, "
-                          f"the transfer needs 2^n in int64 and grids of <= 2^{CHUNK_BITS} cells")
-
-
 def _classes(table: _Table, n: int):
     """Every non-empty parameter class as its packed key residues (ascending,
     the first key most significant) and its size, and the key moduli.
 
-    The one place that decides what can be counted (_reach), from the radices
-    alone, before any part is tabulated: the transfer where 2^n fits an int64
-    and every group's grid holds at most 2^CHUNK_BITS cells (one chunk); else
-    the pair join at n // 2 up to BUILD_MAX_N, on _members' halves."""
-    _reach(n)  # so 2^n fits an int64
-    fits = all(math.prod(radices) <= 1 << CHUNK_BITS for _, radices, _ in _groups(table, n))
-    _reach(n, fits)
+    The one place that decides what can be counted, from the radices alone,
+    before any part is tabulated: the transfer where 2^n fits an int64 and
+    every group's grid holds at most 2^CHUNK_BITS cells (one chunk); else the
+    pair join at n // 2 up to BUILD_MAX_N, on _members' halves; else
+    DomainError. Where 2^n does not fit, the table is not compiled at n."""
+    fits = n < np.iinfo(np.int64).bits - 1 and all(
+        math.prod(radices) <= 1 << CHUNK_BITS for _, radices, _ in _groups(table, n)
+    )
+    if not fits and n > BUILD_MAX_N:
+        raise DomainError(f"cannot count the classes at n={n}: the pair join stops at n = {BUILD_MAX_N}, "
+                          f"the transfer needs 2^n in int64 and grids of <= 2^{CHUNK_BITS} cells")
     count = _transfer(table, n) if fits else _join(table, n, n // 2)
     return count, [f.mod for f in _compiled(table, n)[2]]
 

@@ -90,9 +90,7 @@ def _resolve_spec(args) -> codes.CodeSpec:
     family = codes.parse_family(args.family)
     b = _burst(args, family)
     if args.params in (None, "", "best"):
-        # checked first: an unchecked b could ask param_fields for ~b^2 forms
-        codes._validate_structure(family, args.n, b)
-        if args.params == "best" or not codes.param_fields(family, b):
+        if args.params == "best" or not codes.param_ranges(family, args.n, b):
             return codes.best_params(family, args.n, b)
         raise DomainError("--params is required (residues or 'best')")
     try:
@@ -147,7 +145,6 @@ def run(argv: list[str], stdin_text: str | None = None) -> int:
 
 @_verb("build", "enumerate a codebook and write it as a file", *_spec_flags(), _OUT)
 def _build(args, stdin_text):
-    codes._buildable(args.n)  # before _resolve_spec, which builds a family table of about b forms
     buf = StringIO()
     codes.write_codebook(codes.build(_resolve_spec(args)), buf)
     return 0, buf.getvalue()
@@ -159,7 +156,6 @@ def _build(args, stdin_text):
     _FORMAT, _OUT,
 )
 def _verify(args, stdin_text):
-    codes._buildable(args.n)
     spec = _resolve_spec(args)
     cb = codes.build(spec)
     model = codes.target_model(spec) if args.model is None else balls.parse_model(args.model, spec.b)
@@ -178,7 +174,6 @@ def _verify(args, stdin_text):
 
 @_verb("decode", "decode received words line by line", *_spec_flags(None), _IN, _OUT)
 def _decode(args, stdin_text):
-    codes._decodable(args.n, _burst(args, codes.parse_family(args.family)))  # before any family table
     spec = _resolve_spec(args)
     return _map_words(args, stdin_text, lambda y: codes.decode(spec, y).word)
 

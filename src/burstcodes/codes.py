@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterable
 import numpy as np
 
 from . import _enum, balls, bounds
-from ._enum import BUILD_MAX_N, _classes, _compiled, _Form, _members, _reach, _Table, _unravel, _vt_word
+from ._enum import BUILD_MAX_N, CHUNK_BITS, _classes, _compiled, _Form, _members, _Table, _unravel, _vt_word
 from .balls import ErrorKind
 from .bitseq import Word, array_view, as_word, flatten, from_int, to_int
 from .errors import DecodeFailure, DomainError, integer
@@ -213,7 +213,11 @@ def default_burst(family: Family) -> int | None:
 
 def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
     """n and b as Python ints; DomainError unless family is a Family, n and b
-    are integers, and (n, b) lies in the family's domain."""
+    are integers, (n, b) lies in the family's domain, and the family's table
+    at n compiles to at most 2^CHUNK_BITS residues: about b forms of 2^8
+    residues for every 8 of the n positions, 32 n b in all. Every entry that
+    takes a spec calls it before the table is built. CHUNK_BITS is bound at
+    import, so shrinking _enum.CHUNK_BITS to force small chunks leaves it."""
     rec, name = _record(family), family.value
     n, b = integer(n, "code length n"), integer(b, "burst size b")
     if b != rec.b and (rec.fixed or b < rec.b):
@@ -222,6 +226,8 @@ def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
         raise DomainError(f"{name} needs n a multiple of {'b!' if d is None else d} at b={b}, got n={n}")
     if n < rec.least_n(b):
         raise DomainError(f"{name} needs n >= {rec.least_n(b)} at b={b}, got n={n}")
+    if n * b << 5 > 1 << CHUNK_BITS:
+        raise DomainError(f"{name} tables stop at 32 n b <= 2^{CHUNK_BITS} residues, got n={n}, b={b}")
     return n, b
 
 
@@ -350,23 +356,11 @@ def codebook_from_ints(vs, n: int, spec: CodeSpec | None = None) -> Codebook:
     return _codebook(n, spec, (), lambda: _enum.unpack(_enum.words(vs, n), n))
 
 
-def _buildable(n: int) -> None:
-    """DomainError past BUILD_MAX_N, the longest word build lists."""
-    if n > BUILD_MAX_N:
-        raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
-
-
-def _decodable(n: int, b: int) -> None:
-    """DomainError where decoding would compile a table past one chunk,
-    2^CHUNK_BITS residues: a family's table at b has about b forms, and each
-    compiles to 2^8 residues for every 8 of the n positions, 32 n b in all."""
-    if n * b << 5 > 1 << _enum.CHUNK_BITS:
-        raise DomainError(f"decode tables stop at 32 n b <= 2^{_enum.CHUNK_BITS} residues, got n={n}, b={b}")
-
-
 def build(spec: CodeSpec) -> Codebook:
-    """Enumerate all members of spec, by the split join (_enum._members)."""
-    _buildable(spec.n)
+    """Enumerate all members of spec, by the split join (_enum._members), up
+    to BUILD_MAX_N."""
+    if spec.n > BUILD_MAX_N:
+        raise DomainError(f"build capped at n <= {BUILD_MAX_N}")
     return codebook_from_ints(_members(_family_table(spec.family, spec.b), spec.n, spec.params), spec.n, spec)
 
 
@@ -374,7 +368,6 @@ def _best(family: Family, n: int, b: int) -> tuple[tuple[int, ...], int]:
     """The parameter tuple with the largest class, ties broken by the
     lexicographically smallest tuple, and the size of that class."""
     n, b = _validate_structure(family, n, b)
-    _reach(n)  # before a table as long as n is built
     (classes, sizes), mods = _classes(_family_table(family, b), n)
     if not len(classes):
         raise DomainError(f"{family.value} has no non-empty parameter class at n={n}")

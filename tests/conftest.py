@@ -17,13 +17,17 @@ _LAUNCHER = (
 )
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports the library from src/."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def _peak_rss_mb(snippet: str, timeout: float = 120) -> float:
     """Run snippet in a fresh interpreter that imports the library from src/,
     and return its peak resident set (ru_maxrss) in MB."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, snippet],
-        env=env, capture_output=True, text=True, check=True, timeout=timeout,
+        env=_env(), capture_output=True, text=True, check=True, timeout=timeout,
     )
     return int(out.stdout.split()[-1]) / 1024  # Linux reports KB
 
@@ -32,6 +36,26 @@ def _peak_rss_mb(snippet: str, timeout: float = 120) -> float:
 def peak_rss_mb():
     """The function (snippet) -> peak RSS in MB of a fresh interpreter running it."""
     return _peak_rss_mb
+
+
+def _limited(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports the library from src/,
+    under a 1 GiB address-space limit, so that an allocation too large ends
+    in MemoryError; past the timeout the test fails, naming the last line
+    the script printed."""
+    prelude = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    try:
+        return subprocess.run([sys.executable, "-c", prelude + script], capture_output=True, text=True,
+                              env={**_env(), "OPENBLAS_NUM_THREADS": "1"}, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"no exit in {timeout} s, at: {(exc.stdout or b'').decode().splitlines()[-1:]}")
+
+
+@pytest.fixture
+def limited():
+    """The function (script) -> CompletedProcess of a fresh interpreter
+    running it under a 1 GiB address space."""
+    return _limited
 
 
 def pytest_addoption(parser):

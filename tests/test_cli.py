@@ -183,18 +183,24 @@ _REFUSALS = {
     "references-n-0": (lambda: bounds.reference_redundancies(0, 1), DomainError, "got n=0, b=1$"),
     "references-n-negative": (lambda: bounds.reference_redundancies(-4, 2), DomainError, "got n=-4, b=2$"),
     "cli-b": (["tabulate", "--family", "burst-exact", "--n", "12"], 2, "--b is required"),
-    # refused before a family table of 10^8 rows is built
+    # every verb refuses a spec whose table of about b forms is too large
+    # before it is built (_validate_structure)
     "cli-past-reach": (["tabulate", "--family", "cheng1", "--b", "100000000", "--n", "200000000"], 2,
-                       "cannot count the classes at n=200000000"),
-    # refused before --params best asks for the family's table of about b forms
+                       "cheng1 tables stop at 32 n b <= 2^20 residues, got n=200000000, b=100000000"),
     "cli-build-past-cap": (["build", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
-                            "--params", "best"], 2, "build capped at n <= 26"),
+                            "--params", "best"], 2, "cheng1 tables stop at 32 n b <= 2^20 residues"),
     "cli-verify-past-cap": (["verify", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
-                             "--params", "best"], 2, "build capped at n <= 26"),
-    "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
-    # refused before the family's table of about b forms is built
+                             "--params", "best"], 2, "cheng1 tables stop at 32 n b <= 2^20 residues"),
     "cli-decode-table": (["decode", "--family", "cheng1", "--b", "100000000", "--n", "200000000"], 2,
-                         "decode tables stop at 32 n b <= 2^20 residues"),
+                         "cheng1 tables stop at 32 n b <= 2^20 residues"),
+    # a small table past what the counters and build reach
+    "cli-past-reach-small-b": (["tabulate", "--family", "burst-exact", "--b", "2", "--n", "64"], 2,
+                               "cannot count the classes at n=64"),
+    "cli-build-past-cap-small-b": (["build", "--family", "cheng1", "--b", "2", "--n", "28"], 2,
+                                   "build capped at n <= 26"),
+    "cli-verify-past-cap-small-b": (["verify", "--family", "cheng1", "--b", "2", "--n", "28"], 2,
+                                    "build capped at n <= 26"),
+    "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
     # 2^10 x 115,910 ball keys, refused before any event table is built
     "cli-equiv-keys": (["equiv", "--n", "10", "--b", "9", "--model", "at-most-nonconsecutive"], 2,
                        "more than 4^12 ball keys"),
@@ -381,7 +387,7 @@ def test_decode_takes_tables_up_to_one_chunk_of_residues(capsys):
     argv = ["decode", "--family", "cheng1", "--n", "256", "--b", "128"]
     assert _capture(capsys, argv, stdin_text="0" * 128 + "\n") == (0, "0" * 256 + "\n")
     assert main(argv[:3] + ["--n", "384", "--b", "128"]) == 2
-    assert capsys.readouterr().err == "error: decode tables stop at 32 n b <= 2^20 residues, got n=384, b=128\n"
+    assert capsys.readouterr().err == "error: cheng1 tables stop at 32 n b <= 2^20 residues, got n=384, b=128\n"
 
 
 def test_wide_families_past_the_build_cap_exit_2_at_once(peak_rss_mb):
@@ -503,21 +509,45 @@ def test_python_dash_m_runs_the_cli():
 # Drawn CLI runs, all in one child process under an address-space limit: each
 # exits 0, 1 or 2, a failure says so in one stderr line and no traceback, and
 # a second run prints the same. Lengths and burst sizes mix 0..64 with values
-# up to 10^30; ball and simulate read one fixed word.
+# up to 10^30; ball, simulate and decode read one fixed word. build, verify
+# and decode skip n = 17..26, where a build and its verify take seconds.
 _BOUNDARY = r"""
-import contextlib, io, resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import contextlib, io, sys
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from burstcodes import codes
 from burstcodes.balls import ErrorKind
 from burstcodes.cli import main
 from burstcodes.codes import Family
 from burstcodes.verify import _FLAVORS
 
-sizes = st.one_of(st.integers(0, 64), st.integers(0, 10**30)).map(str)
+ints = st.one_of(st.integers(0, 64), st.integers(0, 10**30))
+sizes = ints.map(str)
+families = st.sampled_from([f.value for f in Family])
+params = st.one_of(st.sampled_from(["best", "-"]), st.lists(st.integers(-1, 40), max_size=8).map(
+    lambda ps: ",".join(map(str, ps)))).map("--params={}".format)  # = takes a leading minus
+
+
+def in_domain(family, n, b):
+    try:
+        return codes._validate_structure(family, n, b)
+    except codes.DomainError:
+        return None
+
+
+def spec(verb, family_n_b, params):
+    family, n, b = family_n_b
+    return verb, "--family", family, "--n", str(n), "--b", str(b), params
+
+
+# a spec in its family's domain at n <= 16, or drawn flags with n outside 17..26
+small = [(f.value, n, b) for f in Family for b in range(1, 5) for n in range(17) if in_domain(f, n, b)]
+lengths = st.one_of(st.integers(0, 16), st.integers(27, 64), st.integers(0, 10**30))
+specs = st.builds(spec, st.sampled_from(["build", "verify", "decode"]),
+                  st.one_of(st.sampled_from(small), st.tuples(families, lengths, ints)), params)
 argvs = st.one_of(
     st.tuples(st.just("bound"), st.just("--n"), sizes, st.just("--b"), sizes),
-    st.tuples(st.just("tabulate"), st.just("--family"), st.sampled_from([f.value for f in Family]),
-              st.just("--n"), sizes, st.just("--b"), sizes),
+    st.tuples(st.just("tabulate"), st.just("--family"), families, st.just("--n"), sizes, st.just("--b"), sizes),
+    specs,
     st.tuples(st.sampled_from(["ball", "simulate"]), st.just("--model"),
               st.sampled_from([k.value for k in ErrorKind]), st.just("--b"), sizes),
     st.tuples(st.just("equiv"), st.just("--n"), st.integers(0, 10).map(str), st.just("--b"), sizes,
@@ -550,14 +580,7 @@ boundary()
 """
 
 
-def test_cli_boundary_exits_cleanly_on_drawn_arguments():
+def test_cli_boundary_exits_cleanly_on_drawn_arguments(limited):
     pytest.importorskip("hypothesis")
-    src = str(Path(burstcodes.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-           "OPENBLAS_NUM_THREADS": "1"}
-    try:
-        proc = subprocess.run([sys.executable, "-c", _BOUNDARY], capture_output=True, text=True, env=env,
-                              timeout=60)
-    except subprocess.TimeoutExpired as exc:
-        pytest.fail(f"no exit in 60 s, at: {(exc.stdout or b'').decode().splitlines()[-1:]}")
+    proc = limited(_BOUNDARY)
     assert proc.returncode == 0, proc.stderr[-4000:]

@@ -1407,6 +1407,77 @@ def test_search_past_the_build_cap_refuses_only_the_wide_families():
             best_params(family, 48, b)
 
 
+def test_huge_specs_are_refused_before_their_table(limited):
+    # cheng1 at b = 10^8 is in the family's domain, but its table has 10^8 tie
+    # forms: every entry that takes a spec refuses it at once, and builds none
+    proc = limited(
+        "import time\n"
+        "from burstcodes import codes\n"
+        "from burstcodes.codes import CodeSpec, Family\n"
+        "n, b = 2 * 10**8, 10**8\n"
+        "for call in (lambda: CodeSpec(Family.CHENG1, n, b, ()), lambda: codes.param_ranges(Family.CHENG1, n, b),\n"
+        "             lambda: codes.best_params(Family.CHENG1, n, b), lambda: codes._best(Family.CHENG1, n, b)):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "        raise AssertionError('accepted')\n"
+        "    except codes.DomainError as exc:\n"
+        "        assert str(exc) == 'cheng1 tables stop at 32 n b <= 2^20 residues, got n=200000000, b=100000000'\n"
+        "    assert time.perf_counter() - start < 0.1\n"
+        "assert codes._family_table.cache_info().currsize == 0\n"
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+# Drawn library calls, all in one child process under the address-space
+# limit: CodeSpec, param_ranges, best_params, build and decode raise nothing
+# but BurstCodesError. Lengths and burst sizes mix 0..64 with values up to
+# 10^30, and b is often a fixed burst size (2..4) and n often a multiple of b
+# or 6 b, so that many draws are in a family's domain; build and decode take
+# the drawn spec and best_params' spec, and decode a word of length n - 4 .. n.
+_LIBRARY_BOUNDARY = r"""
+import sys
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from burstcodes import codes
+from burstcodes.codes import CodeSpec, Family
+from burstcodes.errors import BurstCodesError
+
+sizes = st.one_of(st.integers(0, 64), st.integers(0, 10**30))
+
+
+def attempt(call):
+    try:
+        return call()
+    except BurstCodesError:
+        return None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None, phases=[Phase.generate],
+          suppress_health_check=list(HealthCheck))
+@given(st.data())
+def boundary(data):
+    family, b = data.draw(st.sampled_from(Family)), data.draw(st.one_of(st.integers(2, 4), sizes))
+    n = data.draw(sizes) * data.draw(st.sampled_from([1, b, 6 * b]))
+    params = tuple(data.draw(st.lists(st.integers(-1, 64), max_size=16)))
+    y = data.draw(st.lists(st.integers(0, 1), min_size=64, max_size=64))[: max(0, n - data.draw(st.integers(0, 4)))]
+    print(family.value, n, b, params, file=sys.__stdout__, flush=True)  # the last line names a call that hangs
+    attempt(lambda: codes.param_ranges(family, n, b))
+    for spec in attempt(lambda: CodeSpec(family, n, b, params)), attempt(lambda: codes.best_params(family, n, b)):
+        if spec is not None:
+            attempt(lambda: codes.build(spec))
+            attempt(lambda: codes.decode(spec, y))
+
+
+boundary()
+"""
+
+
+def test_library_boundary_raises_only_its_own_errors(limited):
+    pytest.importorskip("hypothesis")
+    proc = limited(_LIBRARY_BOUNDARY)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
 def test_target_models():
     assert target_model(CodeSpec(Family.CHENG1, 8, 2)).kind is balls.ErrorKind.DEL_EXACT
     assert (
