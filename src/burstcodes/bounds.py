@@ -1,11 +1,11 @@
 """Cardinality bounds for exact-burst-deletion codes.
 
 The upper bound (2^(n-b+1) - 2^b) / (n - 2b + 1) is held as an exact rational
-and is reproduced computationally by summing the reciprocal ball sizes of
-every word of length n-b (a fractional transversal of the ball hypergraph);
-the two must agree exactly, not within tolerance. The matching redundancy
-lower bound and the reference redundancy formulas of the related
-constructions are floating point, used only in reports.
+(up to n - b + 1 = EXACT_MAX_BITS) and is reproduced computationally by
+summing the reciprocal ball sizes of every word of length n-b (a fractional
+transversal of the ball hypergraph); the two must agree exactly, not within
+tolerance. The matching redundancy lower bound and the reference redundancy
+formulas of the related constructions are floating point, used only in reports.
 """
 
 from __future__ import annotations
@@ -21,18 +21,24 @@ from . import _enum
 from .errors import DomainError, integer
 
 
+EXACT_MAX_BITS = 1 << 24  # the most bits of 2^(n-b+1) that the exact bound builds, 2 MiB
+
+
 def upper_bound(n: int, b: int) -> Fraction:
     """Largest possible size of a code correcting one deletion burst of
-    exactly b, as an exact rational: (2^(n-b+1) - 2^b) / (n - 2b + 1)."""
+    exactly b, as an exact rational: (2^(n-b+1) - 2^b) / (n - 2b + 1);
+    DomainError past n - b + 1 = EXACT_MAX_BITS, before 2^(n-b+1) is built."""
     n, b = integer(n, "n"), integer(b, "b")
     if b < 1 or n <= 2 * b - 1:
         raise DomainError(f"bound needs n > 2b - 1, got n={n}, b={b}")
+    if n - b + 1 > EXACT_MAX_BITS:
+        raise DomainError(f"the exact bound stops at n - b + 1 <= {EXACT_MAX_BITS} bits, got n={n}, b={b}")
     return Fraction((1 << (n - b + 1)) - (1 << b), n - 2 * b + 1)
 
 
 def lower_bound_redundancy(n: int, b: int) -> float:
     """Redundancy any such code must pay: n - log2(upper_bound(n, b)),
-    approximately log2(n) + b - 1 for large n."""
+    approximately log2(n) + b - 1 for large n, wherever upper_bound answers."""
     bound = upper_bound(n, b)
     return n - (math.log2(bound.numerator) - math.log2(bound.denominator))
 
@@ -83,8 +89,8 @@ def reference_redundancies(n: int, b: int) -> dict[str, float | None]:
       noncons4_bound            7 log2 n + 2 log2 log2 n + 4
       lower_bound               exact-burst redundancy lower bound
 
-    DomainError where a formula leaves the float range, or the exact lower
-    bound the range of an int shift.
+    DomainError where a formula leaves the float range, or n - b + 1 the
+    EXACT_MAX_BITS of the exact lower bound.
     """
     n, b = integer(n, "n"), integer(b, "b")
     if n < 1 or b < 1:

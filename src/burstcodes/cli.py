@@ -137,6 +137,10 @@ def _map_words(args, stdin_text, fn) -> tuple[int, str]:
 
 def run(argv: list[str], stdin_text: str | None = None) -> int:
     """Execute one command; returns the exit status. Testable entry point."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads a value like -1,0 as an option: bind it by =
+        if argv[i - 1][:2] == "--" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1] += "=" + argv.pop(i)
     args = _build_parser().parse_args(argv)
     status, text = _VERBS[args.verb][0](args, stdin_text)
     _emit(args, text)
@@ -218,7 +222,11 @@ def _tabulate(args, stdin_text):
     cells = [[h, *("-" if r[h] is None else str(r[h]) for r in rows)] for h in rows[0]]
     widths = [max(map(len, col)) for col in cells]
     lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in zip(*cells)]
-    return 0, _render(args, {"family": family.value, "b": b, "rows": rows}, lines)
+    record = {"family": family.value, "b": b, "rows": rows}
+    if note := codes._record(family).note:
+        record["note"] = note
+        lines.append(f"note: {note}")
+    return 0, _render(args, record, lines)
 
 
 @_verb("rll-encode", "run-length-limited systematic encoding", _IN, _OUT)

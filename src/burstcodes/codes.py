@@ -1,8 +1,9 @@
 """Composite code constructions over the array view.
 
 Every family is one record (``_FAMILIES``) that holds all of its facts: its
-constraint table at b, the error model it corrects, its domain and its column
-of ``bounds.reference_redundancies``. Nothing else switches on the family.
+constraint table at b, the error model it corrects, its domain, its column of
+``bounds.reference_redundancies`` and the note that tabulate prints beside
+it, if any. Nothing else switches on the family.
 
 A family's table is made of linear residue forms (``_family_table``), which
 ``_enum`` compiles and counts: membership evaluates the compiled table on one
@@ -22,7 +23,7 @@ from typing import IO, Callable, Iterable
 
 import numpy as np
 
-from . import _enum, balls, bounds
+from . import _enum, balls
 from ._enum import BUILD_MAX_N, CHUNK_BITS, _classes, _compiled, _Form, _members, _Table, _unravel, _vt_word
 from .balls import ErrorKind
 from .bitseq import Word, array_view, as_word, flatten, from_int, to_int
@@ -141,7 +142,8 @@ class _Record:
     """A family: its table at b, the kind of error it corrects, its column of
     bounds.reference_redundancies, and its domain: b equal to `b` when fixed,
     else at least `b`; n a multiple of divisor(b, n) (None where it cannot be
-    and is too long to print) and at least least_n(b)."""
+    and is too long to print) and at least least_n(b). A note, where set, is
+    what a report of the family prints beside its column."""
 
     table: Callable[[int], _Table]
     model: ErrorKind
@@ -150,7 +152,14 @@ class _Record:
     fixed: bool = True
     divisor: Callable[[int, int], int | None] = lambda b, n: 1
     least_n: Callable[[int], int] = lambda b: 1
+    note: str | None = None
 
+
+# the note of the families whose at-most-2 component is cl2's
+_VT_TWO_BURST = (
+    "the at-most-2 component is a VT intersection with an exact-2-burst code, which adds about "
+    "log2(n) redundancy over the two-adjacent-deletions code the formula column refers to"
+)
 
 _FAMILIES = {
     # every row of A_b a VT_0 code (the baseline)
@@ -163,15 +172,15 @@ _FAMILIES = {
         lambda b: _burst_rows(b, ""), ErrorKind.DEL_EXACT, "burst_exact_bound",
         b=2, fixed=False, divisor=lambda b, n: b, least_n=lambda b: 2 * b,
     ),
-    # a whole-word VT residue with burst-exact at b = 2 (see the report's note)
+    # a whole-word VT residue with burst-exact at b = 2 (see its note)
     Family.CL2: _Record(
         lambda b: _vt_word("a_vt") + _burst_rows(2, "2"), ErrorKind.DEL_AT_MOST_CONSECUTIVE,
-        "two_burst_reference", b=2, divisor=lambda b, n: 2, least_n=lambda b: 4,
+        "two_burst_reference", b=2, divisor=lambda b, n: 2, least_n=lambda b: 4, note=_VT_TWO_BURST,
     ),
     # cl2 with burst-exact-style codes for levels 3..b under a universal run cap
     Family.AT_MOST_CONSECUTIVE: _Record(
         _at_most_consecutive, ErrorKind.DEL_AT_MOST_CONSECUTIVE, "at_most_consecutive_bound",
-        b=3, fixed=False, divisor=_factorial,
+        b=3, fixed=False, divisor=_factorial, note=_VT_TWO_BURST,
     ),
     # weight mod 4 (c) and checksum mod 2n - 1 (a): one (2,1)-burst or deletion
     Family.C21: _Record(
@@ -211,6 +220,11 @@ def default_burst(family: Family) -> int | None:
     return rec.b if rec.fixed else None
 
 
+def target_model(spec: CodeSpec) -> balls.ErrorModel:
+    """The error model the spec's family corrects at its b."""
+    return balls.ErrorModel(_FAMILIES[spec.family].model, spec.b)
+
+
 def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
     """n and b as Python ints; DomainError unless family is a Family, n and b
     are integers, (n, b) lies in the family's domain, and the family's table
@@ -233,6 +247,12 @@ def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=64)
 def param_fields(family: Family, b: int) -> tuple[str, ...]:
+    """The family's parameter names at b; DomainError, before any table, for a b
+    that no domain admits: all have n >= 2b, so 32 n b >= 64 b^2 > 2^CHUNK_BITS."""
+    _record(family)  # DomainError for anything but a Family
+    b = integer(b, "burst size b")
+    if b * b << 6 > 1 << CHUNK_BITS:
+        raise DomainError(f"{family.value} tables stop at 32 n b <= 2^{CHUNK_BITS} residues at n >= 2b, got b={b}")
     return tuple(name for name, _ in _family_table(family, b).keys)
 
 
@@ -552,38 +572,3 @@ def _decode_cheng1(spec: CodeSpec, y: Word) -> DecodeResult:
         window=((lo - 1) * spec.b + 1, min(hi * spec.b, spec.n)),
         detail={"kind": "burst-deletion", "size": spec.b},
     )
-
-
-# ---------------------------------------------------------------------------
-# Target models and reporting.
-# ---------------------------------------------------------------------------
-
-
-def target_model(spec: CodeSpec) -> balls.ErrorModel:
-    return balls.ErrorModel(_FAMILIES[spec.family].model, spec.b)
-
-
-def redundancy_report(cb: Codebook) -> dict:
-    """JSON-ready measured-vs-formula redundancy summary for a built codebook."""
-    spec = cb.spec
-    if spec is None:
-        raise DomainError("redundancy report needs a family codebook")
-    rec = _FAMILIES[spec.family]
-    refs = bounds.reference_redundancies(spec.n, spec.b)
-    report = {
-        "family": spec.family.value,
-        "n": spec.n,
-        "b": spec.b,
-        "params": list(spec.params),
-        "cardinality": cb.cardinality,
-        "redundancy_measured": None if not cb.cardinality else round(cb.redundancy, 6),
-        "redundancy_formula": refs.get(rec.bound),
-        "lower_bound": refs.get("lower_bound"),
-    }
-    if rec.model is ErrorKind.DEL_AT_MOST_CONSECUTIVE:
-        report["note"] = (
-            "the at-most-2 component is a VT intersection with an exact-2-burst "
-            "code, which adds about log2(n) redundancy over the two-adjacent-"
-            "deletions code the formula column refers to"
-        )
-    return report

@@ -91,8 +91,11 @@ def test_reference_formulas_spot_values():
 
     refs = reference_redundancies(16, 2)
     assert refs["burst_exact_bound"] == pytest.approx(7.0)  # 4 + 2 + 2 - 1
+    assert refs["multi_deletion"] == pytest.approx(16.0)  # 2^2 log2(2) log2(16), from b = 2 on
 
     refs = reference_redundancies(12, 3)
+    # 2 * 4 + log2 3 - (2 + 3 log2 3 - 2 log2 5), at n/b = 4
+    assert refs["cheng_two_vt_rows"] == pytest.approx(6 + 2 * math.log2(5 / 3))
     assert refs["noncons3_bound"] == pytest.approx(
         4 * math.log2(12) + 2 * math.log2(math.log2(12)) + 6
     )
@@ -167,6 +170,29 @@ def test_non_integer_arguments_raise_domain_error():
     assert param_ranges(Family.BURST_EXACT, np.int64(12), 3) == param_ranges(Family.BURST_EXACT, 12, 3)
     assert words_with_runs(np.int64(5), 2) == 8 and ceil_log2(np.int64(5)) == 3
     assert ball_size_distribution(np.int64(6), 2) == ball_size_distribution(6, 2)
+
+
+def test_exact_bounds_stop_at_a_stated_size(limited):
+    # 2^(n-b+1) is built up to EXACT_MAX_BITS bits: one bit past it the exact
+    # bound, the lower bound and the reference columns refuse at once, where
+    # n = 10^10 took over 1 GB and n = 2^62 ended in MemoryError
+    proc = limited(
+        "import math, time\n"
+        "from burstcodes import bounds\n"
+        "from burstcodes.errors import DomainError\n"
+        "top = bounds.EXACT_MAX_BITS + 1\n"
+        "for n in (2**62, 10**10, top + 1):\n"
+        "    for call in (bounds.upper_bound, bounds.lower_bound_redundancy, bounds.reference_redundancies):\n"
+        "        start = time.perf_counter()\n"
+        "        try:\n"
+        "            call(n, 2)\n"
+        "            raise AssertionError('accepted')\n"
+        "        except DomainError as exc:\n"
+        "            assert str(exc) == f'the exact bound stops at n - b + 1 <= 16777216 bits, got n={n}, b=2'\n"
+        "        assert time.perf_counter() - start < 0.1\n"
+        "assert abs(bounds.lower_bound_redundancy(top, 2) - 1 - math.log2(top - 3)) < 1e-6\n"
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 def test_lengths_past_the_float_range_raise_domain_error():

@@ -176,8 +176,8 @@ _REFUSALS = {
     "svt-parity": (lambda: vt.SvtParams(5, 3, 0, 2), DomainError, "parity d must be 0 or 1"),
     "codebook-length": (lambda: codes.Codebook(0, np.zeros((1, 1), dtype=np.uint8)), DomainError,
                         "length must be >= 1"),
-    "report-adhoc": (lambda: codes.redundancy_report(codes.codebook_from_words([(0, 1, 0)], 3)),
-                     DomainError, "needs a family codebook"),
+    "fields-huge-b": (lambda: codes.param_fields(Family.CHENG1, 10**8), DomainError,
+                      r"^cheng1 tables stop at 32 n b <= 2\^20 residues at n >= 2b, got b=100000000$"),
     "references-b-0": (lambda: bounds.reference_redundancies(10, 0), DomainError, "got n=10, b=0$"),
     "references-b-negative": (lambda: bounds.reference_redundancies(10, -1), DomainError, "got n=10, b=-1$"),
     "references-n-0": (lambda: bounds.reference_redundancies(0, 1), DomainError, "got n=0, b=1$"),
@@ -201,6 +201,11 @@ _REFUSALS = {
     "cli-verify-past-cap-small-b": (["verify", "--family", "cheng1", "--b", "2", "--n", "28"], 2,
                                     "build capped at n <= 26"),
     "cli-params": (["decode", "--family", "cl2", "--n", "8"], 2, "--params is required"),
+    # a value with a leading minus is the flag's, with or without "="
+    "cli-params-minus": (["build", "--family", "c21", "--n", "8", "--params", "-1,0"], 2,
+                         "error: parameter a=-1 outside [0, 14]"),
+    "cli-params-minus-bound": (["build", "--family", "c21", "--n", "8", "--params=-1,0"], 2,
+                               "error: parameter a=-1 outside [0, 14]"),
     # 2^10 x 115,910 ball keys, refused before any event table is built
     "cli-equiv-keys": (["equiv", "--n", "10", "--b", "9", "--model", "at-most-nonconsecutive"], 2,
                        "more than 4^12 ball keys"),
@@ -359,6 +364,37 @@ _PINNED = [
      "c0b290945459a5cb47ddd6348ffe34be58b1549eafb4b8bb9eb64842e248ccb0"),
     (["bound", "--n", "19", "--b", "2", "--format", "json"], None, 0,
      "9b1b64b256d300372a26dc089cdcc42544d7f2f114b868b3276a78472e6bc61c"),
+    # tabulate: the five families without a note print what they printed before
+    # notes were added; cl2 and at-most-consecutive end with theirs
+    (["tabulate", "--family", "cheng1", "--b", "3", "--n", "9,12,24,60"], None, 0,
+     "f27aad8e3cd0d330781e60c356f513dc18c5a1872f8beeafe41cc6c848a5abbb"),
+    (["tabulate", "--family", "cheng1", "--b", "3", "--n", "9,12,24,60", "--format", "json"], None, 0,
+     "e40f1730134cc1ccfc472b8572972bf37286221b3ba1c3f42236861bd2de8daa"),
+    (["tabulate", "--family", "burst-exact", "--b", "2", "--n", "8,16,32,62"], None, 0,
+     "582affd1ba017d0b88d663a2aa3a98c9063f1cc53ac3ed9b33afc9d5eb31e7cd"),
+    (["tabulate", "--family", "burst-exact", "--b", "2", "--n", "8,16,32,62", "--format", "json"], None, 0,
+     "67d26c7dac08bd326dc61f83f5fa1042b9106c59caf8e27632442780bb4f3669"),
+    (["tabulate", "--family", "c21", "--n", "4,10,16,24"], None, 0,
+     "a7fe92b7da7fb4effd85e99db4146d4d5b28b0af1f2f8de62a834bac1e08f158"),
+    (["tabulate", "--family", "c21", "--n", "4,10,16,24", "--format", "json"], None, 0,
+     "ed1970ca4b36c2a48bbf29e3c7b5c3e8d63d68333c61f47f09dacab937133c6f"),
+    (["tabulate", "--family", "noncons3", "--n", "12,18"], None, 0,
+     "d28ad4795e0385ba800d2ab59ee65b97e869c4a1663928172753ba8129950581"),
+    (["tabulate", "--family", "noncons3", "--n", "12,18", "--format", "json"], None, 0,
+     "0c6025460c597f4281111d00e9cb9821864de066cdaf03804a3bef8caa6c9a19"),
+    (["tabulate", "--family", "noncons4", "--n", "24"], None, 0,
+     "7c6b8045739772a9f1167f14c30caea2ca06fb63dee9006bb78e8d832180a1a0"),
+    (["tabulate", "--family", "noncons4", "--n", "24", "--format", "json"], None, 0,
+     "6341a5c95e5ba1bae7f1f8710d4d01ffd68df039de1ea6d84281ebabc24fa8a0"),
+    (["tabulate", "--family", "cl2", "--n", "8,16,32"], None, 0,
+     "407a448998f96e846afcb4ab3975e8551e0acf552d1cc16bf1a35100b1e528c0"),
+    (["tabulate", "--family", "cl2", "--n", "8,16,32", "--format", "json"], None, 0,
+     "2fa90452577c129b3a0e39f08f4f851f2673de317352aa88faf18cd4a03da16d"),
+    (["tabulate", "--family", "at-most-consecutive", "--b", "3", "--n", "6,12,18"], None, 0,
+     "9a30fe25c9844170101aac733d9b2de67708b19d31dacddc8a0f7bbb28b18afb"),
+    (["tabulate", "--family", "at-most-consecutive", "--b", "3",
+      "--n", "6,12,18", "--format", "json"], None, 0,
+     "987ca52b3d13573e91c0b0ca36c6702223ed78f7c47a2faa7827966b50cd660d"),
 ]
 
 
@@ -523,8 +559,10 @@ from burstcodes.verify import _FLAVORS
 ints = st.one_of(st.integers(0, 64), st.integers(0, 10**30))
 sizes = ints.map(str)
 families = st.sampled_from([f.value for f in Family])
-params = st.one_of(st.sampled_from(["best", "-"]), st.lists(st.integers(-1, 40), max_size=8).map(
-    lambda ps: ",".join(map(str, ps)))).map("--params={}".format)  # = takes a leading minus
+values = st.one_of(st.sampled_from(["best", "-"]), st.lists(st.integers(-1, 40), max_size=8).map(
+    lambda ps: ",".join(map(str, ps))))
+# both spellings, --params=V and --params V, take a value with a leading minus
+params = st.one_of(values.map(lambda v: ("--params=" + v,)), values.map(lambda v: ("--params", v)))
 
 
 def in_domain(family, n, b):
@@ -536,7 +574,7 @@ def in_domain(family, n, b):
 
 def spec(verb, family_n_b, params):
     family, n, b = family_n_b
-    return verb, "--family", family, "--n", str(n), "--b", str(b), params
+    return verb, "--family", family, "--n", str(n), "--b", str(b), *params
 
 
 # a spec in its family's domain at n <= 16, or drawn flags with n outside 17..26

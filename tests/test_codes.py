@@ -13,6 +13,7 @@ import pytest
 from burstcodes import _enum, balls, codes, verify
 from burstcodes.bitseq import array_view, enumerate_words, format_word, from_int, parse_word, to_int
 from burstcodes.bounds import reference_redundancies
+from burstcodes.cli import main
 from burstcodes.codes import (
     BUILD_MAX_N,
     CodeSpec,
@@ -27,7 +28,6 @@ from burstcodes.codes import (
     param_ranges,
     parse_family,
     read_codebook,
-    redundancy_report,
     target_model,
     write_codebook,
 )
@@ -1372,20 +1372,22 @@ def test_cheng1_pipeline_at_24_makes_no_word_tuples():
     assert "words" not in vars(cb)
 
 
-def test_redundancy_report_fields():
-    spec = best_params(Family.BURST_EXACT, 12, 2)
-    cb = build(spec)
-    rep = redundancy_report(cb)
-    assert rep["family"] == "burst-exact"
-    assert rep["cardinality"] == cb.cardinality
-    assert rep["redundancy_measured"] == round(cb.redundancy, 6)
-    assert rep["lower_bound"] is not None
-    assert rep["redundancy_formula"] is not None
-    assert "note" not in rep
-
-    spec = best_params(Family.AT_MOST_CONSECUTIVE, 12, 3)
-    rep = redundancy_report(build(spec))
-    assert "note" in rep  # substituted two-burst component is flagged
+def test_redundancy_report_fields(capsys):
+    # the families whose at-most-2 component is VT with an exact-2-burst code
+    # carry their record's note: tabulate ends its JSON and its text with it
+    assert [f for f in Family if codes._record(f).note] == [Family.CL2, Family.AT_MOST_CONSECUTIVE]
+    for family, b, noted in (("cl2", 2, True), ("at-most-consecutive", 3, True), ("burst-exact", 2, False)):
+        argv = ["tabulate", "--family", family, "--b", str(b), "--n", "12"]
+        assert main(argv + ["--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert [*record] == ["family", "b", "rows", *(["note"] if noted else [])]
+        if noted:
+            assert record["note"] == codes._record(parse_family(family)).note
+            assert "two-adjacent-deletions" in record["note"] and last == f"note: {record['note']}"
+        else:
+            assert not last.startswith("note")
 
 
 def test_build_cap():
@@ -1430,11 +1432,12 @@ def test_huge_specs_are_refused_before_their_table(limited):
 
 
 # Drawn library calls, all in one child process under the address-space
-# limit: CodeSpec, param_ranges, best_params, build and decode raise nothing
-# but BurstCodesError. Lengths and burst sizes mix 0..64 with values up to
-# 10^30, and b is often a fixed burst size (2..4) and n often a multiple of b
-# or 6 b, so that many draws are in a family's domain; build and decode take
-# the drawn spec and best_params' spec, and decode a word of length n - 4 .. n.
+# limit: CodeSpec, param_ranges, param_fields, best_params, build and decode
+# raise nothing but BurstCodesError. Lengths and burst sizes mix 0..64 with
+# values up to 10^30, and b is often a fixed burst size (2..4) and n often a
+# multiple of b or 6 b, so that many draws are in a family's domain; build and
+# decode take the drawn spec and best_params' spec, and decode a word of
+# length n - 4 .. n.
 _LIBRARY_BOUNDARY = r"""
 import sys
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -1462,6 +1465,7 @@ def boundary(data):
     y = data.draw(st.lists(st.integers(0, 1), min_size=64, max_size=64))[: max(0, n - data.draw(st.integers(0, 4)))]
     print(family.value, n, b, params, file=sys.__stdout__, flush=True)  # the last line names a call that hangs
     attempt(lambda: codes.param_ranges(family, n, b))
+    attempt(lambda: codes.param_fields(family, b))
     for spec in attempt(lambda: CodeSpec(family, n, b, params)), attempt(lambda: codes.best_params(family, n, b)):
         if spec is not None:
             attempt(lambda: codes.build(spec))

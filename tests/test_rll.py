@@ -250,6 +250,8 @@ def test_rll_count_matches_enumeration():
         for f in {1, 2, max(1, n // 2), n}:
             if f <= n:
                 assert rll_count(RllSpec(n, f)) == rll_count_enumerated(RllSpec(n, f))
+    # the cap's accepted side, n = 24, at the f that needs no sweep
+    assert rll_count_enumerated(RllSpec(24, 24)) == rll_count(RllSpec(24, 24)) == 1 << 24
 
 
 def test_low_redundancy_of_log2n_cap():

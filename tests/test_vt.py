@@ -29,6 +29,8 @@ def test_membership_examples():
         vt_member(parse_word("100"), VtParams(4, 0))
     with pytest.raises(DomainError):
         VtParams(4, 5)
+    # n = 1 is the length bound's accepted side
+    assert VtParams(1, 0).n == 1 and vt_member((1,), VtParams(1, 1))
 
 
 def test_vt0_4_codebook():
