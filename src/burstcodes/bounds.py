@@ -11,7 +11,6 @@ formulas of the related constructions are floating point, used only in reports.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -159,11 +158,9 @@ def bound_report(n: int, b: int) -> BoundReport:
     """Assemble the full bound report; the transversal sum, a popcount over all
     2^(n-b) packed words, is included wherever transversal_weight takes it,
     n - b <= TRANSVERSAL_MAX_BITS. DomainError where the upper bound is
-    beyond the float range of the report, from n = 1035 at b = 1, and before
-    it is built where it exceeds 2^(n-b) / 2^(bits of n - 2b + 1) >= 2^1024."""
+    beyond the float range of the report, from n = 1035 at b = 1, or past
+    upper_bound's EXACT_MAX_BITS."""
     n, b = integer(n, "n"), integer(b, "b")
-    if 1 <= b <= n // 2 and n - b + 1 - (n - 2 * b + 1).bit_length() > sys.float_info.max_exp:
-        raise DomainError(f"upper bound overflows a float at n={n}, b={b}")
     bound = upper_bound(n, b)
     try:
         float(bound)

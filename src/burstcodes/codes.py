@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Callable, Iterable
@@ -126,31 +125,19 @@ def _at_most_consecutive(b: int) -> _Table:
     return table
 
 
-def _factorial(b: int, n: int) -> int | None:
-    """b!, the divisor of n != 0, one factor at a time: None once the product
-    passes |n|, which b! then cannot divide, and the ints that str prints."""
-    d, top = 1, None
-    for k in range(2, b + 1):
-        d *= k
-        if d > abs(n) and d >= (top := top or 10 ** sys.get_int_max_str_digits()):
-            return None
-    return d
-
-
 @dataclass(frozen=True)
 class _Record:
     """A family: its table at b, the kind of error it corrects, its column of
     bounds.reference_redundancies, and its domain: b equal to `b` when fixed,
-    else at least `b`; n a multiple of divisor(b, n) (None where it cannot be
-    and is too long to print) and at least least_n(b). A note, where set, is
-    what a report of the family prints beside its column."""
+    else at least `b`; n a multiple of divisor(b) and at least least_n(b). A
+    note, where set, is what a report of the family prints beside its column."""
 
     table: Callable[[int], _Table]
     model: ErrorKind
     bound: str
     b: int
     fixed: bool = True
-    divisor: Callable[[int, int], int | None] = lambda b, n: 1
+    divisor: Callable[[int], int] = lambda b: 1
     least_n: Callable[[int], int] = lambda b: 1
     note: str | None = None
 
@@ -165,22 +152,22 @@ _FAMILIES = {
     # every row of A_b a VT_0 code (the baseline)
     Family.CHENG1: _Record(
         _cheng1, ErrorKind.DEL_EXACT, "cheng_baseline",
-        b=1, fixed=False, divisor=lambda b, n: b, least_n=lambda b: 2 * b,
+        b=1, fixed=False, divisor=lambda b: b, least_n=lambda b: 2 * b,
     ),
     # row 1 of A_b a run-length-limited VT code, rows 2..b one shifted-VT code
     Family.BURST_EXACT: _Record(
         lambda b: _burst_rows(b, ""), ErrorKind.DEL_EXACT, "burst_exact_bound",
-        b=2, fixed=False, divisor=lambda b, n: b, least_n=lambda b: 2 * b,
+        b=2, fixed=False, divisor=lambda b: b, least_n=lambda b: 2 * b,
     ),
     # a whole-word VT residue with burst-exact at b = 2 (see its note)
     Family.CL2: _Record(
         lambda b: _vt_word("a_vt") + _burst_rows(2, "2"), ErrorKind.DEL_AT_MOST_CONSECUTIVE,
-        "two_burst_reference", b=2, divisor=lambda b, n: 2, least_n=lambda b: 4, note=_VT_TWO_BURST,
+        "two_burst_reference", b=2, divisor=lambda b: 2, least_n=lambda b: 4, note=_VT_TWO_BURST,
     ),
     # cl2 with burst-exact-style codes for levels 3..b under a universal run cap
     Family.AT_MOST_CONSECUTIVE: _Record(
         _at_most_consecutive, ErrorKind.DEL_AT_MOST_CONSECUTIVE, "at_most_consecutive_bound",
-        b=3, fixed=False, divisor=_factorial, note=_VT_TWO_BURST,
+        b=3, fixed=False, divisor=math.factorial, note=_VT_TWO_BURST,
     ),
     # weight mod 4 (c) and checksum mod 2n - 1 (a): one (2,1)-burst or deletion
     Family.C21: _Record(
@@ -191,12 +178,12 @@ _FAMILIES = {
     Family.NONCONS3: _Record(
         lambda b: _vt_word("a1") + _burst_rows(3, "3") + _row_keys(2, "h"),
         ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, "noncons3_bound",
-        b=3, divisor=_factorial, least_n=lambda b: 8,
+        b=3, divisor=math.factorial, least_n=lambda b: 8,
     ),
     Family.NONCONS4: _Record(
         lambda b: _vt_word("a1") + _burst_rows(4, "4") + _row_keys(2, "h") + _row_keys(3, "t"),
         ErrorKind.DEL_AT_MOST_NONCONSECUTIVE, "noncons4_bound",
-        b=4, divisor=_factorial, least_n=lambda b: 12,
+        b=4, divisor=math.factorial, least_n=lambda b: 12,
     ),
 }
 
@@ -225,19 +212,31 @@ def target_model(spec: CodeSpec) -> balls.ErrorModel:
     return balls.ErrorModel(_FAMILIES[spec.family].model, spec.b)
 
 
+def _validate_burst(family: Family, b: int) -> int:
+    """b as a Python int; DomainError unless family is a Family and b is an
+    integer in the family's domain whose table has at most 2^CHUNK_BITS
+    residues at the least n of any domain, n = 2b: 64 b^2, so b <= 128.
+    The one check of a burst size."""
+    rec, name = _record(family), family.value
+    b = integer(b, "burst size b")
+    if b != rec.b and (rec.fixed or b < rec.b):
+        raise DomainError(f"{name} needs b {'=' if rec.fixed else '>='} {rec.b}, got b={b}")
+    if b * b << 6 > 1 << CHUNK_BITS:
+        raise DomainError(f"{name} tables stop at 32 n b <= 2^{CHUNK_BITS} residues at n >= 2b, got b={b}")
+    return b
+
+
 def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
-    """n and b as Python ints; DomainError unless family is a Family, n and b
-    are integers, (n, b) lies in the family's domain, and the family's table
+    """n and b as Python ints; DomainError unless b passes _validate_burst, n
+    is an integer, (n, b) lies in the family's domain, and the family's table
     at n compiles to at most 2^CHUNK_BITS residues: about b forms of 2^8
     residues for every 8 of the n positions, 32 n b in all. Every entry that
     takes a spec calls it before the table is built. CHUNK_BITS is bound at
     import, so shrinking _enum.CHUNK_BITS to force small chunks leaves it."""
-    rec, name = _record(family), family.value
-    n, b = integer(n, "code length n"), integer(b, "burst size b")
-    if b != rec.b and (rec.fixed or b < rec.b):
-        raise DomainError(f"{name} needs b {'=' if rec.fixed else '>='} {rec.b}, got b={b}")
-    if n and ((d := rec.divisor(b, n)) is None or n % d):  # 0 is a multiple of every divisor
-        raise DomainError(f"{name} needs n a multiple of {'b!' if d is None else d} at b={b}, got n={n}")
+    b = _validate_burst(family, b)
+    rec, name, n = _FAMILIES[family], family.value, integer(n, "code length n")
+    if n % (d := rec.divisor(b)):
+        raise DomainError(f"{name} needs n a multiple of {d} at b={b}, got n={n}")
     if n < rec.least_n(b):
         raise DomainError(f"{name} needs n >= {rec.least_n(b)} at b={b}, got n={n}")
     if n * b << 5 > 1 << CHUNK_BITS:
@@ -245,15 +244,10 @@ def _validate_structure(family: Family, n: int, b: int) -> tuple[int, int]:
     return n, b
 
 
-@functools.lru_cache(maxsize=64)
 def param_fields(family: Family, b: int) -> tuple[str, ...]:
-    """The family's parameter names at b; DomainError, before any table, for a b
-    that no domain admits: all have n >= 2b, so 32 n b >= 64 b^2 > 2^CHUNK_BITS."""
-    _record(family)  # DomainError for anything but a Family
-    b = integer(b, "burst size b")
-    if b * b << 6 > 1 << CHUNK_BITS:
-        raise DomainError(f"{family.value} tables stop at 32 n b <= 2^{CHUNK_BITS} residues at n >= 2b, got b={b}")
-    return tuple(name for name, _ in _family_table(family, b).keys)
+    """The family's parameter names at b; DomainError, before any table, for a
+    b that _validate_burst refuses."""
+    return tuple(name for name, _ in _family_table(family, _validate_burst(family, b)).keys)
 
 
 def param_ranges(family: Family, n: int, b: int) -> tuple[int, ...]:
@@ -397,7 +391,6 @@ def _best(family: Family, n: int, b: int) -> tuple[tuple[int, ...], int]:
 
 def best_params(family: Family, n: int, b: int) -> CodeSpec:
     """The spec of _best's parameters; a family of none has nothing to search, at any n."""
-    n, b = _validate_structure(family, n, b)
     return CodeSpec(family, n, b, _best(family, n, b)[0] if param_fields(family, b) else ())
 
 

@@ -184,9 +184,9 @@ _REFUSALS = {
     "references-n-negative": (lambda: bounds.reference_redundancies(-4, 2), DomainError, "got n=-4, b=2$"),
     "cli-b": (["tabulate", "--family", "burst-exact", "--n", "12"], 2, "--b is required"),
     # every verb refuses a spec whose table of about b forms is too large
-    # before it is built (_validate_structure)
+    # before it is built, from b alone (_validate_burst)
     "cli-past-reach": (["tabulate", "--family", "cheng1", "--b", "100000000", "--n", "200000000"], 2,
-                       "cheng1 tables stop at 32 n b <= 2^20 residues, got n=200000000, b=100000000"),
+                       "cheng1 tables stop at 32 n b <= 2^20 residues at n >= 2b, got b=100000000"),
     "cli-build-past-cap": (["build", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
                             "--params", "best"], 2, "cheng1 tables stop at 32 n b <= 2^20 residues"),
     "cli-verify-past-cap": (["verify", "--family", "cheng1", "--b", "100000000", "--n", "200000000",
