@@ -189,7 +189,8 @@ def event_count(n: int, model: ErrorModel, m: int | None = None) -> int:
     length m. The sizes count one at a time, each shift capped where it alone
     passes EVENTS_MAX, and the count stops at the first size that passes
     EVENTS_MAX, so any count past it only says that the table is too large."""
-    b, window = model.b, model.windowed
+    n, b, window = integer(n, "word length n"), model.b, model.windowed
+    m = None if m is None else integer(m, "received length m")
     if n < model.shortest:
         raise DomainError(f"word length {n} too short for {model}")
 
@@ -442,7 +443,7 @@ def ball_size_formula(x: Word, b: int) -> int:
     bits p..p+b-1 and p+1..p+b gives the same word exactly when x_p =
     x_{p+b}. When b | n this is 1 + the runs of each row of the b-row array,
     less one each."""
-    n = len(x)
+    n, b = len(x), integer(b, "burst size b")
     if n <= b:
         raise DomainError(f"word length {n} too short for a {b}-burst deletion")
     return 1 + sum(x[p] != x[p + b] for p in range(n - b))

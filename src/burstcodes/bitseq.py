@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from . import _enum
-from .errors import DomainError
+from .errors import DomainError, integer
 
 Word = tuple[int, ...]
 
@@ -47,14 +47,6 @@ def as_word(x: Iterable[int]) -> Word:
     return tuple(_octets(x))
 
 
-def word(bits: Iterable[int]) -> Word:
-    """Validate and freeze a bit sequence into a Word."""
-    w = as_word(bits)
-    if len(w) < 1:
-        raise DomainError("a word must have length >= 1")
-    return w
-
-
 def parse_word(text: str) -> Word:
     """Parse the ASCII '0'/'1' text form (leftmost character = position 1)."""
     if not text or text.strip("01"):
@@ -82,6 +74,7 @@ def from_int(v: int, n: int) -> Word:
 
 def enumerate_words(n: int) -> Iterator[Word]:
     """Yield all words of length n in lexicographic order (n <= 30 enforced)."""
+    n = integer(n, "word length n")
     if not 1 <= n <= MAX_ENUM_BITS:
         raise DomainError(f"enumeration requires 1 <= n <= {MAX_ENUM_BITS}, got {n}")
     # Iterating the integer with position 1 at the MSB gives lexicographic order.
@@ -116,7 +109,7 @@ def run_count(x: Word) -> int:
 def array_view(x: Word, b: int) -> tuple[Word, ...]:
     """The column-major b x (n/b) array of x as its rows, requiring b | n:
     entry (r, j) = x_{(j-1)b + r} is rows[r-1][j-1]."""
-    n = len(x)
+    n, b = len(x), integer(b, "row count b")
     if b < 1 or n % b != 0:
         raise DomainError(f"row count {b} does not divide word length {n}")
     return tuple(x[r::b] for r in range(b))

@@ -187,6 +187,7 @@ def rll_decode(y: Word) -> Word:
 def urll_cap(n: int, b: int) -> int:
     """Default run cap for the universal constraint: ceil(log2(n log2 b)) + 1;
     DomainError where n log2 b is past the float range."""
+    n, b = integer(n, "n"), integer(b, "b")
     if b < 3:
         raise DomainError("universal constraint applies for b >= 3")
     if n < 1:

@@ -16,7 +16,7 @@ import numpy as np
 from . import _enum, balls
 from .bitseq import Word, format_word, from_int, to_int
 from .codes import Codebook, codebook_from_ints
-from .errors import CodeIntegrityError, DecodeFailure, DomainError
+from .errors import CodeIntegrityError, DecodeFailure, DomainError, integer
 from .vt import DecodeResult
 
 _RNG_NAME = "python-random-mt19937"
@@ -135,8 +135,9 @@ def equivalence_check(n: int, b: int, flavor: str) -> bool:
     Each model's 2^n x events ball keys are held at once, so both are capped
     at 4^EQUIV_MAX_BITS, the cells of the largest conflict matrix, and
     refused from balls.event_count before any event table is built."""
-    if flavor not in _FLAVORS:
+    if not isinstance(flavor, str) or flavor not in _FLAVORS:
         raise DomainError(f"flavor must be one of {sorted(_FLAVORS)}, got {flavor!r}")
+    n = integer(n, "code length n")
     if not 1 <= n <= EQUIV_MAX_BITS:
         raise DomainError(f"pairwise sweep needs 1 <= n <= {EQUIV_MAX_BITS}, got n={n}")
     del_model, ins_model = (mk(b) for mk in _FLAVORS[flavor])
@@ -178,6 +179,7 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     of each slice of balls.blocks are made at once; in sub-blocks of
     GREEDY_ROWS words, one gather drops the words whose ball meets the
     bitmap, and only the rest are tried, in lexicographic order."""
+    n = integer(n, "code length n")
     if not (least := max(1, model.shortest)) <= n <= GREEDY_MAX_BITS:
         raise DomainError(f"greedy construction of {model} needs {least} <= n <= {GREEDY_MAX_BITS}")
     longest = model.longest(n)

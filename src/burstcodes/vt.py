@@ -220,7 +220,8 @@ def _svt_table(P: int):
 def vt_class_sizes(n: int, run_cap: int | None = None) -> list[int]:
     """Cardinality of each residue class a = 0..n, optionally restricted to
     words whose longest run is at most run_cap."""
-    sizes = _class_sizes(_vt_table(run_cap), n)
+    n = integer(n, "code length n")
+    sizes = _class_sizes(_vt_table(None if run_cap is None else integer(run_cap, "run cap")), n)
     return [sizes.get((a,), 0) for a in range(n + 1)]
 
 
@@ -235,6 +236,7 @@ def vt_best_rll_param(n: int, f: int) -> tuple[int, int]:
 def svt_class_sizes(n: int, P: int) -> dict[tuple[int, int], int]:
     """Cardinality of every non-empty (c, d) class; the 2P classes partition
     {0,1}^n."""
+    n, P = integer(n, "code length n"), integer(P, "position span P")
     if P < 2:
         raise DomainError("position span P must be >= 2")
     return _class_sizes(_svt_table(P), n)

@@ -6,6 +6,7 @@ import pytest
 from burstcodes import _enum
 from burstcodes.bitseq import (
     array_view,
+    as_word,
     enumerate_words,
     flatten,
     format_word,
@@ -14,7 +15,6 @@ from burstcodes.bitseq import (
     run_count,
     runs,
     to_int,
-    word,
 )
 from burstcodes.balls import ball, del_exact
 from burstcodes.codes import CodeSpec, Family, build, codebook_from_words, member
@@ -24,11 +24,9 @@ from burstcodes.vt import SvtParams, VtParams, svt_decode, vt_decode
 
 
 def test_word_validation():
-    assert word([0, 1, 1]) == (0, 1, 1)
+    assert as_word([0, 1, 1]) == (0, 1, 1)
     with pytest.raises(DomainError):
-        word([])
-    with pytest.raises(DomainError):
-        word([0, 2])
+        as_word([0, 2])
     with pytest.raises(DomainError):
         parse_word("01x")
     assert parse_word("0110") == (0, 1, 1, 0)
@@ -41,15 +39,15 @@ def test_malformed_entries_raise_domain_error():
         with pytest.raises(DomainError):
             format_word(bad)
         with pytest.raises(DomainError):
-            word(bad)
+            as_word(bad)
     for text in ("", "01 ", "0\n1", "012", "\uff10\uff11"):
         with pytest.raises(DomainError):
             parse_word(text)
     # bools and numpy ints pass, as Python ints
     mixed = (True, False, np.int64(1), np.uint8(0))
     assert format_word(mixed) == "1010"
-    assert word(mixed) == (1, 0, 1, 0) and all(type(b) is int for b in word(mixed))
-    assert word(np.array([0, 1, 1])) == (0, 1, 1)
+    assert as_word(mixed) == (1, 0, 1, 0) and all(type(b) is int for b in as_word(mixed))
+    assert as_word(np.array([0, 1, 1])) == (0, 1, 1)
     for x in enumerate_words(8):
         assert parse_word(format_word(x)) == x
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import burstcodes
-from burstcodes import _enum, balls, bitseq, bounds, codes, rll, vt
+from burstcodes import _enum, balls, bitseq, bounds, codes, rll, verify, vt
 from burstcodes.cli import main, run
 from burstcodes.codes import CodeSpec, Family
 from burstcodes.errors import DecodeFailure, DomainError
@@ -178,6 +178,58 @@ _REFUSALS = {
                         "length must be >= 1"),
     "fields-huge-b": (lambda: codes.param_fields(Family.CHENG1, 10**8), DomainError,
                       r"^cheng1 tables stop at 32 n b <= 2\^20 residues at n >= 2b, got b=100000000$"),
+    # the burst rule (_validate_burst), the one check of b for every spec entry
+    "fields-b-low": (lambda: codes.param_fields(Family.BURST_EXACT, 0), DomainError,
+                     r"^burst-exact needs b >= 2, got b=0$"),
+    "fields-b-negative": (lambda: codes.param_fields(Family.BURST_EXACT, -5), DomainError,
+                          r"^burst-exact needs b >= 2, got b=-5$"),
+    "fields-b-fixed": (lambda: codes.param_fields(Family.CL2, 7), DomainError, r"^cl2 needs b = 2, got b=7$"),
+    "fields-family": (lambda: codes.param_fields([], 2), DomainError, r"^family must be a Family, got \[\]$"),
+    "fields-b-list": (lambda: codes.param_fields(Family.CHENG1, [2]), DomainError,
+                      r"^burst size b must be an integer, got \[2\]$"),
+    "spec-b-factorial": (lambda: CodeSpec(Family.AT_MOST_CONSECUTIVE, 6, 200, ()), DomainError,
+                         r"^at-most-consecutive tables stop at 32 n b <= 2\^20 residues at n >= 2b, got b=200$"),
+    # each rule of _validate_structure in its order: every case but the last
+    # two also breaks the rules after its own
+    "structure-b-domain": (lambda: codes.param_ranges(Family.CL2, 3, 129), DomainError,
+                           r"^cl2 needs b = 2, got b=129$"),
+    "structure-b-size": (lambda: codes.param_ranges(Family.CHENG1, 1, 129), DomainError,
+                         r"^cheng1 tables stop at 32 n b <= 2\^20 residues at n >= 2b, got b=129$"),
+    "structure-divisor": (lambda: codes.param_ranges(Family.BURST_EXACT, 1, 3), DomainError,
+                          r"^burst-exact needs n a multiple of 3 at b=3, got n=1$"),
+    "structure-least-n": (lambda: codes.param_ranges(Family.NONCONS4, 0, 4), DomainError,
+                          r"^noncons4 needs n >= 12 at b=4, got n=0$"),
+    "structure-table": (lambda: codes.param_ranges(Family.CHENG1, 384, 128), DomainError,
+                        r"^cheng1 tables stop at 32 n b <= 2\^20 residues, got n=384, b=128$"),
+    # the integer rule at the entries that take a length, burst size, run cap or span
+    "vt-sizes-cap-float": (lambda: vt.vt_class_sizes(10, 2.5), DomainError, "^run cap must be an integer"),
+    "vt-sizes-cap-list": (lambda: vt.vt_class_sizes(10, [3]), DomainError, "^run cap must be an integer"),
+    "vt-sizes-n-float": (lambda: vt.vt_class_sizes(10.0), DomainError, "^code length n must be an integer"),
+    "vt-best-rll-cap": (lambda: vt.vt_best_rll_param(10, 2.5), DomainError, "^run cap must be an integer"),
+    "svt-sizes-span-float": (lambda: vt.svt_class_sizes(10, 2.5), DomainError,
+                             "^position span P must be an integer"),
+    "svt-sizes-span-list": (lambda: vt.svt_class_sizes(10, [3]), DomainError,
+                            "^position span P must be an integer"),
+    "svt-sizes-n-float": (lambda: vt.svt_class_sizes(10.0, 3), DomainError, "^code length n must be an integer"),
+    "svt-best-span-str": (lambda: vt.svt_best_params(10, "3"), DomainError,
+                          "^position span P must be an integer"),
+    "greedy-n-float": (lambda: verify.greedy_code(8.0, balls.del_exact(1)), DomainError,
+                       "^code length n must be an integer"),
+    "equiv-n-float": (lambda: verify.equivalence_check(6.0, 2, "exact"), DomainError,
+                      "^code length n must be an integer"),
+    "equiv-flavor-list": (lambda: verify.equivalence_check(6, 2, ["exact"]), DomainError,
+                          r"^flavor must be one of .*, got \['exact'\]$"),
+    "events-n-float": (lambda: balls.event_count(5.0, balls.del_exact(1)), DomainError,
+                       "^word length n must be an integer"),
+    "urll-cap-n-str": (lambda: rll.urll_cap("10", 3), DomainError, "^n must be an integer"),
+    "array-view-float": (lambda: bitseq.array_view((0, 1, 1, 0), 2.0), DomainError,
+                         "^row count b must be an integer"),
+    "array-view-str": (lambda: bitseq.array_view((0, 1, 1, 0), "2"), DomainError,
+                       "^row count b must be an integer"),
+    "enumerate-n-float": (lambda: next(bitseq.enumerate_words(3.0)), DomainError,
+                          "^word length n must be an integer"),
+    "ball-formula-b-float": (lambda: balls.ball_size_formula((0, 1, 1, 0), 2.0), DomainError,
+                             "^burst size b must be an integer"),
     "references-b-0": (lambda: bounds.reference_redundancies(10, 0), DomainError, "got n=10, b=0$"),
     "references-b-negative": (lambda: bounds.reference_redundancies(10, -1), DomainError, "got n=10, b=-1$"),
     "references-n-0": (lambda: bounds.reference_redundancies(0, 1), DomainError, "got n=0, b=1$"),

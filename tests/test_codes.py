@@ -149,6 +149,13 @@ def test_param_fields_and_ranges_agree():
         assert len(param_fields(family, b)) == len(param_ranges(family, n, b))
 
 
+def test_burst_rule_takes_b_up_to_128():
+    # 64 b^2 <= 2^20 at the least n of any domain, n = 2b: b = 128 is the
+    # largest burst size, and its fields are a_vt and three keys per level 2..b
+    fields = param_fields(Family.AT_MOST_CONSECUTIVE, 128)
+    assert len(fields) == 1 + 3 * 127 and fields[-3:] == ("a128", "c128", "d128")
+
+
 def test_cheng1_membership_and_size():
     spec = CodeSpec(Family.CHENG1, 8, 2)
     cb = build(spec)

@@ -1,7 +1,9 @@
 """The package's modules import each other at module top only, so that the
-graph of their imports is read off the module heads and has no cycle."""
+graph of their imports is read off the module heads and has no cycle, and
+keep their caches behind private names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import burstcodes
@@ -37,3 +39,16 @@ def test_imports_sit_at_module_top_and_form_a_dag():
     for name in sorted(modules):
         visit(name, ())
     assert edges["_enum"] == {"errors"}  # the form engine reads no other module
+
+
+def test_no_public_name_is_a_cache():
+    # an lru_cache hashes its arguments before the function can check them, so
+    # a public entry takes its arguments first and reads a private cache after
+    cached = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module("burstcodes" if path.stem == "__init__" else f"burstcodes.{path.stem}")
+        cached += [f"{path.stem}.{name}" for name, value in vars(module).items()
+                   if not name.startswith("_") and hasattr(value, "cache_clear")]
+    assert not cached, cached
