@@ -190,7 +190,7 @@ _REFUSALS = {
     "spec-b-factorial": (lambda: CodeSpec(Family.AT_MOST_CONSECUTIVE, 6, 200, ()), DomainError,
                          r"^at-most-consecutive tables stop at 32 n b <= 2\^20 residues at n >= 2b, got b=200$"),
     # each rule of _validate_structure in its order: every case but the last
-    # two also breaks the rules after its own
+    # two also breaks the rule after its own (no b <= 128 breaks both n rules)
     "structure-b-domain": (lambda: codes.param_ranges(Family.CL2, 3, 129), DomainError,
                            r"^cl2 needs b = 2, got b=129$"),
     "structure-b-size": (lambda: codes.param_ranges(Family.CHENG1, 1, 129), DomainError,
