@@ -30,7 +30,10 @@ as narrow as key_dtype allows and never wrap. blocks is the one block rule of
 the passes over many balls' keys (verify_code's two, greedy_code's and the
 ball-size tally's): slices of words whose keys fill about _enum.BLOCK entries.
 A table holds at most EVENTS_MAX = 2^20 events: a larger one is counted from
-its placements (event_count), not built, and raises DomainError.
+its placements (event_count), not built, and raises DomainError. _admit owns
+the one length rule: every entry that takes a model calls it (or _events)
+before it reads the model or a cache, and admits an ErrorModel and an integer
+word length of at least model.shortest.
 
 Membership (in_ball) needs no table for the models whose events replace one
 window of consecutive bits: it compares common prefix and suffix. The two
@@ -50,7 +53,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _enum
-from .bitseq import Word, from_int, to_int
+from .bitseq import Word, as_word, from_int, to_int
 from .errors import DomainError, integer
 
 
@@ -183,16 +186,25 @@ _Event = namedtuple("_Event", "length bits segs deleted inserted")
 EVENTS_MAX = 1 << 20  # events in one table; a larger table raises DomainError unbuilt
 
 
+def _admit(n: int, model: ErrorModel) -> int:
+    """The word length n as a Python int; DomainError unless model is an
+    ErrorModel and n an integer of at least model.shortest."""
+    if not isinstance(model, ErrorModel):
+        raise DomainError(f"error model must be an ErrorModel, got {model!r}")
+    n = integer(n, "word length n")
+    if n < model.shortest:
+        raise DomainError(f"word length {n} too short for {model}")
+    return n
+
+
 def event_count(n: int, model: ErrorModel, m: int | None = None) -> int:
     """The events of the model on a length-n word, 2^(inserted positions) per
     placement, counted without listing them; given m, only those that end at
     length m. The sizes count one at a time, each shift capped where it alone
     passes EVENTS_MAX, and the count stops at the first size that passes
     EVENTS_MAX, so any count past it only says that the table is too large."""
-    n, b, window = integer(n, "word length n"), model.b, model.windowed
+    n, b, window = _admit(n, model), model.b, model.windowed
     m = None if m is None else integer(m, "received length m")
-    if n < model.shortest:
-        raise DomainError(f"word length {n} too short for {model}")
 
     def sets(k: int, a: int) -> int:
         # a positions of 1..k inside a window of b, each set by its minimum p
@@ -252,9 +264,13 @@ def _table(n: int, placements) -> tuple[_Event, ...]:
     return tuple(events)
 
 
-@lru_cache(maxsize=256)
 def _events(n: int, model: ErrorModel) -> tuple[_Event, ...]:
     """Every admissible event of the model on a length-n word, once each."""
+    return _cached_events(_admit(n, model), model)
+
+
+@lru_cache(maxsize=256)
+def _cached_events(n: int, model: ErrorModel) -> tuple[_Event, ...]:
     return _table(n, _placements(n, model))
 
 
@@ -300,9 +316,11 @@ def in_ball(element: tuple[int, int], v: int, n: int, model: ErrorModel) -> bool
     value lies in the ball exactly when its common prefix and suffix with v,
     each at most min(n, m) bits, cover that many. A windowed model walks its
     events of length m until one gives the value."""
-    m, u = element
-    if n < model.shortest:
-        raise DomainError(f"word length {n} too short for {model}")
+    try:
+        m, u = element
+    except (TypeError, ValueError):
+        raise DomainError(f"ball element must be a (length, value) pair, got {element!r}") from None
+    n = _admit(n, model)
     v, u = _enum.word(v, n), _enum.word(u, m)
     if model.windowed:
         return any(y == u for _, y in walk(v, (ev for ev in _events(n, model) if ev.length == m)))
@@ -318,6 +336,7 @@ def key_dtype(n: int, model: ErrorModel) -> np.dtype:
     """The dtype of the model's ball_keys at length n, the narrowest that holds
     the words and every key: uint32 when n <= 32 and no element is longer
     than 31 bits, else uint64. Elements past KEY_MAX_BITS raise DomainError."""
+    n = _admit(n, model)
     longest = model.longest(n)
     if n > KEY_MAX_BITS + 1 or longest > KEY_MAX_BITS:
         raise DomainError(f"n={n} gives {longest}-bit ball elements; keys take n <= 64, <= 63 bits")
@@ -389,6 +408,7 @@ def distinct_keys(vs, n: int, model: ErrorModel) -> tuple[np.ndarray, np.ndarray
     repeats are neighbours in event order, so its keys are _event_keys with
     each key equal to the one before it in its column dropped, with no
     transpose and no sort; any other model's are sorted_ball_keys."""
+    _admit(n, model)
     if not model.sliding:
         return sorted_ball_keys(vs, n, model)
     keys = _event_keys(vs, n, model)
@@ -422,15 +442,10 @@ def ball(x: Word, model: ErrorModel) -> set[Word]:
 
 def restricted_burst21_ball(x: Word, deleted_pair: tuple[int, int], inserted: int) -> set[Word]:
     """(2,1)-burst outcomes restricted to deleted subvector = deleted_pair and
-    inserted bit = inserted."""
-    n = len(x)
-    if n < 3:
-        raise DomainError("word too short for a (2,1)-burst")
-    out = set()
-    for i in range(n - 1):
-        if (x[i], x[i + 1]) == deleted_pair:
-            out.add(x[:i] + (inserted,) + x[i + 2:])
-    return out
+    inserted bit = inserted; DomainError for an entry or bit other than 0 or 1."""
+    x, pair, bit = as_word(x), as_word(deleted_pair), as_word((inserted,))
+    n = _admit(len(x), burst21())
+    return {x[:i] + bit + x[i + 2:] for i in range(n - 1) if x[i : i + 2] == pair}
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +458,8 @@ def ball_size_formula(x: Word, b: int) -> int:
     bits p..p+b-1 and p+1..p+b gives the same word exactly when x_p =
     x_{p+b}. When b | n this is 1 + the runs of each row of the b-row array,
     less one each."""
-    n, b = len(x), integer(b, "burst size b")
-    if n <= b:
-        raise DomainError(f"word length {n} too short for a {b}-burst deletion")
+    x, model = as_word(x), del_exact(b)
+    n, b = _admit(len(x), model), model.b
     return 1 + sum(x[p] != x[p + b] for p in range(n - b))
 
 
@@ -462,9 +476,8 @@ def ball_size_distribution(n: int, b: int) -> dict[int, int]:
     the closed form N(n, b, i) = 2^b * C(n-b, i-1) for 1 <= i <= n-b+1: the
     first b bits are free, and so is each of the n - b differences x_p !=
     x_{p+b} that ball_size_formula counts."""
-    n, b = integer(n, "n"), integer(b, "b")
-    if n <= b:
-        raise DomainError("need n > b")
+    model = del_exact(b)
+    n, b = _admit(n, model), model.b
     return {i: (1 << b) * math.comb(n - b, i - 1) for i in range(1, n - b + 2)}
 
 
@@ -472,25 +485,13 @@ def ball_size_tally(n: int, b: int) -> dict[int, int]:
     """Brute-force tally of |D_b(x)| over all 2^n words: the distinct keys of
     every ball, counted row by row in the slices of blocks, each made as its
     own range of words. Independent of ball_size_formula."""
-    n, b = integer(n, "n"), integer(b, "b")
+    model = del_exact(b)
+    n, b = _admit(n, model), model.b
     if n > 24:
         raise DomainError("tally capped at n <= 24")
-    if n <= b:
-        raise DomainError("need n > b")
-    model = del_exact(b)
     counts = np.zeros(n - b + 2, dtype=np.int64)
     for s in blocks(1 << n, n, model):
         _, fresh = sorted_ball_keys(np.arange(s.start, s.stop, dtype=np.uint64), n, model)
         counts += np.bincount(np.count_nonzero(fresh, axis=1), minlength=len(counts))
     return {size: int(c) for size, c in enumerate(counts) if c}
 
-
-def distribution_report(n: int, b: int) -> dict:
-    """JSON-ready comparison of the closed form against the brute-force tally."""
-    dist = ball_size_distribution(n, b)
-    tally = ball_size_tally(n, b)
-    rows = [
-        {"i": i, "formula": dist[i], "enumerated": tally.get(i, 0)}
-        for i in sorted(dist)
-    ]
-    return {"n": n, "b": b, "counts": rows}

@@ -10,7 +10,7 @@ character at position 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator
 
 from . import _enum
@@ -77,9 +77,7 @@ def enumerate_words(n: int) -> Iterator[Word]:
     n = integer(n, "word length n")
     if not 1 <= n <= MAX_ENUM_BITS:
         raise DomainError(f"enumeration requires 1 <= n <= {MAX_ENUM_BITS}, got {n}")
-    # Iterating the integer with position 1 at the MSB gives lexicographic order.
-    for v in range(1 << n):
-        yield tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+    yield from product((0, 1), repeat=n)
 
 
 @dataclass(frozen=True)

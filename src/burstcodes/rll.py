@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from . import _enum
-from .bitseq import BITS, DIGITS, Word, array_view
+from .bitseq import BITS, DIGITS, Word, array_view, as_word
 from .errors import DecodeFailure, DomainError, integer
 
 
@@ -218,7 +218,7 @@ class UrllSpec:
 
 
 def urll_member(x: Word, spec: UrllSpec) -> bool:
-    if len(x) != spec.n:
+    if len(x := as_word(x)) != spec.n:
         raise DomainError(f"expected length {spec.n}, got {len(x)}")
     return all(max_run(array_view(x, i)[0]) <= spec.f for i in range(3, spec.b + 1))
 

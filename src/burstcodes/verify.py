@@ -179,9 +179,8 @@ def greedy_code(n: int, model: balls.ErrorModel) -> Codebook:
     of each slice of balls.blocks are made at once; in sub-blocks of
     GREEDY_ROWS words, one gather drops the words whose ball meets the
     bitmap, and only the rest are tried, in lexicographic order."""
-    n = integer(n, "code length n")
-    if not (least := max(1, model.shortest)) <= n <= GREEDY_MAX_BITS:
-        raise DomainError(f"greedy construction of {model} needs {least} <= n <= {GREEDY_MAX_BITS}")
+    if (n := balls._admit(n, model)) > GREEDY_MAX_BITS:
+        raise DomainError(f"greedy construction of {model} needs n <= {GREEDY_MAX_BITS}")
     longest = model.longest(n)
     if 2 << longest > GREEDY_MAP_BYTES:
         raise DomainError(f"{model} at length {n} gives {longest}-bit elements; "

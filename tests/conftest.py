@@ -64,9 +64,8 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help=(
-            "run the opt-in slow checks: the pinned n=24 codebooks of every "
-            "family, and noncons4 at n=24 (criterion 12 and 1,000 seeded "
-            "search decodes per burst size)"
+            "run the opt-in slow checks: noncons4 at n=24 (criterion 12 and "
+            "1,000 seeded search decodes per burst size)"
         ),
     )
 

@@ -192,13 +192,6 @@ def test_tally_in_small_blocks_matches_the_formula(monkeypatch, block):
             assert ball_size_tally(n, b) == ball_size_distribution(n, b), (n, b)
 
 
-def test_distribution_report_shape():
-    rep = balls.distribution_report(6, 2)
-    assert rep["n"] == 6 and rep["b"] == 2
-    assert all(row["formula"] == row["enumerated"] for row in rep["counts"])
-    assert sum(row["formula"] for row in rep["counts"]) == 64
-
-
 def _models(b):
     return [ErrorModel(kind, b) for kind in ErrorKind if kind is not ErrorKind.BURST_2_1 or b == 2]
 

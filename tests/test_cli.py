@@ -159,7 +159,8 @@ _REFUSALS = {
     "svt-window": (lambda: vt.svt_decode((0,) * 7, vt.SvtParams(8, 3, 0, 0), 9), DomainError, "u must lie"),
     "model-b": (lambda: balls.ErrorModel(balls.ErrorKind.DEL_EXACT, 0), DomainError, "b must be >= 1"),
     "burst21-short": (lambda: balls.restricted_burst21_ball((0, 1), (0, 1), 1), DomainError, "too short"),
-    "tally-n-b": (lambda: balls.ball_size_tally(3, 3), DomainError, "need n > b"),
+    "tally-n-b": (lambda: balls.ball_size_tally(3, 3), DomainError,
+                  r"^word length 3 too short for del-exact\(b=3\)$"),
     "rll-enumerated-cap": (lambda: rll.rll_count_enumerated(rll.RllSpec(25, 3)), DomainError, "n <= 24"),
     "urll-spec-b": (lambda: rll.UrllSpec(12, 2), DomainError, "^universal constraint applies for b >= 3$"),
     "urll-spec-n": (lambda: rll.UrllSpec(0, 3), DomainError,
@@ -214,7 +215,7 @@ _REFUSALS = {
     "svt-best-span-str": (lambda: vt.svt_best_params(10, "3"), DomainError,
                           "^position span P must be an integer"),
     "greedy-n-float": (lambda: verify.greedy_code(8.0, balls.del_exact(1)), DomainError,
-                       "^code length n must be an integer"),
+                       "^word length n must be an integer"),
     "equiv-n-float": (lambda: verify.equivalence_check(6.0, 2, "exact"), DomainError,
                       "^code length n must be an integer"),
     "equiv-flavor-list": (lambda: verify.equivalence_check(6, 2, ["exact"]), DomainError,
@@ -230,6 +231,28 @@ _REFUSALS = {
                           "^word length n must be an integer"),
     "ball-formula-b-float": (lambda: balls.ball_size_formula((0, 1, 1, 0), 2.0), DomainError,
                              "^burst size b must be an integer"),
+    # the per-word paper functions check their words, bits and elements
+    "burst21-bit": (lambda: balls.restricted_burst21_ball((0, 1, 1, 1), (0, 1), 5), DomainError,
+                    r"^word bits must be 0 or 1, got \(5,\)$"),
+    "burst21-word": (lambda: balls.restricted_burst21_ball((0, 2, 1, 1), (0, 1), 1), DomainError,
+                     r"^word bits must be 0 or 1, got \(0, 2, 1, 1\)$"),
+    "ball-formula-text": (lambda: balls.ball_size_formula("0110", 1), DomainError,
+                          "^word bits must be 0 or 1, got '0110'$"),
+    "ball-formula-word": (lambda: balls.ball_size_formula((0, 2, 1, 1), 1), DomainError,
+                          r"^word bits must be 0 or 1, got \(0, 2, 1, 1\)$"),
+    "urll-member-word": (lambda: rll.urll_member((0, 2, 1, 1, 1, 1), rll.UrllSpec(6, 3)), DomainError,
+                         r"^word bits must be 0 or 1, got \(0, 2, 1, 1, 1, 1\)$"),
+    "in-ball-element": (lambda: balls.in_ball((4,), 0, 5, balls.del_exact(1)), DomainError,
+                        r"^ball element must be a \(length, value\) pair, got \(4,\)$"),
+    # b >= 1 for the exact-burst counting laws, taken through del_exact(b)
+    "ball-formula-b-0": (lambda: balls.ball_size_formula((0, 1, 1, 0), 0), DomainError,
+                         "^burst size b must be >= 1$"),
+    "ball-formula-b-negative": (lambda: balls.ball_size_formula((0, 1, 1, 0), -1), DomainError,
+                                "^burst size b must be >= 1$"),
+    "distribution-b-0": (lambda: balls.ball_size_distribution(5, 0), DomainError,
+                         "^burst size b must be >= 1$"),
+    "distribution-b-negative": (lambda: balls.ball_size_distribution(5, -1), DomainError,
+                                "^burst size b must be >= 1$"),
     "references-b-0": (lambda: bounds.reference_redundancies(10, 0), DomainError, "got n=10, b=0$"),
     "references-b-negative": (lambda: bounds.reference_redundancies(10, -1), DomainError, "got n=10, b=-1$"),
     "references-n-0": (lambda: bounds.reference_redundancies(0, 1), DomainError, "got n=0, b=1$"),

@@ -522,7 +522,6 @@ PINNED_24 = {
 }
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("family,b", sorted(PINNED_24, key=lambda fb: fb[0].value))
 def test_codebooks_at_24_are_byte_identical(family, b):
     buf = io.StringIO()

@@ -1,12 +1,18 @@
 """The package's modules import each other at module top only, so that the
-graph of their imports is read off the module heads and has no cycle, and
-keep their caches behind private names."""
+graph of their imports is read off the module heads and has no cycle, keep
+their caches behind private names, and admit an error model and its word
+length by one rule, balls._admit."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import burstcodes
+from burstcodes import balls, verify
+from burstcodes.codes import codebook_from_words
+from burstcodes.errors import DomainError
 
 _PACKAGE = Path(burstcodes.__file__).resolve().parent
 
@@ -52,3 +58,41 @@ def test_no_public_name_is_a_cache():
         cached += [f"{path.stem}.{name}" for name, value in vars(module).items()
                    if not name.startswith("_") and hasattr(value, "cache_clear")]
     assert not cached, cached
+
+
+def test_one_raise_admits_a_model_and_its_word_length():
+    # the length rule and the model rule each end in one raise in the package
+    texts = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        texts += [" ".join(c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Raise)]
+    assert sum("too short for" in text for text in texts) == 1
+    assert sum("must be an ErrorModel" in text for text in texts) == 1
+
+
+_CODE = codebook_from_words([(0,) * 5, (1,) * 5], 5)
+
+# every public entry that takes an error model, on length-5 words
+_ENTRIES = {
+    "event_count": lambda model: balls.event_count(5, model),
+    "ball_ints": lambda model: balls.ball_ints(0, 5, model),
+    "in_ball": lambda model: balls.in_ball((4, 0), 0, 5, model),
+    "key_dtype": lambda model: balls.key_dtype(5, model),
+    "ball_keys": lambda model: balls.ball_keys([0], 5, model),
+    "sorted_ball_keys": lambda model: balls.sorted_ball_keys([0], 5, model),
+    "distinct_keys": lambda model: balls.distinct_keys([0], 5, model),
+    "blocks": lambda model: balls.blocks(1, 5, model),
+    "ball": lambda model: balls.ball((0,) * 5, model),
+    "verify_code": lambda model: verify.verify_code(_CODE, model),
+    "greedy_code": lambda model: verify.greedy_code(5, model),
+    "apply_error": lambda model: verify.apply_error((0,) * 5, model, 0),
+    "oracle_decode": lambda model: verify.oracle_decode(_CODE, (0,) * 4, model),
+}
+
+
+@pytest.mark.parametrize("model", ["del-exact", None, [1]], ids=repr)
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_every_model_entry_refuses_what_is_not_a_model(entry, model):
+    # before any attribute is read or any cache hashes it
+    with pytest.raises(DomainError, match=r"^error model must be an ErrorModel, got "):
+        _ENTRIES[entry](model)
